@@ -8,8 +8,8 @@ margins in the two proven inequalities
     area(dC) <= 9 d(psi)      height(dC) < 3 d(psi)
 
 together with the consistency checks against the stable distance
-estimate.  Lengths up to 5 keep the scan under half a minute; pass a
-different cap on the command line to go further.
+estimate.  The default cap is length 5; pass a different cap on the
+command line to go further.
 """
 
 import sys

@@ -42,7 +42,7 @@ def main():
     print("  twice the regular ideal tetrahedron, error %.1e"
           % abs(volume - 2 * 1.0149416064096536))
 
-    cusp = bundle.maximal_cusp(tri, shapes, depth=8)
+    cusp = bundle.maximal_cusp(tri, shapes)
     print("\nmaximal cusp:")
     print("  area           %.12f  (2 sqrt(3) = %.12f)" % (cusp.area,
                                                            2 * SQRT3))

@@ -87,9 +87,10 @@ def verify_fibered(word, n_max=4, tol=1e-12, depth=8, stable_n=20):
     stable_upper / 536 chi^4 use an upper estimate of the stable
     distance, so a pass is stronger than the theorem
     (consistent-strong:*) and a failure proves nothing
-    (inconclusive:*).
+    (inconclusive:*).  ``depth`` is accepted and ignored, as in
+    maximal_cusp.
 
-    Solver and development errors propagate unchanged.
+    Solver and geometry errors propagate unchanged.
     """
     chi = CHI_FIBER
     chi2 = chi * chi

@@ -21,6 +21,7 @@ the monodromy acting on the plane.
 """
 
 import cmath
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import (DegenerateShape, DepthUnstable, Diverged, MaxIterations,
-                     NotPseudoAnosov, NotSolved, NumericalError)
+from .errors import (DegenerateShape, Diverged, MaxIterations, NotPseudoAnosov,
+                     NotSolved, NumericalError)
 from .farey import word_to_matrix
 
 __all__ = [
@@ -627,216 +628,70 @@ def cusp_cross_section(triangulation, shapes, base=(0, 0)):
 
 # ---- maximal cusp --------------------------------------------------------
 
-def _std3(p, q, r):
-    # Moebius matrix sending the projective points p, q, r to 0, inf, 1
-    drq = r[0] * q[1] - r[1] * q[0]
-    drp = r[0] * p[1] - r[1] * p[0]
-    return (p[1] * drq, -p[0] * drq, q[1] * drp, -q[0] * drp)
-
-
-def _mmul(m, w):
-    a, b, c, d = m
-    e, f, g, h = w
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def _mapply(m, p):
-    a, b, c, d = m
-    return (a * p[0] + b * p[1], c * p[0] + d * p[1])
-
-
-def _normalized(m):
-    a, b, c, d = m
-    det = a * d - b * c
-    s = cmath.sqrt(det)
-    return (a / s, b / s, c / s, d / s)
-
-
-def _face_map(src_pts, dst_pts):
-    # det-1 Moebius carrying the dst triple onto the src triple
-    s_src = _std3(*src_pts)
-    s_dst = _std3(*dst_pts)
-    a, b, c, d = s_src
-    inv = (d, -b, -c, a)
-    return _normalized(_mmul(inv, s_dst))
-
-
-class _HoroballDevelopment:
-    """Breadth-first development of cusp lifts in the half space model.
-
-    The stack is placed once, with tetrahedron 0 at (infinity, 0, 1, z_0)
-    and the cusp lift at infinity cut at height one.  Every reachable
-    copy of the fundamental domain is a deck image M of the stack, and
-    the cusp lift it carries at M(infinity) is a ball of diameter
-    1/|c|^2, where c is the lower left entry of M.  States are reduced
-    modulo the peripheral lattice, so the pattern of balls over one
-    fundamental parallelogram is enumerated once.
-    """
-
-    def __init__(self, triangulation, zs, lattice):
-        t = triangulation
-        n = t.num_tetrahedra
-        self._mu, self._lam = lattice
-        self._scale = max(abs(self._mu), abs(self._lam), 1.0)
-        det = (self._mu.real * self._lam.imag
-               - self._mu.imag * self._lam.real)
-        self._lat_inv = ((self._lam.imag / det, -self._lam.real / det),
-                         (-self._mu.imag / det, self._mu.real / det))
-        std = [((1, 0), (0j, 1), (1, 1), (zs[i], 1)) for i in range(n)]
-        base = [None] * n
-        base[0] = std[0]
-        for i in range(n - 1):
-            j, _, sigma = t.gluings[(i, 2)]
-            src = [base[i][m] for m in _FACE[2]]
-            dst = [std[j][sigma[m]] for m in _FACE[2]]
-            g = _face_map(src, dst)
-            base[j] = tuple(_mapply(g, p) for p in std[j])
-        self._base = base
-        self._trans = {}
-        for (i, r), (j, _, sigma) in t.gluings.items():
-            src = [base[i][m] for m in _FACE[r]]
-            dst = [base[j][sigma[m]] for m in _FACE[r]]
-            self._trans[(i, r)] = (j, _face_map(src, dst))
-
-    def _reduce(self, m):
-        # translate the image of infinity into the base parallelogram
-        a, b, c, d = m
-        if abs(c) > 1e-9:
-            w = a / c
-        elif abs(d) > 1e-9:
-            w = b / d
-        else:
-            return m
-        (p, q), (r, s) = self._lat_inv
-        x = math.floor(p * w.real + q * w.imag + 0.5)
-        y = math.floor(r * w.real + s * w.imag + 0.5)
-        if x or y:
-            t = x * self._mu + y * self._lam
-            return (a - t * c, b - t * d, c, d)
-        return m
-
-    def _key(self, j, m):
-        # Coset invariants: left translation by the peripheral lattice
-        # leaves c and d alone and moves the ball center by the lattice,
-        # so the key uses c, d up to sign and the center's fractional
-        # lattice coordinates.  The irrational offsets keep the centers
-        # of the actual pattern away from the wrap-around boundary.
-        a, b, c, d = m
-        f = math.floor
-        # quantize both signs and keep the smaller; min over the actual
-        # quantizations makes the key exactly even under negation
-        kc = (f(c.real * 1e6 + 0.5), f(c.imag * 1e6 + 0.5),
-              f(d.real * 1e6 + 0.5), f(d.imag * 1e6 + 0.5))
-        nc = (f(-c.real * 1e6 + 0.5), f(-c.imag * 1e6 + 0.5),
-              f(-d.real * 1e6 + 0.5), f(-d.imag * 1e6 + 0.5))
-        if nc < kc:
-            kc = nc
-        if abs(c) > 1e-9:
-            w = a / c
-        elif abs(d) > 1e-9:
-            w = b / d
-        else:
-            w = 0j
-        (p, q), (r, s) = self._lat_inv
-        x = p * w.real + q * w.imag + 0.287471
-        y = r * w.real + s * w.imag + 0.137913
-        return (j, kc,
-                f((x - f(x)) * 1e6 + 0.5), f((y - f(y)) * 1e6 + 0.5))
-
-    def _small(self, j, m, threshold):
-        # a copy far smaller than the best ball so far cannot carry a
-        # bigger one; copies touching infinity are never pruned
-        pts = []
-        for p in self._base[j]:
-            q = _mapply(m, p)
-            if abs(q[1]) <= 1e-9 * (abs(q[0]) + abs(q[1])):
-                return False
-            pts.append(q[0] / q[1])
-        p0, p1, p2, p3 = pts
-        spread = max(abs(p0 - p1), abs(p0 - p2), abs(p0 - p3),
-                     abs(p1 - p2), abs(p1 - p3), abs(p2 - p3))
-        return spread < threshold
-
-    def run(self, depth, budget=300000):
-        """Largest horoball diameter, certified by depth doubling.
-
-        Expands the breadth-first frontier level by level, recording the
-        maximum at depths depth, 2*depth, 4*depth, ...; returns once two
-        consecutive checkpoints agree (or the frontier is exhausted) and
-        raises DepthUnstable past the final cap or the state budget.
-        """
-        ident = (1 + 0j, 0j, 0j, 1 + 0j)
-        frontier = [(0, ident)]
-        seen = {self._key(0, ident)}
-        best = 0.0
-        checkpoints = []
-        level = 0
-        cap = depth * 32
-        while True:
-            if not frontier:
-                if best <= 0.0:
-                    raise DepthUnstable("no horoball found before exhaustion")
-                return best
-            level += 1
-            if level > cap:
-                raise DepthUnstable("no stable maximum within depth %d" % cap)
-            next_frontier = []
-            for j, m in frontier:
-                for r in range(4):
-                    j2, t = self._trans[(j, r)]
-                    m2 = self._reduce(_mmul(m, t))
-                    key = self._key(j2, m2)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if len(seen) > budget:
-                        raise DepthUnstable("horoball development exceeded "
-                                            "%d states" % budget)
-                    c = m2[2]
-                    if abs(c) > 1e-7:
-                        d = 1.0 / (abs(c) * abs(c))
-                        if d > best:
-                            best = d
-                    threshold = max(best / 16.0, 1e-6 * self._scale)
-                    if not self._small(j2, m2, threshold):
-                        next_frontier.append((j2, m2))
-            frontier = next_frontier
-            if level % depth == 0 and (level // depth) & ((level // depth) - 1) == 0:
-                # level is depth, 2*depth, 4*depth, ...
-                checkpoints.append(best)
-                if len(checkpoints) >= 3 and \
-                        abs(checkpoints[-1] - checkpoints[-2]) <= 1e-9 * max(1.0, best) and \
-                        abs(checkpoints[-2] - checkpoints[-3]) <= 1e-9 * max(1.0, best):
-                    if best <= 0.0:
-                        raise DepthUnstable("no horoball found")
-                    return best
-
-
 def maximal_cusp(triangulation, shapes, depth=8):
     """Cusp cross section at the first self-tangency of the cusp.
 
-    Develops horoball lifts of the cusp outward from the stack to the
-    given combinatorial depth, doubling until the largest ball diameter
-    is stable twice; the maximal cut sits at the square root of that
-    diameter over the reference normalization.  Raises DepthUnstable
-    when no stable maximum appears within the depth and state budgets,
-    and NotSolved on unsolved shapes.
+    Reads the maximal cusp off the edges of the triangulation: the
+    largest horoball diameter D at the reference cut of
+    cusp_cross_section is the largest value of h_k h_m below, and the
+    maximal cut scales the reference lattice by 1 / sqrt(D), so its area
+    is the reference area over D.  ``depth`` is accepted and ignored:
+    the computation is exact and has no search depth.  Raises
+    NotSolved on unsolved shapes and on a shape outside the upper half
+    plane, naming the word and the worst tetrahedron.
+
+    Edge formula.  In a tetrahedron with a vertex k at infinity and the
+    cusp cut at height one, an ideal vertex m carries the horoball of
+    diameter e^(-delta), delta the signed length of the edge {k, m}
+    between the two horoballs.  Penner's lambda-lengths lambda = e^(delta
+    / 2) fix the horocyclic sides of each face {k, m, m'}: the cusp
+    triangle at k has side h_k = lambda(m m') / (lambda(k m) lambda(k m'))
+    across that face, and the one at m has h_m = lambda(k m') /
+    (lambda(k m) lambda(m m')).  So h_k h_m = e^(-delta(k m)) is the
+    diameter of the ball at m seen from k, with h_k and h_m read from the
+    developed cusp triangles: h_k = |pos[(i, k)][m] - pos[(i, k)][m']|
+    and h_m = |pos[(i, m)][k] - pos[(i, m)][m']|.
+
+    Why the edges suffice.  With every shape in the upper half plane the
+    layered triangulation is the geometric one, and for once-punctured
+    torus bundles it is the Epstein-Penner canonical decomposition
+    (Lackenby, Comment. Math. Helv. 78 (2003); Gueritaud, Geom. Topol. 10
+    (2006)).  As the cusp grows, its first self-tangency is along the
+    shortest orthogeodesic from the cusp to itself, which is an edge of
+    the canonical decomposition: dual to the face of the Ford domain that
+    the largest isometric sphere spans.  So the largest ball over all
+    horoball pairs is the largest over the edges.
     """
-    reference = cusp_cross_section(triangulation, shapes)
-    zs = _shape_array(shapes)
-    mu, lam = reference.translations
-    dev = _HoroballDevelopment(triangulation, zs, (mu, lam))
-    diameter = dev.run(depth)
+    zs = [complex(z) for z in shapes]
+    worst = min(range(len(zs)), key=lambda i: zs[i].imag, default=None)
+    if worst is not None and not zs[worst].imag > 0.0:
+        raise NotSolved("word %r: tetrahedron %d has shape %r outside the "
+                        "upper half plane, so the edges need not be "
+                        "canonical" % (triangulation.word, worst, zs[worst]))
+    reference = cusp_cross_section(triangulation, zs)
+    pos = GluingSystem(triangulation)._develop(_shape_array(zs))
+    diameter = 0.0
+    for i in range(triangulation.num_tetrahedra):
+        for k, m in itertools.combinations(range(4), 2):
+            for m2 in range(4):
+                if m2 != k and m2 != m:
+                    h_k = abs(pos[(i, k)][m] - pos[(i, k)][m2])
+                    h_m = abs(pos[(i, m)][k] - pos[(i, m)][m2])
+                    diameter = max(diameter, h_k * h_m)
     h = math.sqrt(diameter)
+    mu, lam = reference.translations
     mu, lam = mu / h, lam / h
-    area = reference.area / (h * h)
+    area = reference.area / diameter
     return CuspCrossSection((mu, lam), area, abs(lam), area / abs(lam))
 
 
 # ---- reports -------------------------------------------------------------
 
 def bundle_report(word, tol=1e-12, depth=8, init="i"):
-    """Solve a bundle end to end; returns a JSON-ready dictionary."""
+    """Solve a bundle end to end; returns a JSON-ready dictionary.
+
+    ``depth`` is accepted and ignored, as in maximal_cusp.
+    """
     t = layered_triangulation(word)
     system = gluing_system(t)
     solved = solve_shapes(system, init=init, tol=tol)

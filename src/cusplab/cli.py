@@ -11,12 +11,12 @@ Subcommands:
 
 Exit codes: 0 when everything checked passes, 1 when a verification
 emits a violation, 2 on usage or input errors, 3 when the numerics give
-up (non-convergence or an unstable development).
+up (non-convergence or degenerate shapes).
 
 Reports carry ``schema`` 1, the package and numeric-library versions,
 and the full run configuration including the random seed.  JSON objects
 are emitted with sorted keys; equal configurations produce byte-equal
-reports regardless of the worker count.
+reports.
 
 The verify-thm14 CSV starts with ``#``-prefixed provenance lines and a
 fixed header::
@@ -27,8 +27,8 @@ with one ``dn`` column per checked power, margins as
 ``name=value`` pairs joined by ``;``, and flags joined by ``;``.  The
 pairs file for verify-lifting is a JSON list of two-element lists of arc
 literals (``"arc w0,..;c0,.."`` or ``"slope p/q"``) read on the base
-surface of the cover.  Corpus verification fans out over worker threads;
-CUSPLAB_THREADS overrides the count.
+surface of the cover.  ``--depth`` is accepted and ignored: the maximal
+cusp is computed exactly, with no search depth.
 """
 
 import argparse
@@ -36,9 +36,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -157,20 +155,6 @@ def corpus(max_len):
     return sorted(seen, key=lambda w: (len(w), w))
 
 
-def _worker_count():
-    env = os.environ.get("CUSPLAB_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError("CUSPLAB_THREADS must be an integer, got %r"
-                             % env)
-        if n < 1:
-            raise ValueError("CUSPLAB_THREADS must be positive, got %r" % env)
-        return n
-    return min(8, os.cpu_count() or 1)
-
-
 # ---- subcommand handlers ----
 
 def _cmd_farey_dist(args):
@@ -227,20 +211,10 @@ def _thm14_csv(config, reports):
 
 
 def _cmd_verify_thm14(config):
-    words = corpus(config.max_word_len)
-
-    def measure(word):
-        return bounds.verify_fibered(word, n_max=config.n_max,
+    reports = [bounds.verify_fibered(word, n_max=config.n_max,
                                      tol=config.tol, depth=config.depth,
                                      stable_n=config.stable_n)
-
-    workers = _worker_count()
-    if workers > 1 and len(words) > 1:
-        # map preserves submission order, so the merge is canonical
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(measure, words))
-    else:
-        reports = [measure(w) for w in words]
+               for word in corpus(config.max_word_len)]
 
     _emit(_thm14_csv(config, reports), config.out)
     bad = [rep.word for rep in reports if rep.violations]
@@ -411,7 +385,8 @@ def _build_parser():
                        help="solve one bundle and report its maximal cusp")
     p.add_argument("word", metavar="WORD")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=int, default=8,
+                   help="ignored; the maximal cusp needs no search depth")
     p.add_argument("--init", choices=["regular", "i"], default="i")
     p.add_argument("--out", metavar="FILE")
 
@@ -421,7 +396,8 @@ def _build_parser():
     p.add_argument("--n-max", type=int, default=4, metavar="N")
     p.add_argument("--stable-n", type=int, default=20, metavar="N")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=int, default=8,
+                   help="ignored; the maximal cusp needs no search depth")
     p.add_argument("--out", metavar="FILE")
 
     p = sub.add_parser("verify-lifting",

@@ -112,7 +112,13 @@ class DegenerateShape(NumericalError):
 
 
 class DepthUnstable(NumericalError):
-    """Horoball development did not stabilise under depth doubling."""
+    """Horoball development did not stabilise under depth doubling.
+
+    maximal_cusp no longer raises it: the maximal cusp is read off the
+    edges of the canonical triangulation, with no search depth.  The class
+    and its exit code (3, as a NumericalError) stay for callers that
+    catch it.
+    """
 
 
 class NotSolved(CuspLabError):

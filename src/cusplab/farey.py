@@ -15,7 +15,7 @@ being 1/0.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import EmptyWord, NotPseudoAnosov
 
@@ -215,47 +215,114 @@ def slopes_in_box(bound):
     return [Slope(p, q) for p, q in _box_pairs(bound)]
 
 
-def translation_distance(m, with_schedule=False):
-    """Minimum of d(s, m s) over all slopes, by expanding exhaustive search.
+_R = Monodromy(R_MATRIX)
+_L = Monodromy(L_MATRIX)
+_QUARTER_TURN = Monodromy(((0, -1), (1, 0)))
 
-    The search box starts at the square root of the largest matrix entry,
-    the scale where the pivot slopes along the axis live, and doubles until
-    the minimum survives two doublings unchanged; with_schedule additionally
-    returns the (bound, minimum) pairs so reports can record how the value
-    stabilised.  A pseudo-Anosov monodromy fixes no slope, so the result is
-    at least 1.
+
+def _positive_frame(m):
+    # Returns (C, N) with N = C^-1 (+-m) C a matrix with positive entries,
+    # so the columns of C are a Farey edge crossed by the axis of m.  The
+    # fixed points of N are the roots of c x^2 + (d - a) x - b; while they
+    # lie on one side of the frame edge {inf, 0} (b c < 0), step into the
+    # Farey triangle on that side, onto the edge bounding the arc that
+    # holds both roots (their midpoint decides which).  The arcs nest, the
+    # roots are distinct irrationals, so some edge separates them; there
+    # b and c share a sign, and a quarter turn makes them positive.
+    n = m if m.trace > 0 else Monodromy(tuple((-x, -y) for x, y in m.matrix))
+    frame = Monodromy(((1, 0), (0, 1)))
+    while True:
+        (a, b), (c, d) = n.matrix
+        if b * c > 0:
+            break
+        if (a - d) * c > 0:
+            step = _R if (a - d - 2 * c) * c > 0 else _L
+        else:
+            step = _R.inverse() if (a - d + 2 * c) * c < 0 \
+                else _L.inverse()
+        n = step.inverse() * n * step
+        frame = frame * step
+    if b < 0:
+        n = _QUARTER_TURN.inverse() * n * _QUARTER_TURN
+        frame = frame * _QUARTER_TURN
+    return frame, n
+
+
+def _ladder(n):
+    # Columns of the partial products P_k of the positive word of n, for
+    # k = len(word) .. 0: peel the last letter off (R added the first
+    # column to the second, L the second to the first) down to the
+    # identity, recording each new column.
+    (a, b), (c, d) = n.matrix
+    columns = [(a, c), (b, d)]
+    while (a, b, c, d) != (1, 0, 0, 1):
+        if a >= b and c >= d:
+            a, c = a - b, c - d
+            columns.append((a, c))
+        else:
+            b, d = b - a, d - c
+            columns.append((b, d))
+    return columns
+
+
+def translation_distance(m, with_witness=False):
+    """Minimum of d(s, m s) over all slopes, exactly.
+
+    The minimum is taken over the vertices of one period of the ladder of
+    m, and with_witness=True returns (distance, slope) with a slope that
+    attains it.  A pseudo-Anosov monodromy fixes no slope, so the result
+    is at least 1; |trace| <= 2 raises NotPseudoAnosov.
+
+    Ladder.  Conjugate +-m (same action on slopes) to a matrix N with
+    positive entries, N = C^-1 (+-m) C; N is the product of a positive
+    word w in R and L, containing both letters.  A matrix carrying a word
+    needs no conjugation: C is the identity and w is its word.  The
+    partial products P_k = w_1 ... w_k, extended to all integers k by
+    P_(k+n) = N P_k with n = len(w), give Farey triangles P_k{inf, 0, 1};
+    consecutive ones share the edge with endpoints the columns of
+    P_(k+1), so their union Lambda is a strip of triangles, connected
+    across edges, that N carries onto itself shifted by n.  Its vertex
+    set V is the set of columns of all P_k, and since d(N v, N^2 v) =
+    d(v, N v) the minimum over V is the minimum over the columns of
+    P_0, ..., P_n.  The slopes returned are C applied to those columns,
+    and d(C v, m C v) = d(v, N v).
+
+    Exactness.  The dual graph of the Farey tessellation is a tree, so
+    every slope s outside V lies behind one boundary edge {u, v} of
+    Lambda: in the open arc that the edge cuts off from Lambda, which
+    holds no vertex of V.  No Farey edge crosses the geodesic uv, so
+    every path from s to a slope outside that arc passes through u or v.
+    N moves {u, v} to a different boundary edge (else N^2 would fix u,
+    and a hyperbolic matrix fixes no slope), and N s lies behind it.  So a geodesic from s to N s
+    passes through some x in {u, v} and then through some N y with y in
+    {u, v}, possibly N y = x:
+
+        d(s, N s) = d(s, x) + d(x, N y) + d(N y, N s)
+                  = d(s, x) + d(x, N y) + d(y, s).
+
+    If x = y this is at least 2 + d(x, N x).  Otherwise u and v are
+    adjacent, so d(y, N y) <= 1 + d(x, N y) and d(s, N s) >= 1 + d(y, N y).
+    Either way d(s, N s) exceeds d(x', N x') for some x' in V, and the
+    minimum over V is the minimum over all slopes.
     """
     if not m.is_pseudo_anosov:
         raise NotPseudoAnosov("|trace| = %d is not > 2" % abs(m.trace))
+    frame, positive = _positive_frame(m)
     (a, b), (c, d) = m.matrix
-    bound = max(2, isqrt(max(abs(x) for row in m.matrix for x in row)))
-    schedule = []
-    stable = 0
+    (fa, fb), (fc, fd) = frame.matrix
     best = None
-    while True:
-        cur = None
-        for p, q in _box_pairs(bound):
-            ip, iq = a * p + b * q, c * p + d * q
-            if iq < 0 or (iq == 0 and ip < 0):
-                ip, iq = -ip, -iq
-            step = _distance_pq(p, q, ip, iq)
-            if cur is None or step < cur:
-                cur = step
-            if cur == 1:
-                # |trace| > 2 leaves no fixed slope, so 1 is already minimal
-                break
-        schedule.append((bound, cur))
-        if cur == best:
-            stable += 1
-            if stable == 2:
-                break
-        else:
-            best = cur
-            stable = 0
-        bound *= 2
-    assert best >= 1
-    if with_schedule:
-        return best, tuple(schedule)
+    for x, y in _ladder(positive):
+        p, q = fa * x + fb * y, fc * x + fd * y
+        if q < 0 or (q == 0 and p < 0):
+            p, q = -p, -q
+        ip, iq = a * p + b * q, c * p + d * q
+        if iq < 0 or (iq == 0 and ip < 0):
+            ip, iq = -ip, -iq
+        step = _distance_pq(p, q, ip, iq)
+        if best is None or step < best:
+            best, witness = step, (p, q)
+    if with_witness:
+        return best, Slope(*witness)
     return best
 
 

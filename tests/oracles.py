@@ -6,13 +6,25 @@ numbers from counting lattice-line crossings.  Boxes are finite, so oracle
 distances can only overestimate; the tests that compare against them treat
 any disagreement as a failure and the box sizes carry enough margin that
 none occurs.
+
+Two oracles are the searches that the package's exact computations
+replaced: the box search for translation distances and the breadth-first
+horoball development for the maximal cusp.  They share the package's
+Farey distance and reference cusp cut, which other tests check on their
+own, and nothing of the ladder or the edge formula.
 """
 
+import cmath
+import math
 from math import gcd
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import shortest_path
+
+from cusplab.bundle import _FACE, CuspCrossSection, cusp_cross_section
+from cusplab.errors import DepthUnstable
+from cusplab.farey import _distance_pq
 
 
 def farey_box_vertices(bound):
@@ -244,3 +256,248 @@ def tangent_pair_numeric(d):
     dx, dy = t1[0] - t2[0], t1[1] - t2[1]
     ell1 = np.arccosh(1.0 + (dx * dx + dy * dy) / (2.0 * t1[1] * t2[1]))
     return float(ell1), m
+
+
+def farey_translation_box(m):
+    """Minimum of d(s, m s) by box search with bound doubling.
+
+    Every slope with |p|, q <= bound is tried; the box starts at the
+    square root of the largest matrix entry and doubles until the minimum
+    survives two doublings unchanged.  A search, not a proof: the exact
+    ladder minimum of cusplab.farey.translation_distance is checked
+    against it.
+    """
+    if not m.is_pseudo_anosov:
+        raise ValueError("|trace| = %d is not > 2" % abs(m.trace))
+    (a, b), (c, d) = m.matrix
+    bound = max(2, math.isqrt(max(abs(x) for row in m.matrix for x in row)))
+    stable = 0
+    best = None
+    while True:
+        cur = None
+        for p, q in farey_box_vertices(bound):
+            ip, iq = a * p + b * q, c * p + d * q
+            if iq < 0 or (iq == 0 and ip < 0):
+                ip, iq = -ip, -iq
+            step = _distance_pq(p, q, ip, iq)
+            if cur is None or step < cur:
+                cur = step
+            if cur == 1:
+                # |trace| > 2 leaves no fixed slope, so 1 is already minimal
+                break
+        if cur == best:
+            stable += 1
+            if stable == 2:
+                return best
+        else:
+            best = cur
+            stable = 0
+        bound *= 2
+
+
+# ---- breadth-first horoball development ----
+
+def _std3(p, q, r):
+    # Moebius matrix sending the projective points p, q, r to 0, inf, 1
+    drq = r[0] * q[1] - r[1] * q[0]
+    drp = r[0] * p[1] - r[1] * p[0]
+    return (p[1] * drq, -p[0] * drq, q[1] * drp, -q[0] * drp)
+
+
+def _mmul(m, w):
+    a, b, c, d = m
+    e, f, g, h = w
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _mapply(m, p):
+    a, b, c, d = m
+    return (a * p[0] + b * p[1], c * p[0] + d * p[1])
+
+
+def _normalized(m):
+    a, b, c, d = m
+    det = a * d - b * c
+    s = cmath.sqrt(det)
+    return (a / s, b / s, c / s, d / s)
+
+
+def _face_map(src_pts, dst_pts):
+    # det-1 Moebius carrying the dst triple onto the src triple
+    s_src = _std3(*src_pts)
+    s_dst = _std3(*dst_pts)
+    a, b, c, d = s_src
+    inv = (d, -b, -c, a)
+    return _normalized(_mmul(inv, s_dst))
+
+
+class HoroballDevelopment:
+    """Breadth-first development of cusp lifts in the half space model.
+
+    The stack is placed once, with tetrahedron 0 at (infinity, 0, 1, z_0)
+    and the cusp lift at infinity cut at height one.  Every reachable
+    copy of the fundamental domain is a deck image M of the stack, and
+    the cusp lift it carries at M(infinity) is a ball of diameter
+    1/|c|^2, where c is the lower left entry of M.  States are reduced
+    modulo the peripheral lattice, so the pattern of balls over one
+    fundamental parallelogram is enumerated once.
+    """
+
+    def __init__(self, triangulation, zs, lattice):
+        t = triangulation
+        n = t.num_tetrahedra
+        self._mu, self._lam = lattice
+        self._scale = max(abs(self._mu), abs(self._lam), 1.0)
+        det = (self._mu.real * self._lam.imag
+               - self._mu.imag * self._lam.real)
+        self._lat_inv = ((self._lam.imag / det, -self._lam.real / det),
+                         (-self._mu.imag / det, self._mu.real / det))
+        std = [((1, 0), (0j, 1), (1, 1), (zs[i], 1)) for i in range(n)]
+        base = [None] * n
+        base[0] = std[0]
+        for i in range(n - 1):
+            j, _, sigma = t.gluings[(i, 2)]
+            src = [base[i][m] for m in _FACE[2]]
+            dst = [std[j][sigma[m]] for m in _FACE[2]]
+            g = _face_map(src, dst)
+            base[j] = tuple(_mapply(g, p) for p in std[j])
+        self._base = base
+        self._trans = {}
+        for (i, r), (j, _, sigma) in t.gluings.items():
+            src = [base[i][m] for m in _FACE[r]]
+            dst = [base[j][sigma[m]] for m in _FACE[r]]
+            self._trans[(i, r)] = (j, _face_map(src, dst))
+
+    def _reduce(self, m):
+        # translate the image of infinity into the base parallelogram
+        a, b, c, d = m
+        if abs(c) > 1e-9:
+            w = a / c
+        elif abs(d) > 1e-9:
+            w = b / d
+        else:
+            return m
+        (p, q), (r, s) = self._lat_inv
+        x = math.floor(p * w.real + q * w.imag + 0.5)
+        y = math.floor(r * w.real + s * w.imag + 0.5)
+        if x or y:
+            t = x * self._mu + y * self._lam
+            return (a - t * c, b - t * d, c, d)
+        return m
+
+    def _key(self, j, m):
+        # Coset invariants: left translation by the peripheral lattice
+        # leaves c and d alone and moves the ball center by the lattice,
+        # so the key uses c, d up to sign and the center's fractional
+        # lattice coordinates.  The irrational offsets keep the centers
+        # of the actual pattern away from the wrap-around boundary.
+        a, b, c, d = m
+        f = math.floor
+        # quantize both signs and keep the smaller; min over the actual
+        # quantizations makes the key exactly even under negation
+        kc = (f(c.real * 1e6 + 0.5), f(c.imag * 1e6 + 0.5),
+              f(d.real * 1e6 + 0.5), f(d.imag * 1e6 + 0.5))
+        nc = (f(-c.real * 1e6 + 0.5), f(-c.imag * 1e6 + 0.5),
+              f(-d.real * 1e6 + 0.5), f(-d.imag * 1e6 + 0.5))
+        if nc < kc:
+            kc = nc
+        if abs(c) > 1e-9:
+            w = a / c
+        elif abs(d) > 1e-9:
+            w = b / d
+        else:
+            w = 0j
+        (p, q), (r, s) = self._lat_inv
+        x = p * w.real + q * w.imag + 0.287471
+        y = r * w.real + s * w.imag + 0.137913
+        return (j, kc,
+                f((x - f(x)) * 1e6 + 0.5), f((y - f(y)) * 1e6 + 0.5))
+
+    def _small(self, j, m, threshold):
+        # a copy far smaller than the best ball so far cannot carry a
+        # bigger one; copies touching infinity are never pruned
+        pts = []
+        for p in self._base[j]:
+            q = _mapply(m, p)
+            if abs(q[1]) <= 1e-9 * (abs(q[0]) + abs(q[1])):
+                return False
+            pts.append(q[0] / q[1])
+        p0, p1, p2, p3 = pts
+        spread = max(abs(p0 - p1), abs(p0 - p2), abs(p0 - p3),
+                     abs(p1 - p2), abs(p1 - p3), abs(p2 - p3))
+        return spread < threshold
+
+    def run(self, depth, budget=300000):
+        """Largest horoball diameter, certified by depth doubling.
+
+        Expands the breadth-first frontier level by level, recording the
+        maximum at depths depth, 2*depth, 4*depth, ...; returns once two
+        consecutive checkpoints agree (or the frontier is exhausted) and
+        raises DepthUnstable past the final cap or the state budget.
+        """
+        ident = (1 + 0j, 0j, 0j, 1 + 0j)
+        frontier = [(0, ident)]
+        seen = {self._key(0, ident)}
+        best = 0.0
+        checkpoints = []
+        level = 0
+        cap = depth * 32
+        while True:
+            if not frontier:
+                if best <= 0.0:
+                    raise DepthUnstable("no horoball found before exhaustion")
+                return best
+            level += 1
+            if level > cap:
+                raise DepthUnstable("no stable maximum within depth %d" % cap)
+            next_frontier = []
+            for j, m in frontier:
+                for r in range(4):
+                    j2, t = self._trans[(j, r)]
+                    m2 = self._reduce(_mmul(m, t))
+                    key = self._key(j2, m2)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    if len(seen) > budget:
+                        raise DepthUnstable("horoball development exceeded "
+                                            "%d states" % budget)
+                    c = m2[2]
+                    if abs(c) > 1e-7:
+                        d = 1.0 / (abs(c) * abs(c))
+                        if d > best:
+                            best = d
+                    threshold = max(best / 16.0, 1e-6 * self._scale)
+                    if not self._small(j2, m2, threshold):
+                        next_frontier.append((j2, m2))
+            frontier = next_frontier
+            if level % depth == 0 and (level // depth) & ((level // depth) - 1) == 0:
+                # level is depth, 2*depth, 4*depth, ...
+                checkpoints.append(best)
+                if len(checkpoints) >= 3 and \
+                        abs(checkpoints[-1] - checkpoints[-2]) <= 1e-9 * max(1.0, best) and \
+                        abs(checkpoints[-2] - checkpoints[-3]) <= 1e-9 * max(1.0, best):
+                    if best <= 0.0:
+                        raise DepthUnstable("no horoball found")
+                    return best
+
+
+
+def maximal_cusp_bfs(triangulation, shapes, depth=8):
+    """Maximal cusp by breadth-first horoball development.
+
+    The development runs to the given depth and doubles it until the
+    largest ball diameter is stable twice; the maximal cut sits at the
+    square root of that diameter over the reference cut.  Raises
+    DepthUnstable past the depth and state budgets.  The edge formula of
+    cusplab.bundle.maximal_cusp is checked against it.
+    """
+    reference = cusp_cross_section(triangulation, shapes)
+    zs = [complex(z) for z in shapes]
+    mu, lam = reference.translations
+    dev = HoroballDevelopment(triangulation, zs, (mu, lam))
+    diameter = dev.run(depth)
+    h = math.sqrt(diameter)
+    mu, lam = mu / h, lam / h
+    area = reference.area / (h * h)
+    return CuspCrossSection((mu, lam), area, abs(lam), area / abs(lam))

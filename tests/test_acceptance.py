@@ -17,7 +17,7 @@ from cusplab import bounds, bundle, cli, farey, geometry, surface
 from cusplab.arcs import distance as arc_distance
 from cusplab.arcs import slope_arc
 from cusplab.farey import Slope
-from oracles import farey_bfs
+from oracles import farey_bfs, maximal_cusp_bfs
 
 SQRT3 = math.sqrt(3.0)
 WAIST = 2.0 ** 0.25
@@ -57,16 +57,16 @@ def test_criterion_02_figure_eight_maximal_cusp(capsys):
     t0 = time.time()
     tri = bundle.layered_triangulation("RL")
     shapes = bundle.solve_shapes(bundle.gluing_system(tri))
-    cusp8 = bundle.maximal_cusp(tri, shapes, depth=8)
-    cusp16 = bundle.maximal_cusp(tri, shapes, depth=16)
+    cusp = bundle.maximal_cusp(tri, shapes)
     elapsed = time.time() - t0
-    assert abs(cusp8.area - 2 * SQRT3) < 1e-6
-    assert abs(cusp16.area - 2 * SQRT3) < 1e-6
-    assert abs(cusp8.area - cusp16.area) < 1e-9
-    assert elapsed < 10.0
+    oracle = maximal_cusp_bfs(tri, shapes)
+    assert abs(cusp.area - 2 * SQRT3) < 1e-12
+    assert abs(cusp.area - oracle.area) < 1e-10
+    assert elapsed < 1.0
     with capsys.disabled():
-        report(2, "area %.9f vs 2*sqrt(3), depth 8 and 16 agree to %.1e, "
-               "%.2fs" % (cusp8.area, abs(cusp8.area - cusp16.area), elapsed))
+        report(2, "area %.12f vs 2*sqrt(3), edge formula == horoball "
+               "search to %.1e, %.3fs"
+               % (cusp.area, abs(cusp.area - oracle.area), elapsed))
 
 
 def test_criterion_03_power_bounds_on_corpus(corpus_reports, capsys):

@@ -1,11 +1,11 @@
-import cmath
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from cusplab import errors
+from cusplab import cli, errors
 from cusplab.bundle import (
     CuspCrossSection,
     ShapeVector,
@@ -18,7 +18,7 @@ from cusplab.bundle import (
     tetrahedron_volume,
     total_volume,
 )
-from oracles import bloch_wigner, figure_eight_cusp
+from oracles import bloch_wigner, figure_eight_cusp, maximal_cusp_bfs
 
 REGULAR = complex(0.5, math.sqrt(3.0) / 2.0)
 
@@ -317,6 +317,50 @@ class TestMaximalCusp:
         tri, _, _ = solved_rl
         with pytest.raises(errors.NotSolved):
             maximal_cusp(tri, [1j, 1j])
+
+    def test_shapes_off_the_upper_half_plane_are_refused(self, solved_rl):
+        # the edge formula rests on the triangulation being geometric
+        tri, _, shapes = solved_rl
+        flipped = [shapes[0], shapes[1].conjugate()]
+        with pytest.raises(errors.NotSolved) as info:
+            maximal_cusp(tri, flipped)
+        assert "'RL'" in str(info.value)
+        assert "tetrahedron 1" in str(info.value)
+
+    def test_depth_is_ignored(self, solved_rl, maximal_rl):
+        tri, _, shapes = solved_rl
+        assert maximal_cusp(tri, shapes, depth=1) == maximal_rl
+
+    def test_edge_formula_matches_the_horoball_search(self):
+        for word in cli.corpus(5):
+            tri = layered_triangulation(word)
+            shapes = solve_shapes(gluing_system(tri))
+            got = maximal_cusp(tri, shapes)
+            want = maximal_cusp_bfs(tri, shapes)
+            assert abs(got.area - want.area) < 1e-10, word
+            assert abs(got.height - want.height) < 1e-10, word
+            assert abs(got.longitude_length
+                       - want.longitude_length) < 1e-10, word
+
+    def test_rotation_and_swap_invariance(self):
+        # every word of length <= 6: a rotation relabels the same
+        # triangulation and the R/L swap reverses its orientation
+        by_class = {}
+        for n in range(2, 7):
+            for letters in itertools.product("RL", repeat=n):
+                word = "".join(letters)
+                if "R" not in word or "L" not in word:
+                    continue
+                tri = layered_triangulation(word)
+                cusp = maximal_cusp(tri, solve_shapes(gluing_system(tri)))
+                by_class.setdefault(cli._canonical(word), []).append(
+                    (cusp.area, cusp.height))
+        assert len(by_class) == len(cli.corpus(6))
+        for word, values in by_class.items():
+            area, height = values[0]
+            for a, h in values[1:]:
+                assert abs(a - area) < 1e-9 * area, word
+                assert abs(h - height) < 1e-9 * height, word
 
 
 class TestBundleReport:

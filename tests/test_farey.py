@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cusplab import errors
+from cusplab import cli, errors
 from cusplab.farey import (
     INFINITY,
     Monodromy,
@@ -17,7 +17,7 @@ from cusplab.farey import (
     translation_distance,
     word_to_matrix,
 )
-from oracles import farey_bfs
+from oracles import farey_bfs, farey_translation_box
 
 ZERO = Slope(0, 1)
 
@@ -44,6 +44,17 @@ def random_slope(rng, span=60):
 def random_word(rng, low=1, high=10):
     n = int(rng.integers(low, high + 1))
     return "".join("RL"[int(b)] for b in rng.integers(0, 2, size=n))
+
+
+def mixed_words(max_len):
+    """Every word over {R, L} of length <= max_len using both letters."""
+    for n in range(2, max_len + 1):
+        for bits in range(1, 2 ** n - 1):
+            yield "".join("R" if (bits >> i) & 1 else "L" for i in range(n))
+
+
+def negated(m):
+    return Monodromy(tuple((-x, -y) for x, y in m.matrix))
 
 
 class TestSlope:
@@ -245,26 +256,66 @@ class TestTranslationDistance:
         with pytest.raises(errors.NotPseudoAnosov):
             translation_distance(Monodromy(((-1, 0), (0, -1))))
 
-    def test_conjugacy_invariance(self):
-        rng = np.random.default_rng(7)
-        done = 0
-        while done < 8:
-            m = word_to_matrix(random_word(rng, 3, 5))
-            if not m.is_pseudo_anosov:
-                continue
-            c = word_to_matrix(random_word(rng, 1, 3))
-            conj = c * m * c.inverse()
-            assert translation_distance(conj) == translation_distance(m)
-            done += 1
+    def test_ladder_matches_box_search(self):
+        # every class of length <= 6, powers up to 4, against the box
+        # search with bound doubling that the ladder replaced
+        for word in cli.corpus(6):
+            m = word_to_matrix(word)
+            for n in range(1, 5):
+                power = m.power(n)
+                assert translation_distance(power) \
+                    == farey_translation_box(power), (word, n)
 
-    def test_schedule_reports_two_stable_doublings(self):
-        value, schedule = translation_distance(word_to_matrix("RRLRLL"),
-                                               with_schedule=True)
+    def test_witness_attains_the_distance(self):
+        value, slope = translation_distance(word_to_matrix("RRLRLL"),
+                                            with_witness=True)
         assert value == 3
-        assert len(schedule) >= 3
-        bounds = [b for b, _ in schedule]
-        assert all(b2 == 2 * b1 for b1, b2 in zip(bounds, bounds[1:]))
-        assert schedule[-1][1] == schedule[-2][1] == schedule[-3][1] == value
+        for word in cli.corpus(6):
+            m = word_to_matrix(word)
+            for n in range(1, 5):
+                power = m.power(n)
+                value, slope = translation_distance(power,
+                                                    with_witness=True)
+                assert value == translation_distance(power)
+                assert distance(slope, act(power, slope)) == value
+
+    def test_rotation_and_swap_invariance(self):
+        # a rotation conjugates the monodromy, the R/L swap inverts it up
+        # to conjugacy; neither moves the translation distance
+        by_class = {}
+        for word in mixed_words(6):
+            m = word_to_matrix(word)
+            got = tuple(translation_distance(m.power(n)) for n in (1, 2))
+            by_class.setdefault(cli._canonical(word), set()).add(got)
+        assert len(by_class) == len(cli.corpus(6))
+        for word, values in by_class.items():
+            assert len(values) == 1, word
+
+    def test_conjugacy_invariance(self):
+        # conjugates, negatives and inverses carry no word, so they go
+        # through the conjugacy reduction to a positive word
+        rng = np.random.default_rng(8)
+        for word in cli.corpus(6):
+            m = word_to_matrix(word)
+            expected = translation_distance(m)
+            for _ in range(4):
+                c = word_to_matrix(random_word(rng, 1, 6))
+                if rng.integers(2):
+                    c = c.inverse()
+                conj = c * m * c.inverse()
+                for other in (conj, negated(conj), conj.inverse()):
+                    assert other.word is None
+                    value, slope = translation_distance(other,
+                                                        with_witness=True)
+                    assert value == expected, (word, other.matrix)
+                    assert distance(slope, act(other, slope)) == value
+
+    def test_negative_trace(self):
+        m = Monodromy(((-2, -1), (-1, -1)))
+        assert m.trace == -3
+        assert translation_distance(m) == 1
+        assert translation_distance(negated(word_to_matrix("RRRRRLLLLL"))) \
+            == 2
 
 
 class TestStableUpper:
