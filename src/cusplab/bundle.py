@@ -10,6 +10,16 @@ Newton iteration, and measures the cusp: the translation lattice of the
 boundary torus, the length of the fiber boundary (the longitude), and the
 maximal horoball neighborhood.
 
+The gluing equations are integer data fixed by the triangulation.  The
+edge rows are an integer matrix over the log-parameters, and the
+completeness row is one signed monomial (-1)^s prod z_i^a_i (1 - z_i)^b_i,
+read off once by developing the cusp torus symbolically; so a residual is
+an array expression in log z and log(1 - z) and never develops the cusp.
+The system of the default base corner is built once per triangulation and
+cached on it; gluing_system, cusp_cross_section and maximal_cusp share it,
+and any other base builds its own.  The solver keeps the principal branch
+and a forward-difference Jacobian; solve_shapes says why.
+
 Plane bookkeeping.  The fiber is R^2/Z^2 minus the lattice, triangulated by
 two triangles with edge directions u, v, u + v.  The letter R flips the
 u-edge and replaces u by u + v; the letter L flips the v-edge and replaces
@@ -25,6 +35,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -113,6 +124,12 @@ class LayeredTriangulation:
     @property
     def num_tetrahedra(self):
         return len(self.tetrahedra)
+
+    @cached_property
+    def _system(self):
+        # the GluingSystem at the default base corner, built on first use
+        # and shared by gluing_system, cusp_cross_section and maximal_cusp
+        return GluingSystem(self)
 
 
 def layered_triangulation(word):
@@ -257,6 +274,35 @@ def _corner(z, k, m):
     return (z - 1.0) / z
 
 
+# A monomial (s, terms) over n tetrahedra stands for the function
+# (-1)^s prod z_i^a_i (1 - z_i)^b_i of the shapes.  ``terms`` lists
+# (column, exponent) pairs, column i for z_i and n + i for 1 - z_i, with
+# repeats adding up; multiplying monomials concatenates their terms.
+# Every developed cusp side is the root side times a monomial.
+
+def _corner_monomials(i, k, m, n):
+    # the corner parameter w at vertex k towards m, and w - 1
+    z, w = i, n + i
+    p = _PAIR[frozenset((k, m))]
+    if p == 0:
+        return (0, ((z, 1),)), (1, ((w, 1),))       # z, -(1 - z)
+    if p == 1:
+        return (0, ((w, -1),)), (0, ((z, 1), (w, -1)))  # 1/(1-z), z/(1-z)
+    return (1, ((z, -1), (w, 1))), (1, ((z, -1),))  # -(1-z)/z, -1/z
+
+
+def _mono_mul(x, y):
+    return ((x[0] + y[0]) % 2, x[1] + y[1])
+
+
+def _mono_div(x, y):
+    return ((x[0] + y[0]) % 2, x[1] + tuple((c, -e) for c, e in y[1]))
+
+
+def _mono_neg(x):
+    return ((x[0] + 1) % 2, x[1])
+
+
 def _cyc(k):
     # cyclic order of the cusp triangle at vertex k; odd vertices reverse
     # orientation relative to even ones
@@ -269,27 +315,56 @@ class GluingSystem:
 
     One equation per edge class (the dihedral log-parameters around the
     class sum to 2*pi*i) plus one completeness equation: the log of the
-    derivative of a fixed peripheral loop with nonzero winding around the
-    fiber direction.  The edge equations carry one redundancy (their sum
-    is 2*pi*i times the number of edges for any upper-half-plane shapes),
-    so Newton steps go through least squares.
+    derivative rho of a fixed peripheral loop with nonzero winding around
+    the fiber direction.  The edge equations carry one redundancy (their
+    sum is 2*pi*i times the number of edges for any upper-half-plane
+    shapes), so Newton steps go through least squares.
+
+    Both kinds of row are fixed integer data, built once.  ``edge_matrix``
+    holds the edge rows over the 3n log-parameters (log z_i, then
+    log 1/(1 - z_i), then log (z_i - 1)/z_i).  Developing the cusp torus
+    from its root corner makes every cusp side the root side times a
+    signed monomial (-1)^s prod z_i^a_i (1 - z_i)^b_i, because each corner
+    parameter and each corner parameter less one is such a monomial
+    (Neumann-Zagier, Topology 24 (1985)).  So rho is a fixed monomial and
+    the completeness row is a.log z + b.log(1 - z) + i*pi*s with its
+    imaginary part wrapped into (-pi, pi]: the principal log of rho, to
+    rounding, with no development at all.
 
     Branches are fixed once and for all: every dihedral parameter of an
     upper-half-plane shape has argument in (0, pi), so the principal
-    logarithm is the correct branch throughout the iteration and is never
-    recomputed.
+    logarithm is the correct branch of the edge rows throughout the
+    iteration and is never recomputed.  The completeness row stays on the
+    principal branch too, even where rho crosses the negative real axis:
+    solve_shapes says why.
+
+    ``base`` is the (tetrahedron, vertex) corner at the root of the
+    development.  The system of the default base (0, 0) is cached on its
+    triangulation and returned by gluing_system; a system for any other
+    base is built afresh each time.
     """
 
     def __init__(self, triangulation, base=(0, 0)):
         self.triangulation = triangulation
-        self.edge_rows = tuple(
-            tuple((i, _PAIR[frozenset(e)]) for i, e in cls)
-            for cls in triangulation.edge_classes)
+        n = triangulation.num_tetrahedra
+        rows = [[0] * (3 * n) for _ in triangulation.edge_classes]
+        for row, cls in zip(rows, triangulation.edge_classes):
+            for i, edge in cls:
+                row[_PAIR[frozenset(edge)] * n + i] += 1
+        self.edge_matrix = np.array(rows, dtype=np.int64)
         self._build_cusp_graph(base)
+        self._sign, terms = self._completeness_monomial()
+        # every row as one column over the 3n log-parameters; the
+        # completeness column reads b.log(1 - z) as -b times log 1/(1 - z)
+        complete = np.zeros(3 * n)
+        for c, e in terms:
+            complete[c] += e if c < n else -e
+        self._columns = np.column_stack(
+            (self.edge_matrix.T, complete)).astype(complex)
 
     @property
     def num_equations(self):
-        return len(self.edge_rows) + 1
+        return len(self.edge_matrix) + 1
 
     def _build_cusp_graph(self, root):
         # The cusp cross section is a torus tiled by one triangle per
@@ -334,6 +409,53 @@ class GluingSystem:
             raise NumericalError("no peripheral loop winds around the fiber")
         self._complete = min(candidates, key=lambda x: (abs(x[2]), x[0]))
 
+    def _completeness_monomial(self):
+        # Replays _develop on monomials, along the tree paths from the root
+        # to the two triangles of the completeness side only.
+        # frame[node] = (a, b, c, mono): the side a -> b of the node's
+        # triangle is mono times the root side, the side a -> c is w_a
+        # times that and b -> c is w_a - 1 times it, where w_a is the
+        # corner parameter at a.
+        glu = self.triangulation.gluings
+        n = self.triangulation.num_tetrahedra
+        one = (0, ())
+        root = self._order[0]
+        cy = _cyc(root[1])
+        frame = {root: (cy[0], cy[1], cy[2], one)}
+
+        def place(node):
+            prev, r = self._parent[node]
+            sigma = glu[(prev[0], r)][2]
+            shared = {sigma[m]: m for m in _FACE[r] if m != prev[1]}
+            cy = _cyc(node[1])
+            ti = next(x for x in range(3) if cy[x] not in shared)
+            a, b = cy[(ti + 1) % 3], cy[(ti + 2) % 3]
+            frame[node] = (a, b, cy[ti], side(prev, shared[a], shared[b]))
+
+        def side(node, m1, m2):
+            path = []
+            up = node
+            while up not in frame:
+                path.append(up)
+                up = self._parent[up][0]
+            for later in reversed(path):
+                place(later)
+            a, b, c, mono = frame[node]
+            w, w_less_one = _corner_monomials(node[0], node[1], a, n)
+            if c not in (m1, m2):
+                v, start = mono, a
+            elif b not in (m1, m2):
+                v, start = _mono_mul(w, mono), a
+            else:
+                v, start = _mono_mul(w_less_one, mono), b
+            return v if m1 == start else _mono_neg(v)
+
+        (i, k, r), (j, k2, _), _ = self._complete
+        sigma = glu[(i, r)][2]
+        m1, m2 = (m for m in _FACE[r] if m != k)
+        return _mono_div(side((i, k), m1, m2),
+                         side((j, k2), sigma[m1], sigma[m2]))
+
     def _develop(self, zs):
         # Similarity development of the cusp torus in C, rooted at the
         # reference corner.  Positions are indexed by the opposite vertex:
@@ -377,18 +499,24 @@ class GluingSystem:
         rho = (p[m2] - p[m1]) / (q[sigma[m2]] - q[sigma[m1]])
         return rho, p[m1] - rho * q[sigma[m1]]
 
+    def _evaluate(self, zs):
+        # Residuals of one shape vector (shape (n,)) or of a stack of them
+        # (shape (m, n), one residual row each); no validation.
+        logs = np.concatenate((np.log(zs), -np.log(1.0 - zs),
+                               np.log((zs - 1.0) / zs)), axis=-1)
+        out = logs @ self._columns
+        out[..., :-1] -= 2j * math.pi
+        # principal branch: Im of the completeness row plus pi*s, wrapped
+        # into (-pi, pi]
+        last = out[..., -1]
+        last.imag = math.pi - np.mod(
+            math.pi * (1 - self._sign) - last.imag,
+            2.0 * math.pi)
+        return out
+
     def residual(self, shapes):
         """Equation residuals at the given shapes, edge rows first."""
-        zs = _shape_array(shapes)
-        logs = (np.log(zs), -np.log(1.0 - zs), np.log((zs - 1.0) / zs))
-        out = np.empty(len(self.edge_rows) + 1, dtype=complex)
-        for e, row in enumerate(self.edge_rows):
-            out[e] = sum(logs[p][i] for i, p in row) - 2j * math.pi
-        pos = self._develop(zs)
-        rho, _ = self._side_holonomy(pos, self._complete[0],
-                                     self._complete[1])
-        out[-1] = cmath.log(rho)
-        return out
+        return self._evaluate(_shape_array(shapes))
 
     def holonomies(self, shapes):
         """(winding, derivative, translation) for each generating loop."""
@@ -413,8 +541,19 @@ class GluingSystem:
 
 
 def gluing_system(triangulation):
-    """The gluing and completeness equations of a layered triangulation."""
-    return GluingSystem(triangulation)
+    """The gluing and completeness equations of a layered triangulation.
+
+    The system is built once per triangulation and cached on it, so
+    repeated calls return the same object.
+    """
+    return triangulation._system
+
+
+def _failure(system, step, z, what):
+    worst = int(np.argmin(z.imag))
+    return ("word %r, Newton step %d: %s; worst tetrahedron %d has shape %r"
+            % (system.triangulation.word, step, what, worst,
+               complex(z[worst])))
 
 
 def solve_shapes(system, init=None, tol=1e-12):
@@ -425,8 +564,21 @@ def solve_shapes(system, init=None, tol=1e-12):
     at the hexagonal point (1 + i*sqrt(3))/2).  Shapes are kept in the
     open upper half plane; steps are halved until the residual drops.
     Raises DegenerateShape when flattening tetrahedra block all progress,
-    Diverged when no step length helps, MaxIterations past the cap.  An
-    already solved input returns immediately.
+    Diverged when no step length helps, MaxIterations past the cap; the
+    message names the word, the Newton step and the worst tetrahedron
+    (the smallest Im z) with its shape.  An already solved input returns
+    immediately.
+
+    The Jacobian is a forward difference with step h = 1e-7, its n
+    columns evaluated in one vectorised call on the shape array z + h*I.
+    It stays a forward difference on the principal branch on purpose.
+    From the start z = i, the completeness derivative rho of many words
+    lies on the negative real axis, the principal log's branch cut.  A
+    column that straddles the cut has an entry near 2*pi/h and steers the
+    first step, and the iteration's outcome depends on it: an analytic
+    Jacobian, or a branch fixed once at z = i, loses words that this
+    iteration solves.  A different start point is the place to change
+    the derivative.
     """
     n = system.triangulation.num_tetrahedra
     if init is None or (isinstance(init, str) and init == "i"):
@@ -449,15 +601,13 @@ def solve_shapes(system, init=None, tol=1e-12):
 
     size = float(np.linalg.norm(f))
     h = 1e-7
-    for _ in range(50):
-        jac = np.empty((len(f), n), dtype=complex)
-        for col in range(n):
-            zp = z.copy()
-            zp[col] += h
-            jac[:, col] = (system.residual(zp) - f) / h
+    shift = h * np.eye(n)
+    for it in range(1, 51):
+        jac = ((system._evaluate(z + shift) - f) / h).T
         step = np.linalg.lstsq(jac, -f, rcond=None)[0]
         if not np.all(np.isfinite(step)):
-            raise Diverged("Newton step is not finite")
+            raise Diverged(_failure(system, it, z,
+                                    "Newton step is not finite"))
         t = 1.0
         flattened = False
         while True:
@@ -474,13 +624,15 @@ def solve_shapes(system, init=None, tol=1e-12):
             t *= 0.5
             if t < 1e-12:
                 if flattened:
-                    raise DegenerateShape(
-                        "shapes collapse onto the real line")
-                raise Diverged("step halving cannot reduce the residual")
+                    raise DegenerateShape(_failure(
+                        system, it, z, "shapes collapse onto the real line"))
+                raise Diverged(_failure(
+                    system, it, z, "step halving cannot reduce the residual"))
         worst = float(np.max(np.abs(f)))
         if worst < tol:
             return ShapeVector(tuple(z))
-    raise MaxIterations("no convergence within 50 Newton steps")
+    raise MaxIterations(_failure(system, 50, z,
+                                 "no convergence within 50 Newton steps"))
 
 
 # ---- volume --------------------------------------------------------------
@@ -606,9 +758,13 @@ def cusp_cross_section(triangulation, shapes, base=(0, 0)):
     the default base this is the cut at euclidean height one over the
     first tetrahedron placed at (infinity, 0, 1, z_0).  Raises NotSolved
     unless the shapes satisfy the gluing and completeness equations to
-    about 1e-8.
+    about 1e-8.  The default base uses the triangulation's cached
+    GluingSystem; any other base builds its own.
     """
-    system = GluingSystem(triangulation, base=base)
+    if base == (0, 0):
+        system = triangulation._system
+    else:
+        system = GluingSystem(triangulation, base=base)
     zs = _shape_array(shapes)
     res = system.residual(zs)
     if float(np.max(np.abs(res))) > 1e-8:
@@ -669,7 +825,7 @@ def maximal_cusp(triangulation, shapes, depth=8):
                         "upper half plane, so the edges need not be "
                         "canonical" % (triangulation.word, worst, zs[worst]))
     reference = cusp_cross_section(triangulation, zs)
-    pos = GluingSystem(triangulation)._develop(_shape_array(zs))
+    pos = triangulation._system._develop(_shape_array(zs))
     diameter = 0.0
     for i in range(triangulation.num_tetrahedra):
         for k, m in itertools.combinations(range(4), 2):

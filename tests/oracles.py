@@ -12,6 +12,12 @@ replaced: the box search for translation distances and the breadth-first
 horoball development for the maximal cusp.  They share the package's
 Farey distance and reference cusp cut, which other tests check on their
 own, and nothing of the ladder or the edge formula.
+
+The developed residual and its Newton loop are the shape solve before the
+completeness row became a precomputed monomial: each residual develops the
+cusp torus and takes the principal log of the completeness ratio, and each
+Jacobian column is its own residual call.  They share the package's cusp
+development, which the lattice and area tests check on their own.
 """
 
 import cmath
@@ -22,8 +28,10 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import shortest_path
 
-from cusplab.bundle import _FACE, CuspCrossSection, cusp_cross_section
-from cusplab.errors import DepthUnstable
+from cusplab.bundle import (_FACE, _PAIR, CuspCrossSection, ShapeVector,
+                            cusp_cross_section)
+from cusplab.errors import (DegenerateShape, DepthUnstable, Diverged,
+                            MaxIterations)
 from cusplab.farey import _distance_pq
 
 
@@ -501,3 +509,75 @@ def maximal_cusp_bfs(triangulation, shapes, depth=8):
     mu, lam = mu / h, lam / h
     area = reference.area / (h * h)
     return CuspCrossSection((mu, lam), area, abs(lam), area / abs(lam))
+
+
+# ---- developed-ratio shape solve ----
+
+def developed_residual(system, shapes):
+    """Gluing residuals of a GluingSystem, the completeness row developed.
+
+    Edge rows sum the principal log-parameters around each edge class;
+    the completeness row is the principal log of the derivative of the
+    system's completeness loop, read off a full development of the cusp
+    torus.  cusplab.bundle.GluingSystem.residual is checked against it.
+    """
+    zs = np.array(ShapeVector(tuple(shapes)).shapes, dtype=complex)
+    logs = (np.log(zs), -np.log(1.0 - zs), np.log((zs - 1.0) / zs))
+    classes = system.triangulation.edge_classes
+    out = np.empty(len(classes) + 1, dtype=complex)
+    for e, cls in enumerate(classes):
+        out[e] = sum(logs[_PAIR[frozenset(edge)]][i]
+                     for i, edge in cls) - 2j * math.pi
+    pos = system._develop(zs)
+    rho, _ = system._side_holonomy(pos, system._complete[0],
+                                   system._complete[1])
+    out[-1] = cmath.log(rho)
+    return out
+
+
+def solve_shapes_developed(system, tol=1e-12):
+    """Damped Newton on developed_residual, one residual call per column.
+
+    The same start (every shape at i), forward-difference step, line
+    search and tolerances as cusplab.bundle.solve_shapes, which is checked
+    against it.
+    """
+    n = system.triangulation.num_tetrahedra
+    z = np.full(n, 1j, dtype=complex)
+    floor = 1e-13
+    f = developed_residual(system, z)
+    if float(np.max(np.abs(f))) < tol:
+        return ShapeVector(tuple(z))
+    size = float(np.linalg.norm(f))
+    h = 1e-7
+    for _ in range(50):
+        jac = np.empty((len(f), n), dtype=complex)
+        for col in range(n):
+            zp = z.copy()
+            zp[col] += h
+            jac[:, col] = (developed_residual(system, zp) - f) / h
+        step = np.linalg.lstsq(jac, -f, rcond=None)[0]
+        if not np.all(np.isfinite(step)):
+            raise Diverged("Newton step is not finite")
+        t = 1.0
+        flattened = False
+        while True:
+            z2 = z + t * step
+            if np.min(z2.imag) <= floor:
+                flattened = True
+            else:
+                f2 = developed_residual(system, z2)
+                if np.all(np.isfinite(f2)):
+                    size2 = float(np.linalg.norm(f2))
+                    if size2 < size or np.max(np.abs(f2)) < tol:
+                        z, f, size = z2, f2, size2
+                        break
+            t *= 0.5
+            if t < 1e-12:
+                if flattened:
+                    raise DegenerateShape(
+                        "shapes collapse onto the real line")
+                raise Diverged("step halving cannot reduce the residual")
+        if float(np.max(np.abs(f))) < tol:
+            return ShapeVector(tuple(z))
+    raise MaxIterations("no convergence within 50 Newton steps")

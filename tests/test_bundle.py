@@ -18,7 +18,8 @@ from cusplab.bundle import (
     tetrahedron_volume,
     total_volume,
 )
-from oracles import bloch_wigner, figure_eight_cusp, maximal_cusp_bfs
+from oracles import (bloch_wigner, developed_residual, figure_eight_cusp,
+                     maximal_cusp_bfs, solve_shapes_developed)
 
 REGULAR = complex(0.5, math.sqrt(3.0) / 2.0)
 
@@ -50,6 +51,14 @@ def maximal_rl(solved_rl):
 def random_upper_shapes(rng, n):
     return [complex(rng.uniform(-1.5, 2.5), rng.uniform(0.05, 2.0))
             for _ in range(n)]
+
+
+def two_letter_words(max_len):
+    for n in range(2, max_len + 1):
+        for letters in itertools.product("RL", repeat=n):
+            word = "".join(letters)
+            if "R" in word and "L" in word:
+                yield word
 
 
 class TestLayeredTriangulation:
@@ -151,6 +160,36 @@ class TestGluingSystem:
         res = system.residual([REGULAR, REGULAR])
         assert float(np.max(np.abs(res))) < 1e-12
 
+    def test_residual_matches_the_developed_oracle(self):
+        # the monomial completeness row is the principal log of the
+        # developed holonomy ratio, and the edge matrix sums the same logs
+        rng = np.random.default_rng(5)
+        for word in two_letter_words(6):
+            system = gluing_system(layered_triangulation(word))
+            for _ in range(20):
+                zs = random_upper_shapes(rng, len(word))
+                got = system.residual(zs)
+                want = developed_residual(system, zs)
+                assert float(np.max(np.abs(got - want))) < 1e-12, word
+
+    def test_one_system_per_triangulation(self):
+        tri = layered_triangulation("RRLRL")
+        assert gluing_system(tri) is gluing_system(tri)
+        assert gluing_system(tri) is not gluing_system(
+            layered_triangulation("RRLRL"))
+
+    def test_other_base_builds_its_own_system(self):
+        # a non-default base moves the reference cut, which scales the
+        # lattice but keeps the modulus longitude^2 / area
+        tri = layered_triangulation("RRLRL")
+        shapes = solve_shapes(gluing_system(tri))
+        default = cusp_cross_section(tri, shapes)
+        moved = cusp_cross_section(tri, shapes, base=(2, 1))
+        assert abs(moved.longitude_length ** 2 / moved.area
+                   - default.longitude_length ** 2 / default.area) < 1e-8
+        assert abs(moved.area - default.area) > 1e-6 * default.area
+        assert cusp_cross_section(tri, shapes) == default
+
 
 class TestSolveShapes:
 
@@ -185,6 +224,61 @@ class TestSolveShapes:
                 errors.MaxIterations):
             return
         assert float(np.max(np.abs(system.residual(shapes)))) < 1e-12
+
+    def test_matches_the_developed_solver(self):
+        # same start, step, line search and tolerances on the developed
+        # residual: the same exception class, or the same shapes
+        for word in two_letter_words(7):
+            system = gluing_system(layered_triangulation(word))
+            try:
+                want = solve_shapes_developed(system)
+            except errors.NumericalError as exc:
+                with pytest.raises(type(exc)):
+                    solve_shapes(system)
+                continue
+            got = solve_shapes(system)
+            assert max(abs(z - w) for z, w in zip(got, want)) < 1e-10, word
+
+    def test_degenerate_failure_names_word_step_and_tetrahedron(self):
+        system = gluing_system(layered_triangulation("RRRRRLLRR"))
+        with pytest.raises(errors.DegenerateShape) as info:
+            solve_shapes(system)
+        message = str(info.value)
+        assert "word 'RRRRRLLRR'" in message
+        assert "Newton step" in message
+        assert "worst tetrahedron" in message
+
+    def test_diverged_failure_names_word_step_and_tetrahedron(self,
+                                                             solved_rl):
+        # no step can push the residual below zero; the iterate is the
+        # hexagonal point, and either tetrahedron may round to the worst
+        _, system, _ = solved_rl
+        with pytest.raises(errors.Diverged) as info:
+            solve_shapes(system, tol=0.0)
+        message = str(info.value)
+        assert "word 'RL', Newton step " in message
+        named = message.split("worst tetrahedron ")[1].split(" has shape ")
+        assert named[0] in ("0", "1")
+        assert abs(complex(named[1]) - REGULAR) < 1e-9
+
+    def test_iteration_cap_names_word_step_and_tetrahedron(self):
+        # a residual that shrinks on every call but never reaches tol
+        class Shrinking:
+            triangulation = layered_triangulation("RRL")
+            calls = 0
+
+            def residual(self, zs):
+                self.calls += 1
+                return np.full(3, 1.0 / self.calls, dtype=complex)
+
+            def _evaluate(self, zs):
+                return zs
+
+        with pytest.raises(errors.MaxIterations) as info:
+            solve_shapes(Shrinking(), init=[2j, 1j, 3j])
+        message = str(info.value)
+        assert "word 'RRL', Newton step 50:" in message
+        assert "worst tetrahedron" in message
 
     def test_input_validation(self, solved_rl):
         _, system, _ = solved_rl
