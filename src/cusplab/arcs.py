@@ -51,6 +51,9 @@ __all__ = [
     "parse_arc", "arc_to_json", "arc_from_json",
 ]
 
+# the base of twist words and slopes, built once for the base checks
+_TORUS = once_punctured_torus()
+
 
 # ---- coordinate transport ----
 
@@ -307,9 +310,14 @@ class NormalArc:
     edge label, or through the module constructors.  Construction validates
     everything: matching equations, connectedness, no closed components,
     and both endpoints at the preferred puncture.
+
+    Arcs never change, so the identity key is built once, at construction:
+    (coord_sum, edge_weights, corner_data, along or -1).  It determines the
+    arc on its base, so it drives equality and hashing, and it is also the
+    sort key that orders searches deterministically.
     """
 
-    __slots__ = ("base", "along", "_w", "_c", "_key", "_hash")
+    __slots__ = ("base", "along", "coord_sum", "_w", "_c", "_key", "_hash")
 
     def __init__(self, base, edge_weights=None, corner_data=None, along=None):
         if along is not None:
@@ -382,26 +390,30 @@ class NormalArc:
                     raise NotAnArc("endpoint at puncture %d, not the "
                                    "preferred %d" % (pk, base.preferred))
             along = None
+        labels = base.edge_labels
+        if along is None:
+            wv = tuple(w.get(e, 0) for e in labels)
+        else:
+            wv = tuple(int(e == along) for e in labels)
+        cv = tuple(c.get((t, k), 0)
+                   for t in range(base.num_triangles) for k in range(3))
         self.base = base
         self.along = along
+        self.coord_sum = sum(wv) + sum(cv)
         self._w = w
         self._c = c
-        self._key = (along, tuple(sorted(w.items())), tuple(sorted(c.items())))
+        self._key = (self.coord_sum, wv, cv, -1 if along is None else along)
         self._hash = hash((self._key, base))
 
     # -- published coordinates --
 
     @property
     def edge_weights(self):
-        labels = self.base.edge_labels
-        if self.along is not None:
-            return tuple(int(e == self.along) for e in labels)
-        return tuple(self._w.get(e, 0) for e in labels)
+        return self._key[1]
 
     @property
     def corner_data(self):
-        return tuple(self._c.get((t, k), 0)
-                     for t in range(self.base.num_triangles) for k in range(3))
+        return self._key[2]
 
     @property
     def endpoints(self):
@@ -411,18 +423,13 @@ class NormalArc:
     def along_edge(self):
         return self.along
 
-    @property
-    def coord_sum(self):
-        return sum(self.edge_weights) + sum(self.corner_data)
-
     def _dicts(self):
         if self.along is not None:
             return {}, {}, {self.along: 1}
         return dict(self._w), dict(self._c), {}
 
     def _sort_key(self):
-        return (self.coord_sum, self.edge_weights, self.corner_data,
-                -1 if self.along is None else self.along)
+        return self._key
 
     # -- identity --
 
@@ -722,11 +729,12 @@ def distance(a, b, radius_cap=None, budget=64):
         nxt = []
         for v in sorted(frontier, key=NormalArc._sort_key):
             for nb in _neighbors(v, budget):
+                if nb in visited:
+                    continue
                 if nb == b:
                     return r
-                if nb not in visited:
-                    visited.add(nb)
-                    nxt.append(nb)
+                visited.add(nb)
+                nxt.append(nb)
         frontier = nxt
     raise Unreachable("the capped complex around the source (budget %d) "
                       "does not reach the target" % budget)
@@ -826,7 +834,7 @@ def _letter_segment(letter):
     seg = _LETTER_CACHE.get(letter)
     if seg is None:
         flips, emap = _LETTER_DATA[letter]
-        seg = _close_segment(once_punctured_torus(), flips, dict(emap), letter)
+        seg = _close_segment(_TORUS, flips, dict(emap), letter)
         _LETTER_CACHE[letter] = seg
     return seg
 
@@ -870,7 +878,7 @@ def mapping_class(base, word):
     first, so the induced action on slopes is multiplication by the word's
     matrix product.
     """
-    if base != once_punctured_torus():
+    if base != _TORUS:
         raise BaseMismatch("twist words are defined on the standard torus "
                            "triangulation")
     for ch in word:
@@ -1036,79 +1044,66 @@ def lift_arc(cover, a):
 
 # ---- slopes on the standard torus ----
 
+_SLOPE_OF_EDGE = (Slope(0, 1), Slope(1, 0), Slope(1, 1))
+_EDGE_OF_SLOPE = {s: e for e, s in enumerate(_SLOPE_OF_EDGE)}
+# vertex strands (t, k) in the order 3t + k, by endpoint class of the slope:
+# p > q, 0 < p < q, p < 0
+_ENDPOINTS = ((0, 0, 1, 1, 0, 0), (1, 0, 0, 0, 1, 0), (0, 1, 0, 0, 0, 1))
+
+
 def slope_arc(base, s):
     """The arc of a slope on the standard once-punctured torus.
 
     Edges 0, 1, 2 run in the lattice directions u, v, u + v and carry the
-    slopes 0/1, 1/0, 1/1; any other slope p/q is the straight segment from
-    the origin in direction q u + p v, walked cell by cell through the
-    triangulated plane with exact arithmetic.
+    slopes 0/1, 1/0, 1/1, which give degenerate arcs along those edges.
+    Any other slope p/q is the straight segment from the origin in
+    direction q u + p v.  Strictly inside, it crosses the horizontals
+    (copies of edge 0) |p| - 1 times, the verticals (edge 1) q - 1 times
+    and the diagonals (edge 2) |p - q| - 1 times, so
+
+        w = (|p| - 1, q - 1, |p - q| - 1).
+
+    Its first and last strands run from a lattice point to the far side of
+    the triangle the segment starts or ends in, and which corners those are
+    depends only on the sign class of the slope.  The vertex strands
+    V(t, k) over triangles 0 and 1 are
+
+        p > q:       V = (0, 0, 1, 1, 0, 0)
+        0 < p < q:   V = (1, 0, 0, 0, 1, 0)
+        p < 0:       V = (0, 1, 0, 0, 0, 1).
+
+    The matching equations w(t, s) = C(t, s) + C(t, s+1) + V(t, s+2) then
+    fix the corners: with R_s = w(t, s) - V(t, s+2) in triangle t,
+
+        C(t, s) = (R_s - R_{s+1} + R_{s+2}) / 2,
+
+    an integer since R_0 + R_1 + R_2 = |p| + q + |p - q| - 4 is even.  The
+    result is validated like any other arc.
     """
-    if base != once_punctured_torus():
+    if base != _TORUS:
         raise BaseMismatch("slopes live on the standard torus triangulation")
     if not isinstance(s, Slope):
         s = Slope.parse(str(s))
-    special = {Slope(0, 1): 0, Slope(1, 0): 1, Slope(1, 1): 2}
-    if s in special:
-        return NormalArc._make(base, {}, {}, {special[s]: 1})
-
-    a, b = s.q, s.p              # direction (a, b) in the (u, v) frame
-    events = []
-    for i in range(1, a):
-        events.append((Fraction(i, a), "v", i))
-    lo, hi = sorted((0, b))
-    for j in range(lo + 1, hi):
-        events.append((Fraction(j, b), "h", j))
-    lo, hi = sorted((0, b - a))
-    for k in range(lo + 1, hi):
-        events.append((Fraction(k, b - a), "d", k))
-    events.sort()
-
-    # grid families: horizontals are copies of edge 0, verticals of edge 1,
-    # diagonals y - x = const of edge 2
-    edge_of = {"h": 0, "v": 1, "d": 2}
-    w = {}
-    for _t, kind, _n in events:
-        e = edge_of[kind]
-        w[e] = w.get(e, 0) + 1
-
-    local_a = {(0, 0): 0, (1, 0): 1, (1, 1): 2}
-    local_b = {(0, 0): 0, (1, 1): 1, (0, 1): 2}
+    if s in _EDGE_OF_SLOPE:
+        return NormalArc._make(base, {}, {}, {_EDGE_OF_SLOPE[s]: 1})
+    p, q = s.p, s.q
+    weights = (abs(p) - 1, q - 1, abs(p - q) - 1)
+    ends = _ENDPOINTS[0 if p > q else 1 if p > 0 else 2]
     c = {}
-    for (s1, k1, n1), (s2, k2, n2) in zip(events, events[1:]):
-        if k1 == k2:
-            raise NotAnArc("straight segment crossed two %s lines in a row"
-                           % k1)
-        corner = _line_meet(k1, n1, k2, n2)
-        xm = Fraction(a) * (s1 + s2) / 2
-        ym = Fraction(b) * (s1 + s2) / 2
-        cx = xm.numerator // xm.denominator
-        cy = ym.numerator // ym.denominator
-        rel = (corner[0] - cx, corner[1] - cy)
-        if (ym - cy) < (xm - cx):
-            tri, k = 0, local_a[rel]
-        else:
-            tri, k = 1, local_b[rel]
-        c[(tri, k)] = c.get((tri, k), 0) + 1
-    return NormalArc._make(base, w, c, {})
-
-
-def _line_meet(k1, n1, k2, n2):
-    """Lattice point where lines x=n ('v'), y=n ('h'), y-x=n ('d') meet."""
-    kinds = {k1: n1, k2: n2}
-    if "v" in kinds and "h" in kinds:
-        return (kinds["v"], kinds["h"])
-    if "v" in kinds and "d" in kinds:
-        return (kinds["v"], kinds["v"] + kinds["d"])
-    return (kinds["h"] - kinds["d"], kinds["h"])
+    for t in (0, 1):
+        R = [weights[base.edge_label(t, k)] - ends[3 * t + (k + 2) % 3]
+             for k in range(3)]
+        for k in range(3):
+            c[(t, k)] = (R[k] - R[(k + 1) % 3] + R[(k + 2) % 3]) // 2
+    return NormalArc._make(base, dict(enumerate(weights)), c, {})
 
 
 def arc_slope(a):
     """The slope of an arc on the standard once-punctured torus."""
-    if a.base != once_punctured_torus():
+    if a.base != _TORUS:
         raise BaseMismatch("slopes live on the standard torus triangulation")
     if a.along is not None:
-        return {0: Slope(0, 1), 1: Slope(1, 0), 2: Slope(1, 1)}[a.along]
+        return _SLOPE_OF_EDGE[a.along]
     w0, w1, w2 = a.edge_weights
     q = w1 + 1
     p_abs = w0 + 1

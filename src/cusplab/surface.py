@@ -40,6 +40,18 @@ from .errors import (
 
 _REFLECT = (0, 2, 1)  # vertex relabelling that reverses one triangle
 
+_SLOTS = {}
+
+
+def _shared_slot(u, b):
+    """The one (triangle, slot) tuple of this value that slot tables share.
+
+    Flip searches keep tens of thousands of triangulations alive; without
+    sharing, each slot table would hold its own copy of every pair.
+    """
+    slot = (int(u), int(b))
+    return _SLOTS.setdefault(slot, slot)
+
 
 class _UnionFind:
     def __init__(self, items):
@@ -76,7 +88,7 @@ class IdealTriangulation:
     """
 
     def __init__(self, glued, name="surface", preferred=None, edge_of_slot=None):
-        glued = tuple((int(u), int(b)) for u, b in glued)
+        glued = tuple(_shared_slot(u, b) for u, b in glued)
         if len(glued) == 0 or len(glued) % 3:
             raise NonInvolution(
                 "slot table has %d entries, not a positive multiple of 3" % len(glued))
@@ -86,6 +98,7 @@ class IdealTriangulation:
         self._check_involution()
         self._check_connected()
         self._build_edges(edge_of_slot)
+        self.edge_labels = tuple(sorted(self.edges))
         self._build_punctures()
         self._set_preferred(preferred)
         self._ckey = {}
@@ -171,10 +184,6 @@ class IdealTriangulation:
     @property
     def chi(self):
         return self.num_triangles - self.num_edges
-
-    @property
-    def edge_labels(self):
-        return tuple(sorted(self.edges))
 
     def glued_slot(self, t, s):
         return self._glued[3 * t + s]

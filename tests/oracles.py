@@ -18,21 +18,29 @@ completeness row became a precomputed monomial: each residual develops the
 cusp torus and takes the principal log of the completeness ratio, and each
 Jacobian column is its own residual call.  They share the package's cusp
 development, which the lattice and area tests check on their own.
+
+The slope walk is the torus slope parser before the closed form: the
+straight segment of a slope is walked through the triangulated plane with
+exact rational arithmetic, counting its crossings with the three line
+families and the triangle corner cut off between consecutive crossings.
+It shares only the package's arc constructor, which validates the result.
 """
 
 import cmath
 import math
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import shortest_path
 
+from cusplab.arcs import NormalArc
 from cusplab.bundle import (_FACE, _PAIR, CuspCrossSection, ShapeVector,
                             cusp_cross_section)
 from cusplab.errors import (DegenerateShape, DepthUnstable, Diverged,
-                            MaxIterations)
-from cusplab.farey import _distance_pq
+                            MaxIterations, NotAnArc)
+from cusplab.farey import Slope, _distance_pq
 
 
 def farey_box_vertices(bound):
@@ -581,3 +589,68 @@ def solve_shapes_developed(system, tol=1e-12):
         if float(np.max(np.abs(f))) < tol:
             return ShapeVector(tuple(z))
     raise MaxIterations("no convergence within 50 Newton steps")
+
+
+# ---- slope arcs by walking the plane ----
+
+def slope_arc_walk(base, s):
+    """The arc of a slope on the standard torus, by an event walk.
+
+    Edges 0, 1, 2 run in the lattice directions u, v, u + v and carry the
+    slopes 0/1, 1/0, 1/1.  Any other slope p/q is the straight segment
+    from the origin in direction q u + p v; it crosses horizontals (copies
+    of edge 0), verticals (edge 1) and the diagonals y - x = const (edge 2)
+    at rational times, and between two consecutive crossings it cuts off
+    the corner where those two lines meet.  cusplab.arcs.slope_arc is
+    checked against it.
+    """
+    special = {Slope(0, 1): 0, Slope(1, 0): 1, Slope(1, 1): 2}
+    if s in special:
+        return NormalArc._make(base, {}, {}, {special[s]: 1})
+    a, b = s.q, s.p              # direction (a, b) in the (u, v) frame
+    events = []
+    for i in range(1, a):
+        events.append((Fraction(i, a), "v", i))
+    lo, hi = sorted((0, b))
+    for j in range(lo + 1, hi):
+        events.append((Fraction(j, b), "h", j))
+    lo, hi = sorted((0, b - a))
+    for k in range(lo + 1, hi):
+        events.append((Fraction(k, b - a), "d", k))
+    events.sort()
+
+    edge_of = {"h": 0, "v": 1, "d": 2}
+    w = {}
+    for _t, kind, _n in events:
+        e = edge_of[kind]
+        w[e] = w.get(e, 0) + 1
+
+    local_a = {(0, 0): 0, (1, 0): 1, (1, 1): 2}
+    local_b = {(0, 0): 0, (1, 1): 1, (0, 1): 2}
+    c = {}
+    for (s1, k1, n1), (s2, k2, n2) in zip(events, events[1:]):
+        if k1 == k2:
+            raise NotAnArc("straight segment crossed two %s lines in a row"
+                           % k1)
+        corner = _line_meet(k1, n1, k2, n2)
+        xm = Fraction(a) * (s1 + s2) / 2
+        ym = Fraction(b) * (s1 + s2) / 2
+        cx = xm.numerator // xm.denominator
+        cy = ym.numerator // ym.denominator
+        rel = (corner[0] - cx, corner[1] - cy)
+        if (ym - cy) < (xm - cx):
+            tri, k = 0, local_a[rel]
+        else:
+            tri, k = 1, local_b[rel]
+        c[(tri, k)] = c.get((tri, k), 0) + 1
+    return NormalArc._make(base, w, c, {})
+
+
+def _line_meet(k1, n1, k2, n2):
+    """Lattice point where lines x=n ('v'), y=n ('h'), y-x=n ('d') meet."""
+    kinds = {k1: n1, k2: n2}
+    if "v" in kinds and "h" in kinds:
+        return (kinds["v"], kinds["h"])
+    if "v" in kinds and "d" in kinds:
+        return (kinds["v"], kinds["v"] + kinds["d"])
+    return (kinds["h"] - kinds["d"], kinds["h"])

@@ -7,6 +7,7 @@ from cusplab import errors, farey
 from cusplab.arcs import (
     MappingClass,
     NormalArc,
+    _neighbors,
     apply_mcg,
     arc_from_json,
     arc_slope,
@@ -30,7 +31,7 @@ from cusplab.surface import (
     find_relabelings,
     once_punctured_torus,
 )
-from oracles import segment_crossings
+from oracles import segment_crossings, slope_arc_walk
 
 ZERO_CORNERS = (0, 0, 0, 0, 0, 0)
 
@@ -103,6 +104,17 @@ class TestNormalArc:
             s = random_slope(rng, span=12)
             assert arc_slope(slope_arc(T, s)) == s
 
+    def test_closed_form_matches_the_walk(self):
+        T = once_punctured_torus()
+        slopes = farey.slopes_in_box(40)
+        assert len(slopes) == 1960
+        for s in slopes:
+            a, want = slope_arc(T, s), slope_arc_walk(T, s)
+            assert a.edge_weights == want.edge_weights, s
+            assert a.corner_data == want.corner_data, s
+            assert a.along_edge == want.along_edge, s
+            assert arc_slope(a) == s
+
     def test_indicator_weights_mean_the_edge_arc(self):
         # the arc crossing edge 0 once and the arc lying along edge 0 have
         # the same published vector; the plain constructor takes the latter
@@ -141,6 +153,64 @@ class TestNormalArc:
         assert [a.along_edge for a in arcs] == [0, 3]
         assert intersection_number(arcs[0], arcs[1]) == 0
         assert distance(arcs[0], arcs[1], budget=16) == 1
+
+
+def _sparse_key(a):
+    """The identity key arcs carried before the dense one: (along, w, c)."""
+    w, c, _ = a._dicts()
+    return (a.along, tuple(sorted(w.items())), tuple(sorted(c.items())))
+
+
+def _property_key(a):
+    """The sort key rebuilt from the sparse coordinates and the base."""
+    w, c, _ = a._dicts()
+    if a.along is None:
+        wv = tuple(w.get(e, 0) for e in a.base.edge_labels)
+    else:
+        wv = tuple(int(e == a.along) for e in a.base.edge_labels)
+    cv = tuple(c.get((t, k), 0)
+               for t in range(a.base.num_triangles) for k in range(3))
+    return (sum(wv) + sum(cv), wv, cv, -1 if a.along is None else a.along)
+
+
+class TestIdentityKey:
+
+    def reached_arcs(self):
+        """Torus arcs around 20 pool slopes and their degree-3 lifts.
+
+        Each arc appears twice, as found and rebuilt from its JSON form,
+        so equal keys on distinct objects are exercised too.
+        """
+        T = once_punctured_torus()
+        pool = [s for s in farey.slopes_in_box(20)
+                if slope_arc(T, s).coord_sum <= 64]
+        rng = np.random.default_rng(5)
+        found = []
+        for i in rng.choice(len(pool), size=20, replace=False):
+            a = slope_arc(T, pool[int(i)])
+            found.append(a)
+            found.extend(_neighbors(a, 64))
+        cover = degree_three_cover(T)
+        found.extend([lift for a in list(found) for lift in lift_arc(cover, a)])
+        return found + [arc_from_json(a.base, a.to_json()) for a in found]
+
+    def test_equality_is_the_sparse_key(self):
+        found = self.reached_arcs()
+        assert len({a.base for a in found}) == 2
+        keys = [(a.base, _sparse_key(a)) for a in found]
+        for a, ka in zip(found, keys):
+            for b, kb in zip(found, keys):
+                assert (a == b) == (ka == kb), (a, b)
+                if ka == kb:
+                    assert hash(a) == hash(b)
+
+    def test_sort_order_is_the_property_order(self):
+        found = self.reached_arcs()
+        for a in found:
+            assert a._sort_key() == _property_key(a)
+            assert a.coord_sum == sum(a.edge_weights) + sum(a.corner_data)
+        assert (sorted(found, key=NormalArc._sort_key)
+                == sorted(found, key=_property_key))
 
 
 class TestSerialization:

@@ -184,6 +184,22 @@ class TestFlips:
         for side in "ABCD":
             assert rec.sides[side] in t.edges
 
+    def test_flipped_edge_labels_are_sorted_and_complete(self):
+        rng = np.random.default_rng(3)
+        cur = twice_punctured_torus()
+        for _ in range(20):
+            labels = cur.edge_labels
+            e = labels[int(rng.integers(len(labels)))]
+            try:
+                cur, rec = cur.flip(e)
+            except errors.NotFlippable:
+                continue
+            slots = {cur.edge_label(t, k)
+                     for t in range(cur.num_triangles) for k in range(3)}
+            assert cur.edge_labels == tuple(sorted(slots))
+            assert rec.new_edge in cur.edge_labels
+            assert e not in cur.edge_labels
+
     def test_flip_moves_edge_between_punctures(self):
         # the quad around the bottom A--A edge has B at both off-diagonal
         # corners, so the flipped edge joins B to B
