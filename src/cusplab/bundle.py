@@ -520,8 +520,9 @@ class GluingSystem:
 
     def holonomies(self, shapes):
         """(winding, derivative, translation) for each generating loop."""
-        zs = _shape_array(shapes)
-        pos = self._develop(zs)
+        return self._holonomies(self._develop(_shape_array(shapes)))
+
+    def _holonomies(self, pos):
         out = []
         for side, other_side, deg in self._nontree:
             rho, tr = self._side_holonomy(pos, side, other_side)
@@ -765,12 +766,18 @@ def cusp_cross_section(triangulation, shapes, base=(0, 0)):
         system = triangulation._system
     else:
         system = GluingSystem(triangulation, base=base)
-    zs = _shape_array(shapes)
+    return _cross_section(system, _shape_array(shapes))[0]
+
+
+def _cross_section(system, zs):
+    # cusp_cross_section and the development it was read from, which
+    # maximal_cusp reuses for the edge formula
     res = system.residual(zs)
     if float(np.max(np.abs(res))) > 1e-8:
         raise NotSolved("shapes leave gluing residual %.3e"
                         % float(np.max(np.abs(res))))
-    hol = system.holonomies(zs)
+    pos = system._develop(zs)
+    hol = system._holonomies(pos)
     for _, rho, _ in hol:
         if abs(rho - 1.0) > 1e-6:
             raise NotSolved("peripheral holonomy has derivative %r; "
@@ -779,7 +786,8 @@ def cusp_cross_section(triangulation, shapes, base=(0, 0)):
     area = abs((mu.conjugate() * lam).imag)
     if area <= 1e-12 * abs(mu) * abs(lam):
         raise NumericalError("peripheral translations are linearly dependent")
-    return CuspCrossSection((mu, lam), area, abs(lam), area / abs(lam))
+    section = CuspCrossSection((mu, lam), area, abs(lam), area / abs(lam))
+    return section, pos
 
 
 # ---- maximal cusp --------------------------------------------------------
@@ -824,8 +832,7 @@ def maximal_cusp(triangulation, shapes, depth=8):
         raise NotSolved("word %r: tetrahedron %d has shape %r outside the "
                         "upper half plane, so the edges need not be "
                         "canonical" % (triangulation.word, worst, zs[worst]))
-    reference = cusp_cross_section(triangulation, zs)
-    pos = triangulation._system._develop(_shape_array(zs))
+    reference, pos = _cross_section(triangulation._system, _shape_array(zs))
     diameter = 0.0
     for i in range(triangulation.num_tetrahedra):
         for k, m in itertools.combinations(range(4), 2):

@@ -29,6 +29,12 @@ pairs file for verify-lifting is a JSON list of two-element lists of arc
 literals (``"arc w0,..;c0,.."`` or ``"slope p/q"``) read on the base
 surface of the cover.  ``--depth`` is accepted and ignored: the maximal
 cusp is computed exactly, with no search depth.
+
+lemma-suite draws its samples from numpy's PCG64 ``Generator`` stream
+for ``--seed``, the one ``numpy.random.default_rng(seed)`` gives.  The
+stream is read from raw 64-bit words in blocks, bit for bit equal to one
+scalar ``integers`` or ``uniform`` call per draw, so reports stay
+byte-identical for the same numpy.
 """
 
 import argparse
@@ -254,22 +260,86 @@ def _cmd_verify_lifting(args, config):
 
 # ---- lemma suite ----
 
-def _random_disjoint_pair(rng):
+# raw PCG64 words fetched per refill of the draw source
+_BLOCK = 4096
+
+
+class _Draws:
+    """numpy's Generator stream for one seed, read from raw words in blocks.
+
+    ``uniform`` and ``integers`` return exactly what the scalar calls
+    ``Generator.uniform(lo, hi)`` and ``Generator.integers(n)`` on
+    ``default_rng(seed)`` return, in the same order, without numpy's
+    per-call overhead.  Both sides run on the PCG64 bit generator:
+
+    - a double is ``(w >> 11) * 2**-53`` of the next 64-bit word ``w``,
+      and ``uniform`` returns ``lo + (hi - lo) * double``;
+    - ``integers(n)``, for 2 <= n <= 2^32, is Lemire's bounded method
+      (Lemire, "Fast random integer generation in an interval", ACM
+      TOMACS 2019) on 32-bit draws u: m = u * n, redrawn while
+      m mod 2^32 < (2^32 - n) mod n, and m >> 32 returned;
+    - a 32-bit draw is the buffered high half of the last word taken for
+      one, when there is such a half; otherwise it takes a new word,
+      returns its low half and buffers the high half.  Doubles never
+      touch this buffer (PCG64's ``has_uint32`` and ``uinteger``).
+
+    Words come from ``random_raw`` in blocks of ``_BLOCK``, so memory
+    stays flat at any sample count.  The bit generator runs ahead of the
+    words used, so nothing may read it afterwards.
+    """
+
+    __slots__ = ("_bits", "_next", "_half")
+
+    def __init__(self, seed):
+        self._bits = np.random.PCG64(seed)
+        self._next = iter(()).__next__
+        self._half = None
+
+    def _word(self):
+        try:
+            return self._next()
+        except StopIteration:
+            self._next = iter(self._bits.random_raw(_BLOCK).tolist()).__next__
+            return self._next()
+
+    def uniform(self, lo, hi):
+        return lo + (hi - lo) * ((self._word() >> 11) * 2.0 ** -53)
+
+    def _uint32(self):
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        w = self._word()
+        self._half = w >> 32
+        return w & 0xFFFFFFFF
+
+    def integers(self, n):
+        m = self._uint32() * n
+        # the threshold is below n, so most draws need not compute it
+        if (m & 0xFFFFFFFF) < n:
+            threshold = (2 ** 32 - n) % n
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._uint32() * n
+        return m >> 32
+
+
+def _random_disjoint_pair(draws):
     # occasionally put one ball at infinity; redraw until disjoint
     while True:
-        if rng.integers(6) == 0:
-            h1 = geometry.Horoball(math.inf, float(rng.uniform(0.1, 5.0)))
+        if draws.integers(6) == 0:
+            h1 = geometry.Horoball(math.inf, draws.uniform(0.1, 5.0))
         else:
-            c1 = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            h1 = geometry.Horoball(c1, float(rng.uniform(0.05, 3.0)))
-        c2 = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        h2 = geometry.Horoball(c2, float(rng.uniform(0.05, 3.0)))
+            c1 = complex(draws.uniform(-5, 5), draws.uniform(-5, 5))
+            h1 = geometry.Horoball(c1, draws.uniform(0.05, 3.0))
+        c2 = complex(draws.uniform(-5, 5), draws.uniform(-5, 5))
+        h2 = geometry.Horoball(c2, draws.uniform(0.05, 3.0))
         if h1.at_infinity or abs(h1.center - h2.center) > 1e-12:
             if geometry.horoball_distance(h1, h2) >= 0.0:
                 return h1, h2
 
 
-def _tangent_check(config, rng):
+def _tangent_check(config, draws):
     """Tangent-segment extremes over random disjoint pairs.
 
     The segment between touch points is shortest, and the horocyclic run
@@ -282,7 +352,7 @@ def _tangent_check(config, rng):
     worst_l2 = 0.0
     violations = 0
     for _ in range(config.samples):
-        l1, l2 = geometry.tangent_lengths(*_random_disjoint_pair(rng))
+        l1, l2 = geometry.tangent_lengths(*_random_disjoint_pair(draws))
         worst_l1 = min(worst_l1, l1)
         worst_l2 = max(worst_l2, l2)
         if l1 < geometry.TANGENT_MIN - TANGENT_TOL:
@@ -295,9 +365,9 @@ def _tangent_check(config, rng):
     tangent_cases = [(geometry.Horoball(math.inf, 1.0),
                       geometry.Horoball(0j, 1.0))]
     for _ in range(50):
-        d1 = float(rng.uniform(0.05, 3.0))
-        d2 = float(rng.uniform(0.05, 3.0))
-        shift = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
+        d1 = draws.uniform(0.05, 3.0)
+        d2 = draws.uniform(0.05, 3.0)
+        shift = complex(draws.uniform(-5, 5), draws.uniform(-5, 5))
         # nudged apart so rounding cannot produce a tiny overlap
         gap = math.sqrt(d1 * d2) * (1.0 + 1e-12)
         tangent_cases.append((geometry.Horoball(shift, d1),
@@ -322,17 +392,17 @@ def _tangent_check(config, rng):
             "status": "PASS" if violations == 0 else "VIOLATION"}
 
 
-def _cone_check(config, rng):
+def _cone_check(config, draws):
     """Exponential growth of expanded cusp areas on cone surfaces."""
     violations = 0
     worst = math.inf
     for _ in range(config.cone_samples):
         params = geometry.ConeCuspParams(
-            base_area=float(rng.uniform(0.1, 5.0)),
-            cone_excess=float(rng.uniform(0.0, 2.0 * math.pi)),
-            x_v=float(rng.uniform(0.0, 3.0)))
-        x = float(rng.uniform(0.0, 4.0))
-        d = float(rng.uniform(0.0, 3.0))
+            base_area=draws.uniform(0.1, 5.0),
+            cone_excess=draws.uniform(0.0, 2.0 * math.pi),
+            x_v=draws.uniform(0.0, 3.0))
+        x = draws.uniform(0.0, 4.0)
+        d = draws.uniform(0.0, 3.0)
         small = geometry.cone_cusp_area(params, x)
         grown = geometry.cone_cusp_area(params, x + d)
         margin = grown - math.exp(d) * small
@@ -348,8 +418,8 @@ def _cone_check(config, rng):
 
 
 def _cmd_lemma_suite(config):
-    rng = np.random.default_rng(config.seed)
-    checks = [_tangent_check(config, rng), _cone_check(config, rng)]
+    draws = _Draws(config.seed)
+    checks = [_tangent_check(config, draws), _cone_check(config, draws)]
     ok = all(c["status"] == "PASS" for c in checks)
     doc = _envelope(config)
     doc["checks"] = checks

@@ -24,6 +24,11 @@ straight segment of a slope is walked through the triangulated plane with
 exact rational arithmetic, counting its crossings with the three line
 families and the triangle corner cut off between consecutive crossings.
 It shares only the package's arc constructor, which validates the result.
+
+The scalar lemma checks are lemma-suite before its draws were read from
+raw PCG64 words: every draw is its own ``Generator.integers`` or
+``Generator.uniform`` call on ``default_rng(seed)``.  They share the
+package's geometry and tolerances, and nothing of its draw source.
 """
 
 import cmath
@@ -35,9 +40,11 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import shortest_path
 
+from cusplab import geometry
 from cusplab.arcs import NormalArc
 from cusplab.bundle import (_FACE, _PAIR, CuspCrossSection, ShapeVector,
                             cusp_cross_section)
+from cusplab.cli import CONE_TOL, TANGENT_TOL
 from cusplab.errors import (DegenerateShape, DepthUnstable, Diverged,
                             MaxIterations, NotAnArc)
 from cusplab.farey import Slope, _distance_pq
@@ -654,3 +661,97 @@ def _line_meet(k1, n1, k2, n2):
     if "v" in kinds and "d" in kinds:
         return (kinds["v"], kinds["v"] + kinds["d"])
     return (kinds["h"] - kinds["d"], kinds["h"])
+
+
+# ---- lemma checks with one Generator call per draw ----
+
+def _random_disjoint_pair(rng):
+    # occasionally put one ball at infinity; redraw until disjoint
+    while True:
+        if rng.integers(6) == 0:
+            h1 = geometry.Horoball(math.inf, float(rng.uniform(0.1, 5.0)))
+        else:
+            c1 = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
+            h1 = geometry.Horoball(c1, float(rng.uniform(0.05, 3.0)))
+        c2 = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
+        h2 = geometry.Horoball(c2, float(rng.uniform(0.05, 3.0)))
+        if h1.at_infinity or abs(h1.center - h2.center) > 1e-12:
+            if geometry.horoball_distance(h1, h2) >= 0.0:
+                return h1, h2
+
+
+def _tangent_check(config, rng):
+    sqrt2 = math.sqrt(2.0)
+    worst_l1 = math.inf
+    worst_l2 = 0.0
+    violations = 0
+    for _ in range(config.samples):
+        l1, l2 = geometry.tangent_lengths(*_random_disjoint_pair(rng))
+        worst_l1 = min(worst_l1, l1)
+        worst_l2 = max(worst_l2, l2)
+        if l1 < geometry.TANGENT_MIN - TANGENT_TOL:
+            violations += 1
+        if l2 > sqrt2 + TANGENT_TOL:
+            violations += 1
+
+    equality_error = 0.0
+    tangent_cases = [(geometry.Horoball(math.inf, 1.0),
+                      geometry.Horoball(0j, 1.0))]
+    for _ in range(50):
+        d1 = float(rng.uniform(0.05, 3.0))
+        d2 = float(rng.uniform(0.05, 3.0))
+        shift = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
+        gap = math.sqrt(d1 * d2) * (1.0 + 1e-12)
+        tangent_cases.append((geometry.Horoball(shift, d1),
+                              geometry.Horoball(shift + gap, d2)))
+    for h1, h2 in tangent_cases:
+        l1, l2 = geometry.tangent_lengths(h1, h2)
+        equality_error = max(equality_error,
+                             abs(l1 - geometry.TANGENT_MIN),
+                             abs(l2 - sqrt2))
+    if equality_error > TANGENT_TOL:
+        violations += 1
+
+    return {"name": "tangent-bounds",
+            "samples": config.samples,
+            "tolerance": TANGENT_TOL,
+            "min_l1": worst_l1,
+            "min_l1_bound": geometry.TANGENT_MIN,
+            "max_l2": worst_l2,
+            "max_l2_bound": sqrt2,
+            "equality_error": equality_error,
+            "violations": violations,
+            "status": "PASS" if violations == 0 else "VIOLATION"}
+
+
+def _cone_check(config, rng):
+    violations = 0
+    worst = math.inf
+    for _ in range(config.cone_samples):
+        params = geometry.ConeCuspParams(
+            base_area=float(rng.uniform(0.1, 5.0)),
+            cone_excess=float(rng.uniform(0.0, 2.0 * math.pi)),
+            x_v=float(rng.uniform(0.0, 3.0)))
+        x = float(rng.uniform(0.0, 4.0))
+        d = float(rng.uniform(0.0, 3.0))
+        small = geometry.cone_cusp_area(params, x)
+        grown = geometry.cone_cusp_area(params, x + d)
+        margin = grown - math.exp(d) * small
+        worst = min(worst, margin / grown)
+        if margin < -CONE_TOL * grown:
+            violations += 1
+    return {"name": "cone-growth",
+            "samples": config.cone_samples,
+            "tolerance": CONE_TOL,
+            "worst_relative_margin": worst,
+            "violations": violations,
+            "status": "PASS" if violations == 0 else "VIOLATION"}
+
+
+def lemma_checks_scalar(config):
+    """The two lemma-suite checks of a RunConfig, one Generator call per draw.
+
+    Returns the ``checks`` list of the lemma-suite report.
+    """
+    rng = np.random.default_rng(config.seed)
+    return [_tangent_check(config, rng), _cone_check(config, rng)]

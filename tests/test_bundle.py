@@ -8,6 +8,7 @@ import pytest
 from cusplab import cli, errors
 from cusplab.bundle import (
     CuspCrossSection,
+    GluingSystem,
     ShapeVector,
     bundle_report,
     cusp_cross_section,
@@ -420,6 +421,23 @@ class TestMaximalCusp:
             maximal_cusp(tri, flipped)
         assert "'RL'" in str(info.value)
         assert "tetrahedron 1" in str(info.value)
+
+    def test_one_development_per_call(self, monkeypatch):
+        # the reference section and the edge formula read one development
+        develop = GluingSystem._develop
+        calls = []
+
+        def counted(system, zs):
+            calls.append(system)
+            return develop(system, zs)
+
+        monkeypatch.setattr(GluingSystem, "_develop", counted)
+        for word in ("RL", "RRLRL"):
+            tri = layered_triangulation(word)
+            shapes = solve_shapes(gluing_system(tri))
+            del calls[:]
+            maximal_cusp(tri, shapes)
+            assert calls == [gluing_system(tri)], word
 
     def test_depth_is_ignored(self, solved_rl, maximal_rl):
         tri, _, shapes = solved_rl

@@ -5,9 +5,11 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cusplab import bundle, cli, errors, farey, surface
+from oracles import lemma_checks_scalar
 
 SQRT3 = math.sqrt(3.0)
 
@@ -253,6 +255,103 @@ class TestLemmaSuite:
             docs.append(json.loads(capsys.readouterr().out))
         assert docs[0]["checks"][0]["min_l1"] != docs[1]["checks"][0]["min_l1"]
         assert docs[0] == docs[2]
+
+
+def draws_at(state):
+    """A draw source resumed from a PCG64 state and its buffered half."""
+    draws = cli._Draws(0)
+    draws._bits.state = state
+    draws._half = state["uinteger"] if state["has_uint32"] else None
+    return draws
+
+
+def assert_same_stream(rng, draws, steps, seed):
+    # a mixed sequence: the lemma draws, other bounds and uniform ranges
+    pick = np.random.default_rng(1000 + seed)
+    bounds = [6, 6, 6, 2, 3, 7, 1000, 2 ** 31 + 5, 2 ** 32 - 1, 2 ** 32]
+    ranges = [(-5, 5), (0.1, 5.0), (0.05, 3.0), (0.0, 2.0 * math.pi),
+              (0.0, 4.0), (-1e-3, 1e9)]
+    for step in range(steps):
+        if pick.random() < 0.3:
+            n = bounds[pick.integers(len(bounds))]
+            want, got = int(rng.integers(n)), draws.integers(n)
+        else:
+            lo, hi = ranges[pick.integers(len(ranges))]
+            want, got = float(rng.uniform(lo, hi)), draws.uniform(lo, hi)
+        assert got == want, (seed, step)
+
+
+class TestDraws:
+
+    def test_matches_the_generator_scalar_calls(self):
+        # 6000 mixed draws take about 5000 words, more than one block
+        for seed in range(20):
+            assert_same_stream(np.random.default_rng(seed),
+                               cli._Draws(seed), 6000, seed)
+
+    def test_lemire_redraw_branch(self):
+        # a buffered half-word u with u * n mod 2^32 below the threshold
+        # (2^32 - n) mod n forces the redraw; u = 0 does for every n, and
+        # u = 2 for n = 2^31 + 5
+        forced = 0
+        for seed in range(4):
+            for u in range(4):
+                for n in (6, 3, 2 ** 31 + 5):
+                    if (u * n) % 2 ** 32 < (2 ** 32 - n) % n:
+                        forced += 1
+                    rng = np.random.default_rng(seed)
+                    rng.random()
+                    state = rng.bit_generator.state
+                    state["has_uint32"], state["uinteger"] = 1, u
+                    rng.bit_generator.state = state
+                    draws = draws_at(state)
+                    assert draws.integers(n) == int(rng.integers(n))
+                    assert_same_stream(rng, draws, 200, seed)
+        assert forced == 4 * 4
+
+    def test_negative_seed_is_refused_as_default_rng_does(self):
+        with pytest.raises(ValueError) as want:
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError) as got:
+            cli._Draws(-1)
+        assert str(got.value) == str(want.value)
+
+
+def lemma_report(args, capsys):
+    code = cli.run(["lemma-suite"] + args)
+    return code, capsys.readouterr().out
+
+
+def expected_lemma_report(seed, samples, cone_samples):
+    config = cli.RunConfig("lemma-suite", samples=samples,
+                           cone_samples=cone_samples, seed=seed)
+    checks = lemma_checks_scalar(config)
+    ok = all(c["status"] == "PASS" for c in checks)
+    doc = cli._envelope(config)
+    doc["checks"] = checks
+    doc["status"] = "PASS" if ok else "VIOLATION"
+    return (0 if ok else 1), cli._json_text(doc)
+
+
+class TestLemmaStream:
+
+    def test_reports_match_the_scalar_oracle(self, capsys):
+        for seed in range(8):
+            got = lemma_report(["--samples", "3000", "--cone-samples", "500",
+                                "--seed", str(seed)], capsys)
+            assert got == expected_lemma_report(seed, 3000, 500), seed
+
+    def test_default_counts_match_the_scalar_oracle(self, capsys):
+        got = lemma_report([], capsys)
+        assert got == expected_lemma_report(0, 100000, 10000)
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert cli.run(["lemma-suite", "--seed", "-1"]) == 2
+        assert "expected non-negative integer" in capsys.readouterr().err
+
+    def test_zero_samples_exits_2(self, capsys):
+        assert cli.run(["lemma-suite", "--samples", "0"]) == 2
+        assert "samples must be positive" in capsys.readouterr().err
 
 
 class TestDispatch:
