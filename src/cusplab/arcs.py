@@ -36,7 +36,7 @@ rather than reporting a number that might be too small.
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (BaseMismatch, BudgetExceeded, NotAnArc, PunctureMoved,
                      Unreachable)
@@ -46,13 +46,17 @@ from .surface import (IdealTriangulation, Relabeling, find_relabelings,
 
 __all__ = [
     "NormalArc", "MappingClass", "arcs_of", "intersection_number", "distance",
-    "apply_mcg", "mapping_class", "iso_mapping_class", "translation_distance",
-    "stable_distance_upper", "lift_arc", "slope_arc", "arc_slope",
-    "parse_arc", "arc_to_json", "arc_from_json",
+    "apply_mcg", "mapping_class", "iso_mapping_class", "lift_arc",
+    "slope_arc", "arc_slope", "parse_arc", "arc_to_json", "arc_from_json",
 ]
 
 # the base of twist words and slopes, built once for the base checks
 _TORUS = once_punctured_torus()
+
+# cache bounds: flips and reverse steps are keyed by (triangulation, edge),
+# neighbour lists by (arc, budget) and arcs by their raw coordinates
+_FLIP_CACHE_SIZE = 100000
+_ARC_CACHE_SIZE = 200000
 
 
 # ---- coordinate transport ----
@@ -114,46 +118,22 @@ def _flip_coords(record, w, c, par):
     return w2, c2, par2
 
 
-_FLIP_CACHE = {}
-_REV_CACHE = {}
-
-
+@lru_cache(maxsize=_FLIP_CACHE_SIZE)
 def _flip_cached(tri, e):
     """tri.flip(e), memoized; searches revisit the same flips constantly."""
-    key = (tri, e)
-    hit = _FLIP_CACHE.get(key)
-    if hit is None:
-        hit = tri.flip(e)
-        if len(_FLIP_CACHE) < 100000:
-            _FLIP_CACHE[key] = hit
-    return hit
+    return tri.flip(e)
 
 
-def _reverse_transform(tri_flipped, record):
-    """Reusable data undoing one flip: (reverse record, relabeling, edge)."""
-    key = (tri_flipped, record.edge, record.new_edge, record.old_slots)
-    hit = _REV_CACHE.get(key)
-    if hit is None:
-        _, rec2 = _flip_cached(tri_flipped, record.new_edge)
-        rho = record.inverse_relabeling(tri_flipped.num_triangles)
-        hit = (rec2, rho, record.edge)
-        if len(_REV_CACHE) < 100000:
-            _REV_CACHE[key] = hit
-    return hit
+@lru_cache(maxsize=_FLIP_CACHE_SIZE)
+def _reverse_step(tri, e):
+    """Data undoing the flip of e in tri: (reverse record, relabeling, e).
 
-
-def _apply_reverse(step, w, c, par):
-    rec2, rho, old_edge = step
-    w, c, par = _flip_coords(rec2, w, c, par)
-    w = {(old_edge if k == rec2.new_edge else k): v for k, v in w.items()}
-    par = {(old_edge if k == rec2.new_edge else k): v for k, v in par.items()}
-    c = {rho.corner_image(t, k): v for (t, k), v in c.items()}
-    return w, c, par
-
-
-def _unflip_coords(tri_flipped, record, w, c, par):
-    """Undo `record`: coordinates on the flipped surface back to the start."""
-    return _apply_reverse(_reverse_transform(tri_flipped, record), w, c, par)
+    Keyed on the triangulation before the flip, since a flip record holds
+    dicts and cannot be hashed; the flip itself is deterministic.
+    """
+    flipped, record = _flip_cached(tri, e)
+    _, rec2 = _flip_cached(flipped, record.new_edge)
+    return rec2, record.inverse_relabeling(flipped.num_triangles), e
 
 
 def _replay(base, flips):
@@ -167,10 +147,28 @@ def _replay(base, flips):
     return tris, records
 
 
-def _pull_back(tris, records, w, c, par):
-    """Coordinates on the end of a replayed path, rewritten on its start."""
-    for i in reversed(range(len(records))):
-        w, c, par = _unflip_coords(tris[i + 1], records[i], w, c, par)
+def _reverse_chain(base, flips):
+    """(end triangulation, reverse steps back to base) of a flip word.
+
+    The steps form a linked list (step, rest) with the last flip first,
+    the order in which `_to_base` undoes them.
+    """
+    tri, chain = base, None
+    for e in flips:
+        chain = (_reverse_step(tri, e), chain)
+        tri, _ = _flip_cached(tri, e)
+    return tri, chain
+
+
+def _to_base(w, c, par, chain):
+    """Coordinates at the end of a reverse chain, rewritten on its base."""
+    while chain is not None:
+        (rec2, rho, old_edge), chain = chain
+        w, c, par = _flip_coords(rec2, w, c, par)
+        w = {(old_edge if k == rec2.new_edge else k): v for k, v in w.items()}
+        par = {(old_edge if k == rec2.new_edge else k): v
+               for k, v in par.items()}
+        c = {rho.corner_image(t, k): v for (t, k), v in c.items()}
     return w, c, par
 
 
@@ -516,39 +514,37 @@ def arcs_of(base, flips=()):
     degenerate arc.  Edges with an endpoint at another puncture are not
     vertices of the arc complex and are left out.
     """
-    tris, records = _replay(base, tuple(flips))
-    tri = tris[-1]
+    tri, chain = _reverse_chain(base, flips)
     out = []
     for g in tri.edge_labels:
         tail, head = tri.edge_punctures(g)
         if not (tail == tri.preferred == head):
             continue
-        w, c, par = _pull_back(tris, records, {}, {}, {g: 1})
+        w, c, par = _to_base({}, {}, {g: 1}, chain)
         out.append(NormalArc._make(base, w, c, par))
     return out
 
 
 # ---- reduction to an edge, intersections, neighbors, distance ----
 
-def _reduce(a, max_flips=None):
-    """Flip until `a` lies along an edge; returns (tris, records, edge).
+def _reduce(a):
+    """Flip until `a` lies along an edge; returns (flip word, edge).
 
     Greedy choice of the flip minimizing the transported crossing total,
     tolerating plateaus but never revisiting a state, so the walk either
     reaches an edge or raises BudgetExceeded honestly.
     """
     if a.along is not None:
-        return [a.base], [], a.along
+        return (), a.along
     w, c, par = a._dicts()
-    tris = [a.base]
-    records = []
-    cap = max_flips if max_flips is not None else 6 * sum(w.values()) + 24
+    tri = a.base
+    flips = []
+    cap = 6 * sum(w.values()) + 24
     seen = set()
     while not par:
-        if len(records) >= cap:
+        if len(flips) >= cap:
             raise BudgetExceeded("reduction to an edge still running after "
-                                 "%d flips" % len(records))
-        tri = tris[-1]
+                                 "%d flips" % len(flips))
         seen.add((tuple(sorted(w.items())), tuple(sorted(c.items()))))
         total = sum(w.values())
         best = None
@@ -564,16 +560,15 @@ def _reduce(a, max_flips=None):
             key2 = (tuple(sorted(w2.items())), tuple(sorted(c2.items())))
             if total2 == total and key2 in seen:
                 continue
-            cand = (total2, e, nxt, rec, w2, c2, par2)
+            cand = (total2, e, nxt, w2, c2, par2)
             if best is None or cand[:2] < best[:2]:
                 best = cand
         if best is None:
             raise BudgetExceeded("no weight-reducing flip from %r" % (a,))
-        _, _, nxt, rec, w, c, par = best
-        tris.append(nxt)
-        records.append(rec)
+        _, e, tri, w, c, par = best
+        flips.append(e)
     (e_star,) = par
-    return tris, records, e_star
+    return tuple(flips), e_star
 
 
 def intersection_number(a, b):
@@ -590,7 +585,8 @@ def intersection_number(a, b):
         raise BaseMismatch("arcs live on different triangulations")
     if a == b:
         return 0
-    _, records, e_star = _reduce(a)
+    flips, e_star = _reduce(a)
+    _, records = _replay(a.base, flips)
     w, c, par = b._dicts()
     for rec in records:
         w, c, par = _flip_coords(rec, w, c, par)
@@ -605,32 +601,18 @@ def _raw_key(w, c, par):
             tuple(sorted(par.items())))
 
 
-_NEIGHBOR_CACHE = {}
-_ARC_CACHE = {}
+def _key_size(key):
+    return sum(v for part in key for _, v in part)
 
 
-def _arc_from_raw(base, w, c, par):
-    key = (base, _raw_key(w, c, par))
-    arc = _ARC_CACHE.get(key)
-    if arc is None:
-        arc = NormalArc._make(base, w, c, par)
-        if len(_ARC_CACHE) < 200000:
-            _ARC_CACHE[key] = arc
-    return arc
+@lru_cache(maxsize=_ARC_CACHE_SIZE)
+def _arc_from_raw(base, key):
+    """The arc with raw coordinates `key`, as `_raw_key` builds them."""
+    w, c, par = (dict(part) for part in key)
+    return NormalArc._make(base, w, c, par)
 
 
-def _to_base(w, c, par, chain):
-    """Pull raw coords down a linked list of reverse-transform steps."""
-    while chain is not None:
-        step, chain = chain
-        w, c, par = _apply_reverse(step, w, c, par)
-    return w, c, par
-
-
-def _raw_size(w, c, par):
-    return sum(w.values()) + sum(c.values()) + sum(par.values())
-
-
+@lru_cache(maxsize=_ARC_CACHE_SIZE)
 def _neighbors(a, budget):
     """Arcs disjoint from `a` with coordinate sum at most `budget`.
 
@@ -640,40 +622,33 @@ def _neighbors(a, budget):
     already exceeds the budget are pruned, so the enumeration can only miss
     far-away arcs and distances built on it never come out too small.
 
-    Each search state keeps the base-coordinate expression of all its edges,
-    so a flip only has to transport the one fresh diagonal: the flipped copy
+    Each search state keeps the raw base-coordinate key of all its edges,
+    so a flip only has to pull back the one fresh diagonal: the flipped copy
     of an edge e runs along the new edge, and one step back that is a single
-    crossing of e, so its base coords are _to_base({e: 1}, {}, {}, chain).
+    crossing of e, so its base coords are _to_base({e: 1}, {}, {}, chain)
+    over the state's chain of reverse steps.  Results, the flips and reverse
+    steps they use and the arcs they build are held in bounded LRU caches,
+    since distance searches ask for the same neighbourhoods again and again.
     """
-    ckey = (a, budget)
-    hit = _NEIGHBOR_CACHE.get(ckey)
-    if hit is not None:
-        return hit
-    tris, records, e_star = _reduce(a)
+    flips, e_star = _reduce(a)
     base = a.base
-
-    rev = None
-    for i in range(len(records)):
-        rev = (_reverse_transform(tris[i + 1], records[i]), rev)
-
-    tri0 = tris[-1]
-    coords0 = {g: _to_base({}, {}, {g: 1}, rev) for g in tri0.edge_labels}
-    keys0 = {g: _raw_key(*v) for g, v in coords0.items()}
+    tri0, chain0 = _reverse_chain(base, flips)
+    keys0 = {g: _raw_key(*_to_base({}, {}, {g: 1}, chain0))
+             for g in tri0.edge_labels}
     seen = {frozenset(keys0.values())}
-    queue = deque([(tri0, coords0, keys0, rev)])
+    queue = deque([(tri0, keys0, chain0)])
     out = set()
     while queue:
-        tri, coords, keys, chain = queue.popleft()
+        tri, keys, chain = queue.popleft()
         for g in tri.edge_labels:
             if g == e_star:
                 continue
             tail, head = tri.edge_punctures(g)
             if not (tail == tri.preferred == head):
                 continue
-            w, c, par = coords[g]
-            if _raw_size(w, c, par) > budget:
+            if _key_size(keys[g]) > budget:
                 continue
-            arc = _arc_from_raw(base, w, c, par)
+            arc = _arc_from_raw(base, keys[g])
             if arc != a:
                 out.add(arc)
         for g in tri.edge_labels:
@@ -682,27 +657,19 @@ def _neighbors(a, budget):
             (t, _), (u, _) = tri.edges[g]
             if t == u:
                 continue
-            fresh = _to_base({g: 1}, {}, {}, chain)
-            if _raw_size(*fresh) > budget:
+            fkey = _raw_key(*_to_base({g: 1}, {}, {}, chain))
+            if _key_size(fkey) > budget:
                 continue
-            fkey = _raw_key(*fresh)
             skey = frozenset(v for h, v in keys.items() if h != g) | {fkey}
             if skey in seen:
                 continue
             seen.add(skey)
             nxt, rec = _flip_cached(tri, g)
-            child = dict(coords)
-            del child[g]
-            child[rec.new_edge] = fresh
             ckeys = dict(keys)
             del ckeys[g]
             ckeys[rec.new_edge] = fkey
-            queue.append((nxt, child, ckeys,
-                          (_reverse_transform(nxt, rec), chain)))
-    result = tuple(sorted(out, key=NormalArc._sort_key))
-    if len(_NEIGHBOR_CACHE) < 200000:
-        _NEIGHBOR_CACHE[ckey] = result
-    return result
+            queue.append((nxt, ckeys, (_reverse_step(tri, g), chain)))
+    return tuple(sorted(out, key=NormalArc._sort_key))
 
 
 def distance(a, b, radius_cap=None, budget=64):
@@ -827,16 +794,12 @@ _LETTER_DATA = {
     "r": ((0,), ((1, 1), (2, 0), (3, 2))),
     "l": ((1,), ((0, 0), (2, 1), (3, 2))),
 }
-_LETTER_CACHE = {}
 
 
+@lru_cache(maxsize=None)
 def _letter_segment(letter):
-    seg = _LETTER_CACHE.get(letter)
-    if seg is None:
-        flips, emap = _LETTER_DATA[letter]
-        seg = _close_segment(_TORUS, flips, dict(emap), letter)
-        _LETTER_CACHE[letter] = seg
-    return seg
+    flips, emap = _LETTER_DATA[letter]
+    return _close_segment(_TORUS, flips, dict(emap), letter)
 
 
 @dataclass(frozen=True)
@@ -915,88 +878,6 @@ def apply_mcg(phi, a):
     for seg in phi.segments:
         w, c, par = _segment_transport(phi.base, seg, w, c, par)
     return NormalArc._make(phi.base, w, c, par)
-
-
-# ---- translation and stable distances ----
-
-def translation_distance(phi, budget=64, with_certificate=False):
-    """min over explored arcs v of d(v, phi(v)) in the capped complex.
-
-    Candidates come from the breadth-first ball around the base edges; the
-    ball grows until the running minimum survives two consecutive layers,
-    certifying stability of the search.  A minimum that never stabilizes
-    before the capped complex runs out is returned uncertified.
-    """
-    candidates = [v for v in arcs_of(phi.base) if v.coord_sum <= budget]
-    if not candidates:
-        raise BudgetExceeded("no base arc fits the budget %d" % budget)
-    frontier = sorted(candidates, key=NormalArc._sort_key)
-    ball = set(frontier)
-    best = None
-    stable = 0
-    certified = False
-    radius = 0
-    while True:
-        improved = False
-        for v in frontier:
-            try:
-                img = apply_mcg(phi, v)
-                if img.coord_sum > budget:
-                    continue
-                d = distance(v, img, budget=budget)
-            except (BudgetExceeded, Unreachable):
-                continue
-            if best is None or d < best:
-                best = d
-                improved = True
-        if best == 0:
-            certified = True
-            break
-        if best is not None:
-            stable = 0 if improved else stable + 1
-            if stable >= 2:
-                certified = True
-                break
-        nxt = []
-        for v in frontier:
-            for nb in _neighbors(v, budget):
-                if nb not in ball:
-                    ball.add(nb)
-                    nxt.append(nb)
-        if not nxt:
-            break
-        frontier = sorted(nxt, key=NormalArc._sort_key)
-        radius += 1
-    if best is None:
-        raise BudgetExceeded("no orbit distance computable within budget %d"
-                             % budget)
-    if with_certificate:
-        return best, certified, radius
-    return best
-
-
-def stable_distance_upper(phi, N, budget=64):
-    """The sequence d(v, phi^n(v)) / n, n = 1..N, for the first base arc.
-
-    Subadditivity makes every entry an upper bound for the stable
-    translation distance, the last being the sharpest.  Orbits outgrow the
-    coordinate budget exponentially fast for pseudo-Anosov classes, and
-    then the honest answer is BudgetExceeded, not a sequence quietly
-    computed at a lower depth than asked.
-    """
-    if N < 1:
-        raise ValueError("need N >= 1")
-    v = arcs_of(phi.base)[0]
-    out = []
-    cur = v
-    for n in range(1, N + 1):
-        cur = apply_mcg(phi, cur)
-        if cur.coord_sum > budget:
-            raise BudgetExceeded(
-                "iterate %d of the base arc has coordinate sum %d, over the "
-                "budget %d" % (n, cur.coord_sum, budget))
-        out.append(Fraction(distance(v, cur, budget=budget), n))
-    return out
 
 
 # ---- lifting to covers ----

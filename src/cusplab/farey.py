@@ -293,9 +293,9 @@ def translation_distance(m, with_witness=False):
     holds no vertex of V.  No Farey edge crosses the geodesic uv, so
     every path from s to a slope outside that arc passes through u or v.
     N moves {u, v} to a different boundary edge (else N^2 would fix u,
-    and a hyperbolic matrix fixes no slope), and N s lies behind it.  So a geodesic from s to N s
-    passes through some x in {u, v} and then through some N y with y in
-    {u, v}, possibly N y = x:
+    and a hyperbolic matrix fixes no slope), and N s lies behind it.  So
+    a geodesic from s to N s passes through some x in {u, v} and then
+    through some N y with y in {u, v}, possibly N y = x:
 
         d(s, N s) = d(s, x) + d(x, N y) + d(N y, N s)
                   = d(s, x) + d(x, N y) + d(y, s).

@@ -1,9 +1,10 @@
+from itertools import product
 from math import gcd
 
 import numpy as np
 import pytest
 
-from cusplab import errors, farey
+from cusplab import arcs, errors, farey
 from cusplab.arcs import (
     MappingClass,
     NormalArc,
@@ -20,8 +21,6 @@ from cusplab.arcs import (
     mapping_class,
     parse_arc,
     slope_arc,
-    stable_distance_upper,
-    translation_distance,
 )
 from cusplab.farey import Slope, act, word_to_matrix
 from cusplab.surface import (
@@ -419,41 +418,47 @@ class TestMappingClasses:
 
 class TestTranslationDistance:
 
-    def test_reducible_word_is_zero(self):
+    def test_arc_distance_at_the_ladder_witness(self):
+        # farey.translation_distance is the one implementation; at its
+        # witness slope v the arc complex must realise the same minimum
+        # d(v, phi v).  The ladder's lower bound is checked against the box
+        # search in test_farey.
         T = once_punctured_torus()
-        d, certified, radius = translation_distance(
-            mapping_class(T, "R"), budget=32, with_certificate=True)
-        assert d == 0 and certified
+        checked = 0
+        for n in range(2, 7):
+            for letters in product("RL", repeat=n):
+                word = "".join(letters)
+                if len(set(word)) < 2:
+                    continue
+                d, v = farey.translation_distance(word_to_matrix(word),
+                                                  with_witness=True)
+                a = slope_arc(T, v)
+                image = apply_mcg(mapping_class(T, word), a)
+                if max(a.coord_sum, image.coord_sum) > 64:
+                    continue
+                assert distance(a, image, budget=64) == d, word
+                checked += 1
+        assert checked == 27
 
-    def test_small_pseudo_anosov_words(self):
+
+class TestCaches:
+
+    def test_bounds(self):
+        assert arcs._flip_cached.cache_info().maxsize == 100000
+        assert arcs._reverse_step.cache_info().maxsize == 100000
+        assert arcs._neighbors.cache_info().maxsize == 200000
+        assert arcs._arc_from_raw.cache_info().maxsize == 200000
+        assert arcs._letter_segment.cache_info().maxsize is None
+
+    def test_repeated_query_hits_the_neighbor_cache(self):
         T = once_punctured_torus()
-        for word, want in [("RL", 1), ("RRLL", 2), ("RRRLLL", 2)]:
-            d, certified, radius = translation_distance(
-                mapping_class(T, word), budget=48, with_certificate=True)
-            assert d == want, word
-            assert certified, word
-            assert d == farey.translation_distance(word_to_matrix(word)), word
-
-    def test_plain_return_value(self):
-        T = once_punctured_torus()
-        assert translation_distance(mapping_class(T, "RL"), budget=48) == 1
-
-
-class TestStableDistance:
-
-    def test_short_orbit_matches_farey(self):
-        T = once_punctured_torus()
-        ours = stable_distance_upper(mapping_class(T, "RL"), 3, budget=64)
-        theirs = farey.stable_upper(word_to_matrix("RL"), 3)
-        assert ours == theirs
-        assert [float(x) for x in ours] == [1.0, 1.0, 1.0]
-
-    def test_long_orbit_exceeds_the_budget(self):
-        # iterates of RL grow like Fibonacci; the orbit leaves budget 64
-        # quickly and the failure must be loud, not a wrong number
-        T = once_punctured_torus()
-        with pytest.raises(errors.BudgetExceeded):
-            stable_distance_upper(mapping_class(T, "RL"), 30, budget=64)
+        a, b = slope_arc(T, "0/1"), slope_arc(T, "3/5")
+        d = distance(a, b, budget=32)
+        before = _neighbors.cache_info()
+        assert distance(a, b, budget=32) == d
+        after = _neighbors.cache_info()
+        assert after.hits > before.hits
+        assert after.currsize == before.currsize
 
 
 class TestLifts:

@@ -1,0 +1,52 @@
+"""The scripts outside the package still match it.
+
+perfbench's tracer rebinds cusplab functions by name, and the demos call
+the public API; both break silently when a name moves, so these tests
+load them the way they run.
+"""
+
+import importlib
+import importlib.util
+import os
+import pkgutil
+import subprocess
+import sys
+
+import pytest
+
+import cusplab
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_layertrace():
+    path = os.path.join(ROOT, "perfbench", "layertrace.py")
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve():
+    layertrace = load_layertrace()
+    assert layertrace.WRAPPED
+    for layer, owner, attr in layertrace.WRAPPED:
+        assert callable(getattr(owner, attr, None)), (layer, attr)
+
+
+def test_public_names_exist():
+    for info in pkgutil.iter_modules(cusplab.__path__):
+        module = importlib.import_module("cusplab." + info.name)
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (info.name, name)
+
+
+# cover_lifting.py is left out: its cold cover searches take about 45 s
+@pytest.mark.parametrize("script", ["figure_eight_tour.py", "corpus_scan.py"])
+def test_demo_runs(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, os.path.join(ROOT, "demos", script)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
