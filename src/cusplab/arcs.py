@@ -174,129 +174,67 @@ def _to_base(w, c, par, chain):
 
 # ---- strand tracing ----
 
-def _canonical_pos(tri, t, s, j, width):
-    """Crossing j from the tail of slot (t, s), as an (edge, index) point.
+def _trace(tri, w, c):
+    """(chains, loops) of the strand system with coordinates (w, c).
 
-    Crossings of an edge are indexed from the tail of its lexicographically
-    smaller slot; the gluing reverses direction, so read from the other slot
-    position j becomes width - 1 - j.
+    The crossings of slot s of triangle t sit at positions 0 .. W[s] - 1
+    from the slot's tail; the gluing reverses direction, so position p
+    reads W - 1 - p from the other side.  On slot s the first C[s]
+    positions belong to strands cutting off corner s, which leave by slot
+    s + 2 at W[s + 2] - 1 - p; the last C[s + 1] belong to strands cutting
+    off corner s + 1, which leave by slot s + 1 at W[s] - 1 - p; the
+    V[s + 2] = W[s] - C[s] - C[s + 1] in between run into vertex s + 2.
+    Once every V >= 0 these blocks tile each slot, so every crossing meets
+    two strand ends and a walk from a vertex strand ends at another one.
+
+    A chain starts at each vertex strand (t, k, j) that no earlier chain
+    ended on, in (t, k, j) order, and is (first corner, last corner, steps)
+    with steps ("cross", edge label, leaving slot) and ("corner", (t, k))
+    in walking order; the leaving slot drives sheet bookkeeping in a cover.
+    `loops` is true when some crossing lies on no chain, that is on a
+    closed curve.  Raises NotAnArc when a vertex count goes negative.
     """
-    e = tri.edge_label(t, s)
-    smaller, _ = tri.edges[e]
-    if (t, s) == smaller:
-        return (e, j)
-    return (e, width - 1 - j)
-
-
-def _strand_segments(tri, w, c):
-    """Every strand as (ptA, slotA, ptB, slotB, home corner, kind).
-
-    Corner strands connect two crossing points; vertex strands connect one
-    crossing point to an endpoint marker ("end", t, k, j).  Raises NotAnArc
-    when a derived vertex count goes negative.
-    """
-    segments = []
-    for t in range(tri.num_triangles):
-        W = [w.get(tri.edge_label(t, s), 0) for s in range(3)]
-        C = [c.get((t, k), 0) for k in range(3)]
-        V = [W[(k + 1) % 3] - C[(k + 1) % 3] - C[(k + 2) % 3] for k in range(3)]
-        if min(V) < 0:
+    n = tri.num_triangles
+    glued, labels = tri._glued, tri._edge_of_slot
+    W = [[w.get(labels[3 * t + s], 0) for s in range(3)] for t in range(n)]
+    C = [[c.get((t, k), 0) for k in range(3)] for t in range(n)]
+    for t in range(n):
+        (w0, w1, w2), (c0, c1, c2) = W[t], C[t]
+        if w0 < c0 + c1 or w1 < c1 + c2 or w2 < c2 + c0:
             raise NotAnArc("matching equations fail at triangle %d" % t)
-        for k in range(3):
-            km, kp = (k + 2) % 3, (k + 1) % 3
-            for j in range(C[k]):
-                segments.append((
-                    _canonical_pos(tri, t, k, j, W[k]), (t, k),
-                    _canonical_pos(tri, t, km, W[km] - 1 - j, W[km]), (t, km),
-                    (t, k), "corner"))
-            for j in range(V[k]):
-                segments.append((
-                    _canonical_pos(tri, t, kp, C[kp] + j, W[kp]), (t, kp),
-                    ("end", t, k, j), None,
-                    (t, k), "vertex"))
-    return segments
-
-
-def _segment_adjacency(segments):
-    adj = {}
-    for idx, seg in enumerate(segments):
-        adj.setdefault(seg[0], []).append(idx)
-        if seg[5] == "corner":
-            adj.setdefault(seg[2], []).append(idx)
-    for point, inc in adj.items():
-        if len(inc) != 2:
-            raise NotAnArc("crossing %r met %d strand ends, not 2"
-                           % (point, len(inc)))
-    return adj
-
-
-def _components(tri, w, c):
-    """(open chains, closed loop count) of the strand system.
-
-    Each chain is reported as the pair of corners holding its endpoints.
-    """
-    segments = _strand_segments(tri, w, c)
-    adj = _segment_adjacency(segments)
-    used = [False] * len(segments)
+    ended = set()
     chains = []
-    for idx, seg in enumerate(segments):
-        if used[idx] or seg[5] != "vertex":
-            continue
-        used[idx] = True
-        first = seg[4]
-        point = seg[0]
-        while True:
-            nidx = next((i for i in adj[point] if not used[i]), None)
-            if nidx is None:
-                raise NotAnArc("strand chain breaks at %r" % (point,))
-            used[nidx] = True
-            nseg = segments[nidx]
-            if nseg[5] == "vertex":
-                chains.append((first, nseg[4]))
-                break
-            point = nseg[2] if nseg[0] == point else nseg[0]
-    loops = 0
-    for idx, seg in enumerate(segments):
-        if used[idx]:
-            continue
-        loops += 1
-        used[idx] = True
-        stop = seg[0]
-        point = seg[2]
-        while point != stop:
-            nidx = next((i for i in adj[point] if not used[i]), None)
-            if nidx is None:
-                raise NotAnArc("strand loop breaks at %r" % (point,))
-            used[nidx] = True
-            nseg = segments[nidx]
-            point = nseg[2] if nseg[0] == point else nseg[0]
-    return chains, loops
-
-
-def _arc_walk(tri, w, c):
-    """Ordered steps of a validated single arc, endpoint to endpoint.
-
-    Steps are ("cross", edge label, leaving slot) and ("corner", (t, k));
-    the leaving slot drives sheet bookkeeping when walking in a cover.
-    """
-    segments = _strand_segments(tri, w, c)
-    adj = _segment_adjacency(segments)
-    start = min(i for i, s in enumerate(segments) if s[5] == "vertex")
-    used = {start}
-    point, slot = segments[start][0], segments[start][1]
-    steps = []
-    while True:
-        steps.append(("cross", point[0], slot))
-        nidx = next(i for i in adj[point] if i not in used)
-        used.add(nidx)
-        nseg = segments[nidx]
-        if nseg[5] == "vertex":
-            return steps
-        steps.append(("corner", nseg[4]))
-        if nseg[0] == point:
-            point, slot = nseg[2], nseg[3]
-        else:
-            point, slot = nseg[0], nseg[1]
+    crossed = 0
+    for t in range(n):
+        Wt, Ct = W[t], C[t]
+        for k in range(3):
+            s0 = (k + 1) % 3
+            for j in range(Wt[s0] - Ct[s0] - Ct[(k + 2) % 3]):
+                if (t, k, j) in ended:
+                    continue
+                u, s, p = t, s0, Ct[s0] + j
+                steps = []
+                while True:
+                    steps.append(("cross", labels[3 * u + s], (u, s)))
+                    u, s = glued[3 * u + s]
+                    Wu, Cu = W[u], C[u]
+                    p = Wu[s] - 1 - p
+                    if p < Cu[s]:
+                        steps.append(("corner", (u, s)))
+                        s = (s + 2) % 3
+                        p = Wu[s] - 1 - p
+                    elif p >= Wu[s] - Cu[(s + 1) % 3]:
+                        p = Wu[s] - 1 - p
+                        s = (s + 1) % 3
+                        steps.append(("corner", (u, s)))
+                    else:
+                        end = (u, (s + 2) % 3)
+                        ended.add((u, end[1], p - Cu[s]))
+                        break
+                # crossings and corners alternate, crossings at both ends
+                crossed += (len(steps) + 1) // 2
+                chains.append(((t, k), end, steps))
+    return chains, crossed < sum(w.values())
 
 
 # ---- the arc itself ----
@@ -376,13 +314,13 @@ class NormalArc:
         else:
             if not w and not c:
                 raise NotAnArc("empty coordinates describe no arc")
-            chains, loops = _components(base, w, c)
+            chains, loops = _trace(base, w, c)
             if loops:
                 raise NotAnArc("coordinates contain a closed curve")
             if len(chains) != 1:
                 raise NotAnArc("coordinates describe %d arcs, not one"
                                % len(chains))
-            for corner in chains[0]:
+            for corner in chains[0][:2]:
                 pk = base.puncture_of(corner)
                 if pk != base.preferred:
                     raise NotAnArc("endpoint at puncture %d, not the "
@@ -715,7 +653,6 @@ class _Segment:
     flips: tuple
     emap: tuple          # (final label, base label) pairs, sorted
     relab: Relabeling
-    letter: str
     fixes_p: bool
 
 
@@ -731,7 +668,7 @@ def _rename_edges(tri, mapping):
     return tri
 
 
-def _close_segment(base, flips, emap, letter=""):
+def _close_segment(base, flips, emap):
     """Validate a flip word plus edge renaming as a self-map of the base."""
     tris, _ = _replay(base, flips)
     ren = dict(emap)
@@ -747,7 +684,7 @@ def _close_segment(base, flips, emap, letter=""):
                if r.apply(renamed).preferred == base.preferred]
     relab = (keeping or cands)[0]
     return _Segment(flips=tuple(flips), emap=tuple(sorted(ren.items())),
-                    relab=relab, letter=letter, fixes_p=bool(keeping))
+                    relab=relab, fixes_p=bool(keeping))
 
 
 def _segment_transport(base, seg, w, c, par):
@@ -782,8 +719,7 @@ def _invert_segment(base, seg):
         flips.append(target)
         nu[r.edge] = rec2.new_edge
     emap = {g: b for b, g in nu.items()}
-    return _close_segment(base, tuple(flips), emap,
-                          letter=seg.letter.swapcase())
+    return _close_segment(base, tuple(flips), emap)
 
 
 # flip word and closing edge map realizing each standard torus twist; each
@@ -791,15 +727,13 @@ def _invert_segment(base, seg):
 _LETTER_DATA = {
     "R": ((2,), ((0, 2), (1, 1), (3, 0))),
     "L": ((2,), ((0, 0), (1, 2), (3, 1))),
-    "r": ((0,), ((1, 1), (2, 0), (3, 2))),
-    "l": ((1,), ((0, 0), (2, 1), (3, 2))),
 }
 
 
 @lru_cache(maxsize=None)
 def _letter_segment(letter):
     flips, emap = _LETTER_DATA[letter]
-    return _close_segment(_TORUS, flips, dict(emap), letter)
+    return _close_segment(_TORUS, flips, dict(emap))
 
 
 @dataclass(frozen=True)
@@ -863,7 +797,7 @@ def iso_mapping_class(base, relab, word="iso"):
     if renamed._edge_of_slot != base._edge_of_slot:
         raise BaseMismatch("relabeling does not respect the edge labels")
     seg = _Segment(flips=(), emap=tuple(sorted(emap.items())), relab=relab,
-                   letter=word, fixes_p=(image.preferred == base.preferred))
+                   fixes_p=(image.preferred == base.preferred))
     return MappingClass(base, (seg,), word, seg.fixes_p)
 
 
@@ -897,7 +831,8 @@ def lift_arc(cover, a):
                       key=NormalArc._sort_key)
     base = cover.base
     w, c, _ = a._dicts()
-    steps = _arc_walk(base, w, c)
+    chains, _ = _trace(base, w, c)
+    _, _, steps = chains[0]
     out = []
     for sheet0 in range(cover.degree):
         wc = {}

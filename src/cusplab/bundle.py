@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import spence
 
 from .errors import (DegenerateShape, Diverged, MaxIterations, NotPseudoAnosov,
                      NotSolved, NumericalError)
@@ -639,21 +639,10 @@ def solve_shapes(system, init=None, tol=1e-12):
 # ---- volume --------------------------------------------------------------
 
 def _lobachevsky(theta):
-    # -integral_0^theta log|2 sin t| dt.  The reflection L(pi - t) = -L(t)
-    # moves the range onto (0, pi/2]; there the logarithmic singularity is
-    # integrated in closed form and the smooth remainder goes to quad.
-    if theta > math.pi / 2.0:
-        return -_lobachevsky(math.pi - theta)
-    if theta <= 0.0:
-        return 0.0
+    # -integral_0^theta log|2 sin t| dt = Im Li2(e^{2i theta}) / 2, and
+    # scipy's spence(z) is Li2(1 - z)
+    return 0.5 * spence(1.0 - cmath.exp(2j * theta)).imag
 
-    def smooth(s):
-        if s == 0.0:
-            return math.log(2.0)
-        return math.log(2.0 * math.sin(s) / s)
-
-    rest = quad(smooth, 0.0, theta, epsabs=1e-13, epsrel=1e-13)[0]
-    return -(theta * (math.log(theta) - 1.0) + rest)
 
 def tetrahedron_volume(shape):
     """Volume of the ideal tetrahedron with the given upper-half shape."""

@@ -492,8 +492,6 @@ def _dispatch(args):
     if name == "farey-dist":
         return _cmd_farey_dist(args)
     if name == "arc-dist":
-        if args.budget < 1:
-            raise ValueError("--budget must be positive")
         config = RunConfig(name, budget=args.budget, fmt="text")
         return _cmd_arc_dist(args, config)
     if name == "bundle-report":
@@ -503,15 +501,11 @@ def _dispatch(args):
     if name == "verify-thm14":
         if args.max_word_len < 2:
             raise ValueError("--max-word-len must be at least 2")
-        if args.n_max < 1:
-            raise ValueError("--n-max must be positive")
         config = RunConfig(name, tol=args.tol, depth=args.depth,
                            n_max=args.n_max, max_word_len=args.max_word_len,
                            stable_n=args.stable_n, out=args.out, fmt="csv")
         return _cmd_verify_thm14(config)
     if name == "verify-lifting":
-        if args.cap < 1:
-            raise ValueError("--cap must be positive")
         config = RunConfig(name, cap=args.cap, out=args.out)
         return _cmd_verify_lifting(args, config)
     if name == "lemma-suite":

@@ -285,18 +285,14 @@ class IdealTriangulation:
             sides={"A": self._edge_of_slot[3 * A[0] + A[1]],
                    "B": self._edge_of_slot[3 * B[0] + B[1]],
                    "C": self._edge_of_slot[3 * C[0] + C[1]],
-                   "D": self._edge_of_slot[3 * D[0] + D[1]]},
-            corners_old={"P": ((t, (a + 2) % 3),),
-                         "Q": ((t, a), (u, (b + 1) % 3)),
-                         "R": ((u, (b + 2) % 3),),
-                         "S": ((t, (a + 1) % 3), (u, b))},
-            corners_new={"P": ((t, 0), (u, 2)),
-                         "Q": ((t, 1),),
-                         "R": ((t, 2), (u, 0)),
-                         "S": ((u, 1),)},
-            slot_moves=dict(moves))
+                   "D": self._edge_of_slot[3 * D[0] + D[1]]})
 
-        corner_map = record.corner_forward_map()
+        # each old corner of the two flipped triangles goes to a new corner
+        # at the same letter: P, Q, R to (t, 0), (t, 1), (t, 2), S to (u, 1)
+        corner_map = {(t, (a + 2) % 3): (t, 0),
+                      (t, a): (t, 1), (u, (b + 1) % 3): (t, 1),
+                      (u, (b + 2) % 3): (t, 2),
+                      (t, (a + 1) % 3): (u, 1), (u, b): (u, 1)}
         old_pref = self.punctures[self.preferred][0]
         new_pref = corner_map.get(old_pref, old_pref)
         new_tri = IdealTriangulation(
@@ -571,26 +567,13 @@ class FlipRecord:
 
     Letters P, Q, R, S name the quadrilateral corners (counterclockwise, old
     diagonal Q--S, new diagonal P--R) and A, B, C, D its sides P->Q, Q->R,
-    R->S, S->P.  `corners_old` and `corners_new` list the (triangle, vertex)
-    corners sitting at each letter before and after; `sides` gives each
-    side's unchanged edge label; `slot_moves` maps the old slot of each side
-    to its new slot; `new_edge` is the fresh label of the new diagonal.
+    R->S, S->P.  `sides` gives each side's unchanged edge label and
+    `new_edge` is the fresh label of the new diagonal.
     """
     edge: int
     new_edge: int
     old_slots: tuple
     sides: dict
-    corners_old: dict
-    corners_new: dict
-    slot_moves: dict
-
-    def corner_forward_map(self):
-        """Old corner -> new corner for the two flipped triangles only."""
-        out = {}
-        for letter, olds in self.corners_old.items():
-            for c in olds:
-                out[c] = self.corners_new[letter][0]
-        return out
 
     def inverse_relabeling(self, num_triangles):
         """Relabeling that carries the double flip back to the original.

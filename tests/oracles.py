@@ -25,6 +25,12 @@ exact rational arithmetic, counting its crossings with the three line
 families and the triangle corner cut off between consecutive crossings.
 It shares only the package's arc constructor, which validates the result.
 
+The strand walkers are arc validation and lifting before one tracer
+served both: every strand is built as a segment between two crossing
+points named by (edge, index), the segments are joined through a point
+adjacency map, and chains and loops are read off that graph.  They share
+nothing with cusplab.arcs._trace but the triangulation's slot tables.
+
 The scalar lemma checks are lemma-suite before its draws were read from
 raw PCG64 words: every draw is its own ``Generator.integers`` or
 ``Generator.uniform`` call on ``default_rng(seed)``.  They share the
@@ -661,6 +667,133 @@ def _line_meet(k1, n1, k2, n2):
     if "v" in kinds and "d" in kinds:
         return (kinds["v"], kinds["v"] + kinds["d"])
     return (kinds["h"] - kinds["d"], kinds["h"])
+
+
+# ---- strands as segments joined at crossing points ----
+
+def _canonical_pos(tri, t, s, j, width):
+    """Crossing j from the tail of slot (t, s), as an (edge, index) point.
+
+    Crossings of an edge are indexed from the tail of its lexicographically
+    smaller slot; the gluing reverses direction, so read from the other slot
+    position j becomes width - 1 - j.
+    """
+    e = tri.edge_label(t, s)
+    smaller, _ = tri.edges[e]
+    if (t, s) == smaller:
+        return (e, j)
+    return (e, width - 1 - j)
+
+
+def _strand_segments(tri, w, c):
+    """Every strand as (ptA, slotA, ptB, slotB, home corner, kind).
+
+    Corner strands connect two crossing points; vertex strands connect one
+    crossing point to an endpoint marker ("end", t, k, j).  Raises NotAnArc
+    when a derived vertex count goes negative.
+    """
+    segments = []
+    for t in range(tri.num_triangles):
+        W = [w.get(tri.edge_label(t, s), 0) for s in range(3)]
+        C = [c.get((t, k), 0) for k in range(3)]
+        V = [W[(k + 1) % 3] - C[(k + 1) % 3] - C[(k + 2) % 3] for k in range(3)]
+        if min(V) < 0:
+            raise NotAnArc("matching equations fail at triangle %d" % t)
+        for k in range(3):
+            km, kp = (k + 2) % 3, (k + 1) % 3
+            for j in range(C[k]):
+                segments.append((
+                    _canonical_pos(tri, t, k, j, W[k]), (t, k),
+                    _canonical_pos(tri, t, km, W[km] - 1 - j, W[km]), (t, km),
+                    (t, k), "corner"))
+            for j in range(V[k]):
+                segments.append((
+                    _canonical_pos(tri, t, kp, C[kp] + j, W[kp]), (t, kp),
+                    ("end", t, k, j), None,
+                    (t, k), "vertex"))
+    return segments
+
+
+def _segment_adjacency(segments):
+    adj = {}
+    for idx, seg in enumerate(segments):
+        adj.setdefault(seg[0], []).append(idx)
+        if seg[5] == "corner":
+            adj.setdefault(seg[2], []).append(idx)
+    for point, inc in adj.items():
+        if len(inc) != 2:
+            raise NotAnArc("crossing %r met %d strand ends, not 2"
+                           % (point, len(inc)))
+    return adj
+
+
+def strand_components(tri, w, c):
+    """(open chains, closed loop count) of the strand system.
+
+    Each chain is reported as the pair of corners holding its endpoints.
+    """
+    segments = _strand_segments(tri, w, c)
+    adj = _segment_adjacency(segments)
+    used = [False] * len(segments)
+    chains = []
+    for idx, seg in enumerate(segments):
+        if used[idx] or seg[5] != "vertex":
+            continue
+        used[idx] = True
+        first = seg[4]
+        point = seg[0]
+        while True:
+            nidx = next((i for i in adj[point] if not used[i]), None)
+            if nidx is None:
+                raise NotAnArc("strand chain breaks at %r" % (point,))
+            used[nidx] = True
+            nseg = segments[nidx]
+            if nseg[5] == "vertex":
+                chains.append((first, nseg[4]))
+                break
+            point = nseg[2] if nseg[0] == point else nseg[0]
+    loops = 0
+    for idx, seg in enumerate(segments):
+        if used[idx]:
+            continue
+        loops += 1
+        used[idx] = True
+        stop = seg[0]
+        point = seg[2]
+        while point != stop:
+            nidx = next((i for i in adj[point] if not used[i]), None)
+            if nidx is None:
+                raise NotAnArc("strand loop breaks at %r" % (point,))
+            used[nidx] = True
+            nseg = segments[nidx]
+            point = nseg[2] if nseg[0] == point else nseg[0]
+    return chains, loops
+
+
+def arc_walk(tri, w, c):
+    """Ordered steps of a validated single arc, endpoint to endpoint.
+
+    Steps are ("cross", edge label, leaving slot) and ("corner", (t, k));
+    the leaving slot drives sheet bookkeeping when walking in a cover.
+    """
+    segments = _strand_segments(tri, w, c)
+    adj = _segment_adjacency(segments)
+    start = min(i for i, s in enumerate(segments) if s[5] == "vertex")
+    used = {start}
+    point, slot = segments[start][0], segments[start][1]
+    steps = []
+    while True:
+        steps.append(("cross", point[0], slot))
+        nidx = next(i for i in adj[point] if i not in used)
+        used.add(nidx)
+        nseg = segments[nidx]
+        if nseg[5] == "vertex":
+            return steps
+        steps.append(("corner", nseg[4]))
+        if nseg[0] == point:
+            point, slot = nseg[2], nseg[3]
+        else:
+            point, slot = nseg[0], nseg[1]
 
 
 # ---- lemma checks with one Generator call per draw ----

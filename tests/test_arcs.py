@@ -30,7 +30,8 @@ from cusplab.surface import (
     find_relabelings,
     once_punctured_torus,
 )
-from oracles import segment_crossings, slope_arc_walk
+from oracles import (arc_walk, segment_crossings, slope_arc_walk,
+                     strand_components)
 
 ZERO_CORNERS = (0, 0, 0, 0, 0, 0)
 
@@ -152,6 +153,50 @@ class TestNormalArc:
         assert [a.along_edge for a in arcs] == [0, 3]
         assert intersection_number(arcs[0], arcs[1]) == 0
         assert distance(arcs[0], arcs[1], budget=16) == 1
+
+
+def small_vectors(n, top, total):
+    """Nonnegative integer n-vectors with entries <= top and sum <= total."""
+    return [v for v in product(range(top + 1), repeat=n) if sum(v) <= total]
+
+
+def _segment_verdict(tri, w, c):
+    """The oracle's verdict: NotAnArc message or (chain ends, any loops)."""
+    try:
+        chains, loops = strand_components(tri, w, c)
+    except errors.NotAnArc as exc:
+        return str(exc)
+    return chains, loops > 0
+
+
+class TestTrace:
+
+    def test_matches_the_segment_walkers(self):
+        T = once_punctured_torus()
+        # (surface, largest weight, weight sum, largest corner, corner sum)
+        sets = [(T, 4, 12, 2, 12),
+                (twice_punctured_torus(), 2, 4, 1, 3),
+                (degree_three_cover(T).total, 2, 3, 1, 2)]
+        for tri, wtop, wsum, ctop, csum in sets:
+            corners = tri.corners()
+            cvecs = [{k: x for k, x in zip(corners, cv) if x}
+                     for cv in small_vectors(len(corners), ctop, csum)]
+            arcs_seen = 0
+            for wv in small_vectors(tri.num_edges, wtop, wsum):
+                w = {e: x for e, x in zip(tri.edge_labels, wv) if x}
+                for c in cvecs:
+                    want = _segment_verdict(tri, w, c)
+                    try:
+                        chains, loops = arcs._trace(tri, w, c)
+                    except errors.NotAnArc as exc:
+                        assert str(exc) == want, (tri.name, w, c)
+                        continue
+                    got = ([ch[:2] for ch in chains], loops)
+                    assert got == want, (tri.name, w, c)
+                    if len(chains) == 1 and not loops:
+                        assert chains[0][2] == arc_walk(tri, w, c), (w, c)
+                        arcs_seen += 1
+            assert arcs_seen > 50, tri.name
 
 
 def _sparse_key(a):

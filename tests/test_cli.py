@@ -356,6 +356,16 @@ class TestLemmaStream:
 
 class TestDispatch:
 
+    @pytest.mark.parametrize("argv", [
+        ["arc-dist", "slope 0/1", "slope 1/2", "--budget", "0"],
+        ["verify-thm14", "--max-word-len", "2", "--n-max", "0"],
+        ["verify-lifting", "--cover", "cover.tri", "--pairs", "pairs.json",
+         "--cap", "-1"],
+    ])
+    def test_nonpositive_caps_exit_2(self, argv, capsys):
+        assert cli.run(argv) == 2
+        assert "must be positive" in capsys.readouterr().err
+
     def test_no_subcommand(self, capsys):
         assert cli.run([]) == 2
 
