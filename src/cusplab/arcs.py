@@ -26,8 +26,13 @@ strand, and `_flip_coords` rewrites each class.  The same table through the
 reverse flip undoes it, which is how arcs found after a flip sequence are
 expressed back in base coordinates.
 
-Distances are breadth-first searches in the arc complex restricted to arcs
-whose coordinate sum fits a budget.  Neighbor enumeration is constructive:
+Distances are bidirectional breadth-first searches in the arc complex
+restricted to arcs whose coordinate sum fits a budget: each round grows the
+smaller of the two frontiers by a whole level, until a neighbour lands in
+the other side's seen set.  Disjointness is symmetric, so when the capped
+neighbour lists are too this is the one-sided distance; and every edge
+either side follows is a disjoint pair within the budget, so the result is
+always the length of a real path.  Neighbor enumeration is constructive:
 flip the arc down onto an edge, then explore the triangulations that keep
 that edge, collecting their puncture-to-puncture edges.  Truncation is
 honest; a search that runs out of room raises Unreachable or BudgetExceeded
@@ -250,7 +255,7 @@ class NormalArc:
     Arcs never change, so the identity key is built once, at construction:
     (coord_sum, edge_weights, corner_data, along or -1).  It determines the
     arc on its base, so it drives equality and hashing, and it is also the
-    sort key that orders searches deterministically.
+    sort key that orders neighbour lists and lifts deterministically.
     """
 
     __slots__ = ("base", "along", "coord_sum", "_w", "_c", "_key", "_hash")
@@ -613,9 +618,29 @@ def _neighbors(a, budget):
 def distance(a, b, radius_cap=None, budget=64):
     """Length of a shortest path from a to b in the budget-capped complex.
 
-    Raises BudgetExceeded when an input itself exceeds the budget and
-    Unreachable when the search exhausts the radius cap or the capped
-    complex without meeting b; truncation never reports a smaller number.
+    A level-synchronous bidirectional breadth-first search: one seen set
+    and one frontier grow from each end, and each round expands the
+    smaller frontier by a whole level.  After the rounds so far the seen
+    sets are the balls of radii i and j about a and b, with i + j = r - 1,
+    and they are disjoint, or an earlier round would have returned.  Round
+    r returns r as soon as a neighbour of the expanded frontier lies in
+    the other side's seen set.
+
+    When `_neighbors` is symmetric this is exactly the forward distance.
+    Take a shortest path of length d and its vertex x i steps from a, so x
+    lies in a's ball.  Were d < r, x would lie within d - i <= j of b, in
+    b's ball too, which cannot be; so d >= r.  When d = r and round r
+    expands a's side (the other case is its mirror), x is on a's frontier
+    and its successor on the path is j steps from b, so round r finds it.
+    Even if the capped relation were not symmetric, every edge either side
+    follows joins two disjoint arcs within the budget, so the number
+    returned is the length of a real path and can never be smaller than
+    the true distance.
+
+    `radius_cap` bounds the total path length.  Raises BudgetExceeded when
+    an input itself exceeds the budget and Unreachable when the search
+    passes the radius cap or either side exhausts the capped complex
+    without meeting the other; truncation never reports a smaller number.
     """
     if a.base != b.base:
         raise BaseMismatch("arcs live on different triangulations")
@@ -623,26 +648,28 @@ def distance(a, b, radius_cap=None, budget=64):
         raise BudgetExceeded("arc coordinates exceed the budget %d" % budget)
     if a == b:
         return 0
-    visited = {a}
-    frontier = [a]
+    near, far = {a}, {b}
+    near_front, far_front = [a], [b]
     r = 0
-    while frontier:
+    while near_front and far_front:
         r += 1
         if radius_cap is not None and r > radius_cap:
             raise Unreachable("no path of length < %d within budget %d"
                               % (r, budget))
+        if len(far_front) < len(near_front):
+            near, far = far, near
+            near_front, far_front = far_front, near_front
         nxt = []
-        for v in sorted(frontier, key=NormalArc._sort_key):
+        for v in near_front:
             for nb in _neighbors(v, budget):
-                if nb in visited:
-                    continue
-                if nb == b:
+                if nb in far:
                     return r
-                visited.add(nb)
-                nxt.append(nb)
-        frontier = nxt
-    raise Unreachable("the capped complex around the source (budget %d) "
-                      "does not reach the target" % budget)
+                if nb not in near:
+                    near.add(nb)
+                    nxt.append(nb)
+        near_front = nxt
+    raise Unreachable("the capped complex around one end (budget %d) "
+                      "does not reach the other" % budget)
 
 
 # ---- mapping classes ----

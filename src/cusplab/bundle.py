@@ -35,10 +35,10 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.special import spence
 
 from .errors import (DegenerateShape, Diverged, MaxIterations, NotPseudoAnosov,
                      NotSolved, NumericalError)
@@ -638,10 +638,39 @@ def solve_shapes(system, init=None, tol=1e-12):
 
 # ---- volume --------------------------------------------------------------
 
+def _bernoulli_even(n):
+    """The exact Bernoulli numbers B_0, B_2, ..., B_2n.
+
+    B_m = -(sum over k < m of C(m + 1, k) B_k) / (m + 1), where B_1 = -1/2
+    is the only odd one that does not vanish.
+    """
+    even = [Fraction(1)]
+    for m in range(2, 2 * n + 1, 2):
+        total = Fraction(-(m + 1), 2) + sum(
+            math.comb(m + 1, 2 * i) * b for i, b in enumerate(even))
+        even.append(-total / (m + 1))
+    return even
+
+
+# Cl2(x) = x - x log|x| + sum_k |B_2k| x^(2k+1) / (2k (2k+1)!) on |x| < 2 pi;
+# the terms fall by (x / 2 pi)^2, at most 1/4 on |x| <= pi, so 30 of them
+# reach double precision
+_CL2_SERIES = tuple(
+    float(abs(b) / (2 * k * math.factorial(2 * k + 1)))
+    for k, b in enumerate(_bernoulli_even(30)) if k)
+
+
 def _lobachevsky(theta):
-    # -integral_0^theta log|2 sin t| dt = Im Li2(e^{2i theta}) / 2, and
-    # scipy's spence(z) is Li2(1 - z)
-    return 0.5 * spence(1.0 - cmath.exp(2j * theta)).imag
+    # -integral_0^theta log|2 sin t| dt = Cl2(2 theta) / 2, odd and
+    # pi-periodic, so the series only ever sees |2 theta| <= pi
+    x = 2.0 * math.remainder(theta, math.pi)
+    if x == 0.0:
+        return 0.0
+    x2 = x * x
+    tail = 0.0
+    for coeff in reversed(_CL2_SERIES):
+        tail = tail * x2 + coeff
+    return 0.5 * (x - x * math.log(abs(x)) + tail * x2 * x)
 
 
 def tetrahedron_volume(shape):

@@ -81,11 +81,13 @@ def horoball_distance(h1, h2):
     the boundaries a length ln(|u - v|^2 / (d1 d2)) apart; against the
     horoball at cut height h the vertical geodesic gives ln(h / d).
     """
-    if h1.at_infinity and h2.at_infinity:
+    inf1, inf2 = h1.at_infinity, h2.at_infinity
+    if inf1 and inf2:
         raise CoincidentCenters("both horoballs are centered at infinity")
-    if h1.at_infinity or h2.at_infinity:
-        top, ball = (h1, h2) if h1.at_infinity else (h2, h1)
-        return log(top.diameter / ball.diameter)
+    if inf1:
+        return log(h1.diameter / h2.diameter)
+    if inf2:
+        return log(h2.diameter / h1.diameter)
     gap = abs(complex(h1.center) - complex(h2.center))
     if gap == 0:
         raise CoincidentCenters("horoballs share the center %r" % (h1.center,))

@@ -31,6 +31,15 @@ points named by (edge, index), the segments are joined through a point
 adjacency map, and chains and loops are read off that graph.  They share
 nothing with cusplab.arcs._trace but the triangulation's slot tables.
 
+The spence Lobachevsky function is the package's volume integrand before
+the Clausen series: Lambda(theta) = Im Li2(e^(2 i theta)) / 2 through
+``scipy.special.spence``, which the package no longer imports.
+
+The forward distance is arc-complex distance before the search grew from
+both ends: one breadth-first search from the source over the package's
+capped neighbour lists, level by level in sorted order.  It shares the
+neighbour lists and nothing of the bidirectional search.
+
 The scalar lemma checks are lemma-suite before its draws were read from
 raw PCG64 words: every draw is its own ``Generator.integers`` or
 ``Generator.uniform`` call on ``default_rng(seed)``.  They share the
@@ -47,12 +56,12 @@ from scipy import sparse
 from scipy.sparse.csgraph import shortest_path
 
 from cusplab import geometry
-from cusplab.arcs import NormalArc
+from cusplab.arcs import NormalArc, _neighbors
 from cusplab.bundle import (_FACE, _PAIR, CuspCrossSection, ShapeVector,
                             cusp_cross_section)
 from cusplab.cli import CONE_TOL, TANGENT_TOL
-from cusplab.errors import (DegenerateShape, DepthUnstable, Diverged,
-                            MaxIterations, NotAnArc)
+from cusplab.errors import (BudgetExceeded, DegenerateShape, DepthUnstable,
+                            Diverged, MaxIterations, NotAnArc, Unreachable)
 from cusplab.farey import Slope, _distance_pq
 
 
@@ -143,6 +152,13 @@ def bloch_wigner(z):
     w = mpmath.mpc(z)
     return float(mpmath.im(mpmath.polylog(2, w))
                  + mpmath.arg(1 - w) * mpmath.log(abs(w)))
+
+
+def lobachevsky_spence(theta):
+    """Lambda(theta) = Im Li2(e^(2 i theta)) / 2; spence(z) is Li2(1 - z)."""
+    from scipy.special import spence
+
+    return 0.5 * spence(1.0 - cmath.exp(2j * theta)).imag
 
 
 def _eis_mul(x, y):
@@ -602,6 +618,39 @@ def solve_shapes_developed(system, tol=1e-12):
         if float(np.max(np.abs(f))) < tol:
             return ShapeVector(tuple(z))
     raise MaxIterations("no convergence within 50 Newton steps")
+
+
+# ---- arc distance from one end ----
+
+def distance_forward(a, b, radius_cap=None, budget=64):
+    """Arc-complex distance by breadth-first search from `a` alone.
+
+    Same inputs, errors and budget guard as cusplab.arcs.distance.
+    """
+    if a.coord_sum > budget or b.coord_sum > budget:
+        raise BudgetExceeded("arc coordinates exceed the budget %d" % budget)
+    if a == b:
+        return 0
+    visited = {a}
+    frontier = [a]
+    r = 0
+    while frontier:
+        r += 1
+        if radius_cap is not None and r > radius_cap:
+            raise Unreachable("no path of length < %d within budget %d"
+                              % (r, budget))
+        nxt = []
+        for v in sorted(frontier, key=NormalArc._sort_key):
+            for nb in _neighbors(v, budget):
+                if nb in visited:
+                    continue
+                if nb == b:
+                    return r
+                visited.add(nb)
+                nxt.append(nb)
+        frontier = nxt
+    raise Unreachable("the capped complex around the source (budget %d) "
+                      "does not reach the target" % budget)
 
 
 # ---- slope arcs by walking the plane ----

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import numpy as np
@@ -30,8 +30,8 @@ from cusplab.surface import (
     find_relabelings,
     once_punctured_torus,
 )
-from oracles import (arc_walk, segment_crossings, slope_arc_walk,
-                     strand_components)
+from oracles import (arc_walk, distance_forward, segment_crossings,
+                     slope_arc_walk, strand_components)
 
 ZERO_CORNERS = (0, 0, 0, 0, 0, 0)
 
@@ -376,11 +376,45 @@ class TestDistance:
             assert distance(fa, fb, budget=48) == distance(a, b, budget=48)
             done += 1
 
+    def test_matches_forward_search_on_the_torus_pool(self):
+        """Every unordered pair of the torus-queries pool, at budget 64."""
+        T = once_punctured_torus()
+        pool = [s for s in farey.slopes_in_box(20)
+                if slope_arc(T, s).coord_sum <= 64]
+        assert len(pool) == 288
+        arc = {s: slope_arc(T, s) for s in pool}
+        for s, u in combinations(pool, 2):
+            d = distance(arc[s], arc[u], budget=64)
+            assert d == distance_forward(arc[s], arc[u], budget=64), (s, u)
+            assert d == farey.distance(s, u), (s, u)
+
+    def test_capped_neighbours_are_symmetric(self):
+        """The bidirectional search is exact when disjointness survives the
+        cap both ways; check it on the whole capped torus complex."""
+        T = once_punctured_torus()
+        start = slope_arc(T, "0/1")
+        seen, stack, edges = {start}, [start], 0
+        while stack:
+            v = stack.pop()
+            for nb in _neighbors(v, 64):
+                edges += 1
+                assert v in _neighbors(nb, 64), (v, nb)
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        assert (len(seen), edges) == (288, 1146)
+
     def test_radius_cap_is_honest(self):
         T = once_punctured_torus()
         with pytest.raises(errors.Unreachable):
             distance(slope_arc(T, "0/1"), slope_arc(T, "2/5"),
                      radius_cap=1, budget=32)
+        # distance 3: both ends expand before the cap of 2 runs out
+        a, b = slope_arc(T, "0/1"), slope_arc(T, "5/7")
+        assert farey.distance(Slope(0, 1), Slope(5, 7)) == 3
+        assert distance(a, b, radius_cap=3, budget=32) == 3
+        with pytest.raises(errors.Unreachable):
+            distance(a, b, radius_cap=2, budget=32)
 
     def test_budget_guard(self):
         T = once_punctured_torus()

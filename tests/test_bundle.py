@@ -7,6 +7,7 @@ import pytest
 
 from cusplab import cli, errors
 from cusplab.bundle import (
+    _lobachevsky,
     CuspCrossSection,
     GluingSystem,
     ShapeVector,
@@ -20,7 +21,8 @@ from cusplab.bundle import (
     total_volume,
 )
 from oracles import (bloch_wigner, developed_residual, figure_eight_cusp,
-                     maximal_cusp_bfs, solve_shapes_developed)
+                     lobachevsky_spence, maximal_cusp_bfs,
+                     solve_shapes_developed)
 
 REGULAR = complex(0.5, math.sqrt(3.0) / 2.0)
 
@@ -303,6 +305,18 @@ class TestVolume:
     def test_degenerate_shape_rejected(self):
         with pytest.raises(errors.DegenerateShape):
             tetrahedron_volume(0.5 - 0.2j)
+
+    def test_clausen_series_matches_spence(self):
+        n = 20001
+        worst = max(abs(_lobachevsky(t) - lobachevsky_spence(t))
+                    for t in (math.pi * i / (n + 1) for i in range(1, n + 1)))
+        assert worst < 1e-14
+
+    def test_lobachevsky_is_odd_and_pi_periodic(self):
+        assert _lobachevsky(0.0) == 0.0 == _lobachevsky(math.pi)
+        for t in (0.3, 1.1, 1.5):
+            assert abs(_lobachevsky(-t) + _lobachevsky(t)) < 1e-15
+            assert abs(_lobachevsky(t + 3 * math.pi) - _lobachevsky(t)) < 1e-14
 
     def test_two_bridge_volume(self, solved_rl):
         _, _, shapes = solved_rl

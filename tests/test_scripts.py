@@ -27,6 +27,14 @@ def load_layertrace():
     return module
 
 
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_traced_names_resolve():
     layertrace = load_layertrace()
     assert layertrace.WRAPPED
@@ -44,9 +52,19 @@ def test_public_names_exist():
 # cover_lifting.py is left out: its cold cover searches take about 45 s
 @pytest.mark.parametrize("script", ["figure_eight_tour.py", "corpus_scan.py"])
 def test_demo_runs(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, os.path.join(ROOT, "demos", script)],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=src_env(), capture_output=True, text=True,
+                          timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_import_leaves_heavy_scipy_out():
+    """`import cusplab` stays light: every CLI call and benchmark child pays
+    for what it loads, and none of the package needs these two."""
+    code = ("import sys, cusplab; "
+            "print(' '.join(m for m in ('scipy.special', 'scipy.integrate') "
+            "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
