@@ -37,6 +37,12 @@ flip the arc down onto an edge, then explore the triangulations that keep
 that edge, collecting their puncture-to-puncture edges.  Truncation is
 honest; a search that runs out of room raises Unreachable or BudgetExceeded
 rather than reporting a number that might be too small.
+
+The arcs that searches and slopes produce are interned: `_arc_from_raw`
+holds one arc per sparse raw coordinate key, so neighbour lists and
+`slope_arc` hand out the same object for the same arc, set lookups in a
+search end on identity, and each distinct arc is validated once, on its
+first construction.
 """
 
 from collections import deque
@@ -434,7 +440,11 @@ def parse_arc(base, text):
         raise NotAnArc("expected 'arc ...' or 'slope ...', got %r" % (text,))
     kind, body = tok[0], tok[1].strip()
     if kind == "slope":
-        return slope_arc(base, Slope.parse(body))
+        try:
+            s = Slope.parse(body)
+        except ValueError:
+            raise NotAnArc("bad slope in arc literal %r" % (text,))
+        return slope_arc(base, s)
     if kind != "arc":
         raise NotAnArc("unknown arc literal %r" % (text,))
     parts = body.split(";")
@@ -550,7 +560,11 @@ def _key_size(key):
 
 @lru_cache(maxsize=_ARC_CACHE_SIZE)
 def _arc_from_raw(base, key):
-    """The arc with raw coordinates `key`, as `_raw_key` builds them."""
+    """The arc with raw coordinates `key`, as `_raw_key` builds them.
+
+    The interning point: every caller passes only nonzero entries, so one
+    arc has one key and one object, validated when it is first built.
+    """
     w, c, par = (dict(part) for part in key)
     return NormalArc._make(base, w, c, par)
 
@@ -920,25 +934,33 @@ def slope_arc(base, s):
 
         C(t, s) = (R_s - R_{s+1} + R_{s+2}) / 2,
 
-    an integer since R_0 + R_1 + R_2 = |p| + q + |p - q| - 4 is even.  The
-    result is validated like any other arc.
+    an integer since R_0 + R_1 + R_2 = |p| + q + |p - q| - 4 is even.
+
+    The arc comes from the interning cache `_arc_from_raw`, under the same
+    raw key of nonzero entries that `_neighbors` builds, so a slope's arc
+    is one object wherever it turns up: repeated calls and neighbour lists
+    share it.  It is validated like any other arc, once, when the cache
+    first builds it.
     """
     if base != _TORUS:
         raise BaseMismatch("slopes live on the standard torus triangulation")
     if not isinstance(s, Slope):
         s = Slope.parse(str(s))
     if s in _EDGE_OF_SLOPE:
-        return NormalArc._make(base, {}, {}, {_EDGE_OF_SLOPE[s]: 1})
+        return _arc_from_raw(base, _raw_key({}, {}, {_EDGE_OF_SLOPE[s]: 1}))
     p, q = s.p, s.q
     weights = (abs(p) - 1, q - 1, abs(p - q) - 1)
     ends = _ENDPOINTS[0 if p > q else 1 if p > 0 else 2]
+    w = {e: x for e, x in enumerate(weights) if x}
     c = {}
     for t in (0, 1):
         R = [weights[base.edge_label(t, k)] - ends[3 * t + (k + 2) % 3]
              for k in range(3)]
         for k in range(3):
-            c[(t, k)] = (R[k] - R[(k + 1) % 3] + R[(k + 2) % 3]) // 2
-    return NormalArc._make(base, dict(enumerate(weights)), c, {})
+            x = (R[k] - R[(k + 1) % 3] + R[(k + 2) % 3]) // 2
+            if x:
+                c[(t, k)] = x
+    return _arc_from_raw(base, _raw_key(w, c, {}))
 
 
 def arc_slope(a):

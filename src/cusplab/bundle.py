@@ -18,7 +18,9 @@ an array expression in log z and log(1 - z) and never develops the cusp.
 The system of the default base corner is built once per triangulation and
 cached on it; gluing_system, cusp_cross_section and maximal_cusp share it,
 and any other base builds its own.  The solver keeps the principal branch
-and a forward-difference Jacobian; solve_shapes says why.
+and a forward-difference Jacobian; solve_shapes says why.  numpy is
+imported inside the functions that use it, so importing the package (and
+the arc and Farey paths) never loads it.
 
 Plane bookkeeping.  The fiber is R^2/Z^2 minus the lattice, triangulated by
 two triangles with edge directions u, v, u + v.  The letter R flips the
@@ -37,8 +39,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
 
 from .errors import (DegenerateShape, Diverged, MaxIterations, NotPseudoAnosov,
                      NotSolved, NumericalError)
@@ -260,6 +260,7 @@ class ShapeVector:
 
 
 def _shape_array(shapes):
+    import numpy as np
     if isinstance(shapes, ShapeVector):
         return np.array(shapes.shapes, dtype=complex)
     return np.array(ShapeVector(tuple(shapes)).shapes, dtype=complex)
@@ -345,6 +346,7 @@ class GluingSystem:
     """
 
     def __init__(self, triangulation, base=(0, 0)):
+        import numpy as np
         self.triangulation = triangulation
         n = triangulation.num_tetrahedra
         rows = [[0] * (3 * n) for _ in triangulation.edge_classes]
@@ -502,6 +504,7 @@ class GluingSystem:
     def _evaluate(self, zs):
         # Residuals of one shape vector (shape (n,)) or of a stack of them
         # (shape (m, n), one residual row each); no validation.
+        import numpy as np
         logs = np.concatenate((np.log(zs), -np.log(1.0 - zs),
                                np.log((zs - 1.0) / zs)), axis=-1)
         out = logs @ self._columns
@@ -551,6 +554,7 @@ def gluing_system(triangulation):
 
 
 def _failure(system, step, z, what):
+    import numpy as np
     worst = int(np.argmin(z.imag))
     return ("word %r, Newton step %d: %s; worst tetrahedron %d has shape %r"
             % (system.triangulation.word, step, what, worst,
@@ -581,6 +585,7 @@ def solve_shapes(system, init=None, tol=1e-12):
     iteration solves.  A different start point is the place to change
     the derivative.
     """
+    import numpy as np
     n = system.triangulation.num_tetrahedra
     if init is None or (isinstance(init, str) and init == "i"):
         z = np.full(n, 1j, dtype=complex)
@@ -790,6 +795,7 @@ def cusp_cross_section(triangulation, shapes, base=(0, 0)):
 def _cross_section(system, zs):
     # cusp_cross_section and the development it was read from, which
     # maximal_cusp reuses for the edge formula
+    import numpy as np
     res = system.residual(zs)
     if float(np.max(np.abs(res))) > 1e-8:
         raise NotSolved("shapes leave gluing residual %.3e"
@@ -873,6 +879,7 @@ def bundle_report(word, tol=1e-12, depth=8, init="i"):
 
     ``depth`` is accepted and ignored, as in maximal_cusp.
     """
+    import numpy as np
     t = layered_triangulation(word)
     system = gluing_system(t)
     solved = solve_shapes(system, init=init, tol=tol)

@@ -45,9 +45,6 @@ import math
 import sys
 from dataclasses import dataclass, asdict
 
-import numpy as np
-import scipy
-
 from . import __version__, arcs, bounds, bundle, farey, geometry, surface
 from .errors import CuspLabError, NumericalError
 
@@ -99,8 +96,10 @@ class RunConfig:
 
 
 def _versions():
+    import numpy
+    import scipy
     return {"cusplab": __version__,
-            "numpy": np.__version__,
+            "numpy": numpy.__version__,
             "scipy": scipy.__version__}
 
 
@@ -291,6 +290,7 @@ class _Draws:
     __slots__ = ("_bits", "_next", "_half")
 
     def __init__(self, seed):
+        import numpy as np
         self._bits = np.random.PCG64(seed)
         self._next = iter(()).__next__
         self._half = None

@@ -40,17 +40,19 @@ from .errors import (
 
 _REFLECT = (0, 2, 1)  # vertex relabelling that reverses one triangle
 
-_SLOTS = {}
+# one copy of every (t, k) slot or corner tuple and of every edge's pair
+# of slots, shared by all triangulations
+_SHARED = {}
 
 
-def _shared_slot(u, b):
-    """The one (triangle, slot) tuple of this value that slot tables share.
+def _shared(value):
+    """The one copy of this tuple that triangulations share.
 
     Flip searches keep tens of thousands of triangulations alive; without
-    sharing, each slot table would hold its own copy of every pair.
+    sharing, each slot table, edge map and puncture table would hold its
+    own copy of every (t, k) pair.
     """
-    slot = (int(u), int(b))
-    return _SLOTS.setdefault(slot, slot)
+    return _SHARED.setdefault(value, value)
 
 
 class _UnionFind:
@@ -88,7 +90,7 @@ class IdealTriangulation:
     """
 
     def __init__(self, glued, name="surface", preferred=None, edge_of_slot=None):
-        glued = tuple(_shared_slot(u, b) for u, b in glued)
+        glued = tuple(_shared((int(u), int(b))) for u, b in glued)
         if len(glued) == 0 or len(glued) % 3:
             raise NonInvolution(
                 "slot table has %d entries, not a positive multiple of 3" % len(glued))
@@ -127,11 +129,10 @@ class IdealTriangulation:
                                % len(uf.classes()))
 
     def _build_edges(self, edge_of_slot):
-        reps = []
-        for idx, (u, b) in enumerate(self._glued):
-            if idx < 3 * u + b:
-                reps.append((divmod(idx, 3), (u, b)))
         if edge_of_slot is None:
+            reps = [_shared((_shared(divmod(idx, 3)), slot))
+                    for idx, slot in enumerate(self._glued)
+                    if idx < 3 * slot[0] + slot[1]]
             table = [None] * (3 * self.num_triangles)
             for e, ((t, a), (u, b)) in enumerate(reps):
                 table[3 * t + a] = e
@@ -144,16 +145,18 @@ class IdealTriangulation:
                 raise NonInvolution("edge label table has wrong length")
             by_label = {}
             for idx, e in enumerate(table):
-                by_label.setdefault(e, []).append(divmod(idx, 3))
+                by_label.setdefault(e, []).append(_shared(divmod(idx, 3)))
             for e, slots in sorted(by_label.items()):
                 (t, a) = slots[0]
                 if len(slots) != 2 or self._glued[3 * t + a] != slots[1]:
                     raise NonInvolution("edge label %d does not match a gluing" % e)
             self._edge_of_slot = table
-            self.edges = {e: tuple(slots) for e, slots in sorted(by_label.items())}
+            self.edges = {e: _shared(tuple(slots))
+                          for e, slots in sorted(by_label.items())}
 
     def _build_punctures(self):
-        corners = [(t, k) for t in range(self.num_triangles) for k in range(3)]
+        corners = [_shared((t, k))
+                   for t in range(self.num_triangles) for k in range(3)]
         uf = _UnionFind(corners)
         for (t, a), (u, b) in self.edges.values():
             uf.union((t, a), (u, (b + 1) % 3))

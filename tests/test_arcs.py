@@ -280,9 +280,15 @@ class TestSerialization:
     def test_parse_rejects_garbage(self):
         T = once_punctured_torus()
         for text in ["", "arc", "arc 1,2", "arc 1;2;3", "arc a,b,c;0,0,0,0,0,0",
-                     "loop 1,0,0;0,0,0,0,0,0"]:
+                     "loop 1,0,0;0,0,0,0,0,0", "slope 0/0", "slope x",
+                     "slope 1/2/3"]:
             with pytest.raises(errors.NotAnArc):
                 parse_arc(T, text)
+
+    def test_bad_slope_names_the_literal(self):
+        T = once_punctured_torus()
+        with pytest.raises(errors.NotAnArc, match="'slope 1/2/3'"):
+            parse_arc(T, "slope 1/2/3")
 
     def test_json_round_trip_is_faithful(self):
         T = once_punctured_torus()
@@ -538,6 +544,45 @@ class TestCaches:
         after = _neighbors.cache_info()
         assert after.hits > before.hits
         assert after.currsize == before.currsize
+
+
+class TestInterning:
+
+    def test_a_slope_is_one_object(self):
+        T = once_punctured_torus()
+        for text in ["0/1", "1/0", "1/1", "2/5", "-3/7", "5/2"]:
+            assert slope_arc(T, text) is slope_arc(T, text), text
+            assert parse_arc(T, "slope " + text) is slope_arc(T, text), text
+
+    def test_neighbour_lists_hold_the_slope_arcs(self):
+        T = once_punctured_torus()
+        nbs = _neighbors(slope_arc(T, "2/5"), 64)
+        assert nbs
+        for nb in nbs:
+            assert nb is slope_arc(T, arc_slope(nb)), nb
+
+    def test_each_arc_is_validated_once(self, monkeypatch):
+        T = once_punctured_torus()
+        traced = []
+
+        def counted(tri, w, c):
+            traced.append(tri)
+            return trace(tri, w, c)
+
+        trace = arcs._trace
+        monkeypatch.setattr(arcs, "_trace", counted)
+        # a slope far outside every other test's range, so it is first seen
+        text = "7919/7927"
+        before = arcs._arc_from_raw.cache_info()
+        a = slope_arc(T, text)
+        first = arcs._arc_from_raw.cache_info()
+        assert first.misses == before.misses + 1
+        assert len(traced) == 1
+        assert slope_arc(T, text) is a
+        again = arcs._arc_from_raw.cache_info()
+        assert again.misses == first.misses
+        assert again.hits == first.hits + 1
+        assert len(traced) == 1
 
 
 class TestLifts:

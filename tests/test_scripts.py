@@ -58,13 +58,35 @@ def test_demo_runs(script):
     assert done.returncode == 0, done.stderr
 
 
-def test_import_leaves_heavy_scipy_out():
-    """`import cusplab` stays light: every CLI call and benchmark child pays
-    for what it loads, and none of the package needs these two."""
-    code = ("import sys, cusplab; "
-            "print(' '.join(m for m in ('scipy.special', 'scipy.integrate') "
-            "if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-c", code], env=src_env(),
+def loaded_after(code):
+    """Which of numpy and scipy a fresh interpreter holds after `code`."""
+    probe = (code + "; import sys; print('loaded', *(m for m in "
+             "('numpy', 'scipy') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env=src_env(),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == ""
+    return done.stdout.splitlines()[-1].split()[1:]
+
+
+def test_import_leaves_heavy_scipy_out():
+    """`import cusplab` stays light: every CLI call and benchmark child pays
+    for what it loads, and the package imports numpy and scipy only inside
+    the functions that use them."""
+    assert loaded_after("import cusplab") == []
+
+
+@pytest.mark.parametrize("argv", [["arc-dist", "slope 2/5", "slope 3/7"],
+                                  ["farey-dist", "2/5", "3/7"]])
+def test_distance_commands_leave_numpy_out(argv):
+    code = "from cusplab import cli; cli.run(%r)" % (argv,)
+    assert loaded_after(code) == []
+
+
+def test_reports_keep_the_library_versions():
+    import numpy
+    import scipy
+
+    from cusplab import cli
+    versions = cli._versions()
+    assert versions["numpy"] == numpy.__version__
+    assert versions["scipy"] == scipy.__version__

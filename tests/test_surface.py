@@ -255,6 +255,25 @@ class TestFlips:
             assert cur == prev
 
 
+    def test_flips_share_slot_and_corner_tuples(self):
+        # flip searches keep many triangulations alive; equal (t, k) pairs
+        # in their slot tables, edge maps and puncture tables are one object
+        s = twice_punctured_torus()
+        tris = [s] + [s.flip(e)[0] for e in s.edge_labels
+                      if s.edges[e][0][0] != s.edges[e][1][0]]
+        seen = {}
+        for tri in tris:
+            pairs = list(tri._glued)
+            for x, y in tri.edges.values():
+                pairs += [x, y]
+            for orbit in tri.punctures:
+                pairs += orbit
+            pairs += tri._corner_puncture
+            for pair in pairs:
+                assert seen.setdefault(pair, pair) is pair, pair
+        assert len(seen) == 3 * s.num_triangles
+
+
 class TestRelabeling:
 
     def test_apply_and_inverse(self):
