@@ -38,11 +38,13 @@ that edge, collecting their puncture-to-puncture edges.  Truncation is
 honest; a search that runs out of room raises Unreachable or BudgetExceeded
 rather than reporting a number that might be too small.
 
-The arcs that searches and slopes produce are interned: `_arc_from_raw`
-holds one arc per sparse raw coordinate key, so neighbour lists and
-`slope_arc` hand out the same object for the same arc, set lookups in a
-search end on identity, and each distinct arc is validated once, on its
-first construction.
+The arcs that searches and slopes produce are interned while they stay
+in the bounded cache `_arc_from_raw`: it holds one arc per sparse raw
+coordinate key, so neighbour lists and `slope_arc` hand out the same
+object for the same arc, set lookups in a search end on identity, and
+each distinct arc is validated on its first construction.  An arc the
+cache has evicted is built and validated again; the new object equals
+the old one by `__eq__`, so results never depend on eviction.
 """
 
 from collections import deque
@@ -563,7 +565,8 @@ def _arc_from_raw(base, key):
     """The arc with raw coordinates `key`, as `_raw_key` builds them.
 
     The interning point: every caller passes only nonzero entries, so one
-    arc has one key and one object, validated when it is first built.
+    arc has one key, and one object for as long as the bounded cache keeps
+    it, validated when it is built.
     """
     w, c, par = (dict(part) for part in key)
     return NormalArc._make(base, w, c, par)
@@ -937,10 +940,10 @@ def slope_arc(base, s):
     an integer since R_0 + R_1 + R_2 = |p| + q + |p - q| - 4 is even.
 
     The arc comes from the interning cache `_arc_from_raw`, under the same
-    raw key of nonzero entries that `_neighbors` builds, so a slope's arc
-    is one object wherever it turns up: repeated calls and neighbour lists
-    share it.  It is validated like any other arc, once, when the cache
-    first builds it.
+    raw key of nonzero entries that `_neighbors` builds, so while the
+    bounded cache keeps it a slope's arc is one object wherever it turns
+    up: repeated calls and neighbour lists share it.  It is validated like
+    any other arc when the cache builds it.
     """
     if base != _TORUS:
         raise BaseMismatch("slopes live on the standard torus triangulation")

@@ -78,7 +78,9 @@ def test_import_leaves_heavy_scipy_out():
 @pytest.mark.parametrize("argv", [["arc-dist", "slope 2/5", "slope 3/7"],
                                   ["farey-dist", "2/5", "3/7"]])
 def test_distance_commands_leave_numpy_out(argv):
-    code = "from cusplab import cli; cli.run(%r)" % (argv,)
+    # the command must succeed, or an early exit would leave numpy out
+    # without running the distance path at all
+    code = "from cusplab import cli; assert cli.run(%r) == 0" % (argv,)
     assert loaded_after(code) == []
 
 
