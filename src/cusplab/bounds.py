@@ -99,8 +99,7 @@ def verify_fibered(word, n_max=4, tol=1e-12, depth=8, stable_n=20):
     shapes = bundle.solve_shapes(bundle.gluing_system(tri), tol=tol)
     cusp = bundle.maximal_cusp(tri, shapes, depth=depth)
 
-    d_psi_n = {n: farey.translation_distance(mono.power(n))
-               for n in range(1, n_max + 1)}
+    d_psi_n = farey.translation_distances(mono, n_max)
     stable = float(min(farey.stable_upper(mono, stable_n)))
 
     margins = {}

@@ -11,16 +11,20 @@ boundary torus, the length of the fiber boundary (the longitude), and the
 maximal horoball neighborhood.
 
 The gluing equations are integer data fixed by the triangulation.  The
-edge rows are an integer matrix over the log-parameters, and the
+edge rows are sparse integer rows over the log-parameters, and the
 completeness row is one signed monomial (-1)^s prod z_i^a_i (1 - z_i)^b_i,
 read off once by developing the cusp torus symbolically; so a residual is
-an array expression in log z and log(1 - z) and never develops the cusp.
+a short sum of log z and log(1 - z) terms and never develops the cusp.
 The system of the default base corner is built once per triangulation and
 cached on it; gluing_system, cusp_cross_section and maximal_cusp share it,
-and any other base builds its own.  The solver keeps the principal branch
-and a forward-difference Jacobian; solve_shapes says why.  numpy is
-imported inside the functions that use it, so importing the package (and
-the arc and Farey paths) never loads it.
+and any other base builds its own.
+
+The systems are small, one tetrahedron per letter, so everything here runs
+in plain complex arithmetic and this module imports no numpy.  The solver
+keeps the principal branch and a forward-difference Jacobian whose column
+j re-evaluates only tetrahedron j's logs, and it takes each step from the
+square system left after dropping one edge row; solve_shapes says why
+both are exact.
 
 Plane bookkeeping.  The fiber is R^2/Z^2 minus the lattice, triangulated by
 two triangles with edge directions u, v, u + v.  The letter R flips the
@@ -259,11 +263,11 @@ class ShapeVector:
         return self.shapes[k]
 
 
-def _shape_array(shapes):
-    import numpy as np
+def _shapes(shapes):
+    # the validated shapes as a tuple of complex numbers
     if isinstance(shapes, ShapeVector):
-        return np.array(shapes.shapes, dtype=complex)
-    return np.array(ShapeVector(tuple(shapes)).shapes, dtype=complex)
+        return shapes.shapes
+    return ShapeVector(tuple(shapes)).shapes
 
 
 def _corner(z, k, m):
@@ -280,6 +284,12 @@ def _corner(z, k, m):
 # (column, exponent) pairs, column i for z_i and n + i for 1 - z_i, with
 # repeats adding up; multiplying monomials concatenates their terms.
 # Every developed cusp side is the root side times a monomial.
+
+def _logs(z):
+    # principal logs of the three parameters of shape z, in _PAIR order:
+    # log z, log 1/(1 - z), log (z - 1)/z
+    return (cmath.log(z), -cmath.log(1.0 - z), cmath.log((z - 1.0) / z))
+
 
 def _corner_monomials(i, k, m, n):
     # the corner parameter w at vertex k towards m, and w - 1
@@ -311,6 +321,30 @@ def _cyc(k):
     return rest if k % 2 == 0 else rest[::-1]
 
 
+def _sparse_row(terms):
+    # (tetrahedron, parameter, coefficient) triples, repeats added up and
+    # zero coefficients dropped, in parameter-major order (see _row_sum)
+    row = {}
+    for i, k, c in terms:
+        row[(k, i)] = row.get((k, i), 0) + c
+    return tuple((i, k, c) for (k, i), c in sorted(row.items()) if c)
+
+
+def _row_sum(row, logs):
+    # One term at a time, in the row's parameter-major order: the order
+    # of a plain dot product over dense (log z, log 1/(1 - z),
+    # log (z - 1)/z) columns.  At the start z = i many completeness sums
+    # lie exactly on the branch cut, where the rounding of this sum picks
+    # the side and with it the Newton path.  In this order the path ends
+    # as the numpy least-squares solve's does on every word up to length
+    # 20 that the tests check; in tetrahedron-major order one word of them
+    # changes outcome.
+    total = 0j
+    for i, k, c in row:
+        total += c * logs[i][k]
+    return total
+
+
 class GluingSystem:
     """Logarithmic gluing equations of a layered triangulation.
 
@@ -319,18 +353,21 @@ class GluingSystem:
     derivative rho of a fixed peripheral loop with nonzero winding around
     the fiber direction.  The edge equations carry one redundancy (their
     sum is 2*pi*i times the number of edges for any upper-half-plane
-    shapes), so Newton steps go through least squares.
+    shapes), so Newton steps drop one of them; solve_shapes says why that
+    is exact.
 
-    Both kinds of row are fixed integer data, built once.  ``edge_matrix``
-    holds the edge rows over the 3n log-parameters (log z_i, then
-    log 1/(1 - z_i), then log (z_i - 1)/z_i).  Developing the cusp torus
+    Both kinds of row are fixed sparse integer data, built once.
+    ``edge_rows`` holds one tuple of (tetrahedron i, parameter k,
+    coefficient) triples per edge class, k indexing log z_i, log 1/(1 -
+    z_i) and log (z_i - 1)/z_i in that order.  Developing the cusp torus
     from its root corner makes every cusp side the root side times a
     signed monomial (-1)^s prod z_i^a_i (1 - z_i)^b_i, because each corner
     parameter and each corner parameter less one is such a monomial
     (Neumann-Zagier, Topology 24 (1985)).  So rho is a fixed monomial and
     the completeness row is a.log z + b.log(1 - z) + i*pi*s with its
     imaginary part wrapped into (-pi, pi]: the principal log of rho, to
-    rounding, with no development at all.
+    rounding, with no development at all.  It is kept in the same sparse
+    form, b.log(1 - z) read as -b times log 1/(1 - z).
 
     Branches are fixed once and for all: every dihedral parameter of an
     upper-half-plane shape has argument in (0, pi), so the principal
@@ -346,27 +383,31 @@ class GluingSystem:
     """
 
     def __init__(self, triangulation, base=(0, 0)):
-        import numpy as np
         self.triangulation = triangulation
         n = triangulation.num_tetrahedra
-        rows = [[0] * (3 * n) for _ in triangulation.edge_classes]
-        for row, cls in zip(rows, triangulation.edge_classes):
-            for i, edge in cls:
-                row[_PAIR[frozenset(edge)] * n + i] += 1
-        self.edge_matrix = np.array(rows, dtype=np.int64)
+        self.edge_rows = tuple(
+            _sparse_row((i, _PAIR[frozenset(edge)], 1) for i, edge in cls)
+            for cls in triangulation.edge_classes)
         self._build_cusp_graph(base)
         self._sign, terms = self._completeness_monomial()
-        # every row as one column over the 3n log-parameters; the
-        # completeness column reads b.log(1 - z) as -b times log 1/(1 - z)
-        complete = np.zeros(3 * n)
-        for c, e in terms:
-            complete[c] += e if c < n else -e
-        self._columns = np.column_stack(
-            (self.edge_matrix.T, complete)).astype(complex)
+        # b.log(1 - z) is -b times the parameter log 1/(1 - z)
+        self._complete_row = _sparse_row(
+            (c, 0, e) if c < n else (c - n, 1, -e) for c, e in terms)
+        # what tetrahedron j's logs feed: (row, parameter, coefficient) in
+        # the Newton system, which drops the last edge row, and
+        # (parameter, coefficient) in the completeness row
+        kept = self.edge_rows[:-1]
+        self._touch = tuple(
+            tuple((r, k, c) for r, row in enumerate(kept)
+                  for i, k, c in row if i == j)
+            for j in range(n))
+        self._complete_touch = tuple(
+            tuple((k, c) for i, k, c in self._complete_row if i == j)
+            for j in range(n))
 
     @property
     def num_equations(self):
-        return len(self.edge_matrix) + 1
+        return len(self.edge_rows) + 1
 
     def _build_cusp_graph(self, root):
         # The cusp cross section is a torus tiled by one triangle per
@@ -501,29 +542,54 @@ class GluingSystem:
         rho = (p[m2] - p[m1]) / (q[sigma[m2]] - q[sigma[m1]])
         return rho, p[m1] - rho * q[sigma[m1]]
 
-    def _evaluate(self, zs):
-        # Residuals of one shape vector (shape (n,)) or of a stack of them
-        # (shape (m, n), one residual row each); no validation.
-        import numpy as np
-        logs = np.concatenate((np.log(zs), -np.log(1.0 - zs),
-                               np.log((zs - 1.0) / zs)), axis=-1)
-        out = logs @ self._columns
-        out[..., :-1] -= 2j * math.pi
-        # principal branch: Im of the completeness row plus pi*s, wrapped
+    def _wrap(self, raw):
+        # principal branch: Im of the completeness sum plus pi*s, wrapped
         # into (-pi, pi]
-        last = out[..., -1]
-        last.imag = math.pi - np.mod(
-            math.pi * (1 - self._sign) - last.imag,
-            2.0 * math.pi)
-        return out
+        return complex(raw.real, math.pi - (
+            math.pi * (1 - self._sign) - raw.imag) % (2.0 * math.pi))
+
+    def _evaluate(self, zs):
+        # Residuals of a sequence of shapes, edge rows first, with no
+        # validation; also the per-tetrahedron logs and the unwrapped
+        # completeness sum, which _newton_system reuses.
+        logs = [_logs(z) for z in zs]
+        out = [_row_sum(row, logs) - 2j * math.pi for row in self.edge_rows]
+        raw = _row_sum(self._complete_row, logs)
+        out.append(self._wrap(raw))
+        return out, (logs, raw)
+
+    def _newton_system(self, zs, f, state, h):
+        # The forward-difference Newton system at zs, as augmented rows
+        # [J_r1 .. J_rn | -f_r]: every edge row but the last, then the
+        # completeness row.  Column j moves z_j alone, so it re-evaluates
+        # tetrahedron j's logs and adds the change into the rows that
+        # tetrahedron touches; the completeness entry is re-wrapped.
+        logs, raw = state
+        n = len(zs)
+        rows = [[0j] * n + [-f[r]] for r in range(len(self.edge_rows) - 1)]
+        last = [0j] * n + [-f[-1]]
+        for j, z in enumerate(zs):
+            old = logs[j]
+            new = _logs(z + h)
+            delta = (new[0] - old[0], new[1] - old[1], new[2] - old[2])
+            for r, k, c in self._touch[j]:
+                rows[r][j] += c * delta[k] / h
+            moved = raw + sum([c * delta[k]
+                               for k, c in self._complete_touch[j]])
+            last[j] = (self._wrap(moved) - f[-1]) / h
+        rows.append(last)
+        return rows
 
     def residual(self, shapes):
-        """Equation residuals at the given shapes, edge rows first."""
-        return self._evaluate(_shape_array(shapes))
+        """Equation residuals at the given shapes, edge rows first.
+
+        Returns a list of complex numbers.
+        """
+        return self._evaluate(_shapes(shapes))[0]
 
     def holonomies(self, shapes):
         """(winding, derivative, translation) for each generating loop."""
-        return self._holonomies(self._develop(_shape_array(shapes)))
+        return self._holonomies(self._develop(_shapes(shapes)))
 
     def _holonomies(self, pos):
         out = []
@@ -534,9 +600,8 @@ class GluingSystem:
 
     def developed_area(self, shapes):
         """Total euclidean area of the developed cusp triangles."""
-        zs = _shape_array(shapes)
         total = 0.0
-        for node, p in self._develop(zs).items():
+        for node, p in self._develop(_shapes(shapes)).items():
             cy = _cyc(node[1])
             u = p[cy[1]] - p[cy[0]]
             w = p[cy[2]] - p[cy[0]]
@@ -554,11 +619,43 @@ def gluing_system(triangulation):
 
 
 def _failure(system, step, z, what):
-    import numpy as np
-    worst = int(np.argmin(z.imag))
+    worst = min(range(len(z)), key=lambda i: z[i].imag)
     return ("word %r, Newton step %d: %s; worst tetrahedron %d has shape %r"
             % (system.triangulation.word, step, what, worst,
                complex(z[worst])))
+
+
+def _eliminate(rows):
+    # Solve an augmented square system [A | b] by Gaussian elimination
+    # with partial pivoting, in place; None when a pivot is exactly zero.
+    n = len(rows)
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(rows[r][col]))
+        if rows[piv][col] == 0:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        top = rows[col]
+        for row in rows[col + 1:]:
+            factor = row[col] / top[col]
+            if factor:
+                for c in range(col + 1, n + 1):
+                    row[c] -= factor * top[c]
+    x = [0j] * n
+    for col in range(n - 1, -1, -1):
+        top = rows[col]
+        acc = top[n]
+        for c in range(col + 1, n):
+            acc -= top[c] * x[c]
+        x[col] = acc / top[col]
+    return x
+
+
+def _norm(f):
+    return math.sqrt(sum([w.real * w.real + w.imag * w.imag for w in f]))
+
+
+def _finite(values):
+    return all(map(cmath.isfinite, values))
 
 
 def solve_shapes(system, init=None, tol=1e-12):
@@ -574,58 +671,67 @@ def solve_shapes(system, init=None, tol=1e-12):
     (the smallest Im z) with its shape.  An already solved input returns
     immediately.
 
-    The Jacobian is a forward difference with step h = 1e-7, its n
-    columns evaluated in one vectorised call on the shape array z + h*I.
-    It stays a forward difference on the principal branch on purpose.
-    From the start z = i, the completeness derivative rho of many words
-    lies on the negative real axis, the principal log's branch cut.  A
-    column that straddles the cut has an entry near 2*pi/h and steers the
-    first step, and the iteration's outcome depends on it: an analytic
-    Jacobian, or a branch fixed once at z = i, loses words that this
-    iteration solves.  A different start point is the place to change
-    the derivative.
+    The systems are small (one tetrahedron per letter), so the iteration
+    runs in plain complex arithmetic, with no numpy.  The Jacobian is a
+    forward difference with step h = 1e-7.  Its column j moves z_j alone,
+    and z_j enters only tetrahedron j's three logs, so the column
+    re-evaluates those three logs and adds their change into the rows
+    that tetrahedron touches: the same difference quotient as a full
+    re-evaluation, without the untouched terms.  The completeness entry
+    is re-wrapped onto the principal branch each time.
+
+    The step solves the square system left after dropping the last edge
+    row, by Gaussian elimination with partial pivoting.  The edge rows
+    sum to zero identically, in the residual and so in every Jacobian
+    column, and any n - 1 of them are independent; so the dropped row
+    carries no information, and the square solve is the least-squares
+    step of the full system up to rounding.
+
+    The derivative stays a forward difference on the principal branch on
+    purpose.  From the start z = i, the completeness derivative rho of
+    many words lies on the negative real axis, the principal log's branch
+    cut.  A column that straddles the cut has an entry near 2*pi/h and
+    steers the first step, and the iteration's outcome depends on it: an
+    analytic Jacobian, or a branch fixed once at z = i, loses words that
+    this iteration solves.  A different start point is the place to
+    change the derivative.
     """
-    import numpy as np
     n = system.triangulation.num_tetrahedra
     if init is None or (isinstance(init, str) and init == "i"):
-        z = np.full(n, 1j, dtype=complex)
+        z = [1j] * n
     elif isinstance(init, str) and init == "regular":
-        z = np.full(n, complex(0.5, math.sqrt(3.0) / 2.0), dtype=complex)
+        z = [complex(0.5, math.sqrt(3.0) / 2.0)] * n
     elif isinstance(init, str):
         raise ValueError("unknown initial guess %r" % init)
     else:
-        seed = init.shapes if isinstance(init, ShapeVector) else tuple(init)
-        z = _shape_array(seed)
+        z = list(_shapes(init))
         if len(z) != n:
             raise ValueError("expected %d shapes, got %d" % (n, len(z)))
 
     floor = 1e-13
-    f = system.residual(z)
-    worst = float(np.max(np.abs(f)))
-    if worst < tol:
+    f, state = system._evaluate(z)
+    if max(map(abs, f)) < tol:
         return ShapeVector(tuple(z))
 
-    size = float(np.linalg.norm(f))
+    size = _norm(f)
     h = 1e-7
-    shift = h * np.eye(n)
     for it in range(1, 51):
-        jac = ((system._evaluate(z + shift) - f) / h).T
-        step = np.linalg.lstsq(jac, -f, rcond=None)[0]
-        if not np.all(np.isfinite(step)):
+        step = _eliminate(system._newton_system(z, f, state, h))
+        if step is None or not _finite(step):
             raise Diverged(_failure(system, it, z,
                                     "Newton step is not finite"))
         t = 1.0
         flattened = False
         while True:
-            z2 = z + t * step
-            if np.min(z2.imag) <= floor:
+            z2 = [w + t * dw for w, dw in zip(z, step)]
+            if min(w.imag for w in z2) <= floor:
                 flattened = True
             else:
-                f2 = system.residual(z2)
-                if np.all(np.isfinite(f2)):
-                    size2 = float(np.linalg.norm(f2))
-                    if size2 < size or np.max(np.abs(f2)) < tol:
-                        z, f, size = z2, f2, size2
+                f2, state2 = system._evaluate(z2)
+                if _finite(f2):
+                    size2 = _norm(f2)
+                    if size2 < size or max(map(abs, f2)) < tol:
+                        z, f, state, size = z2, f2, state2, size2
                         break
             t *= 0.5
             if t < 1e-12:
@@ -634,8 +740,7 @@ def solve_shapes(system, init=None, tol=1e-12):
                         system, it, z, "shapes collapse onto the real line"))
                 raise Diverged(_failure(
                     system, it, z, "step halving cannot reduce the residual"))
-        worst = float(np.max(np.abs(f)))
-        if worst < tol:
+        if max(map(abs, f)) < tol:
             return ShapeVector(tuple(z))
     raise MaxIterations(_failure(system, 50, z,
                                  "no convergence within 50 Newton steps"))
@@ -690,7 +795,7 @@ def tetrahedron_volume(shape):
 
 def total_volume(shapes):
     """Volume of the bundle: the sum over its tetrahedra."""
-    return sum(tetrahedron_volume(z) for z in _shape_array(shapes))
+    return sum(tetrahedron_volume(z) for z in _shapes(shapes))
 
 
 # ---- cusp cross section --------------------------------------------------
@@ -789,17 +894,15 @@ def cusp_cross_section(triangulation, shapes, base=(0, 0)):
         system = triangulation._system
     else:
         system = GluingSystem(triangulation, base=base)
-    return _cross_section(system, _shape_array(shapes))[0]
+    return _cross_section(system, _shapes(shapes))[0]
 
 
 def _cross_section(system, zs):
     # cusp_cross_section and the development it was read from, which
     # maximal_cusp reuses for the edge formula
-    import numpy as np
-    res = system.residual(zs)
-    if float(np.max(np.abs(res))) > 1e-8:
-        raise NotSolved("shapes leave gluing residual %.3e"
-                        % float(np.max(np.abs(res))))
+    residual = max(map(abs, system.residual(zs)))
+    if residual > 1e-8:
+        raise NotSolved("shapes leave gluing residual %.3e" % residual)
     pos = system._develop(zs)
     hol = system._holonomies(pos)
     for _, rho, _ in hol:
@@ -856,7 +959,7 @@ def maximal_cusp(triangulation, shapes, depth=8):
         raise NotSolved("word %r: tetrahedron %d has shape %r outside the "
                         "upper half plane, so the edges need not be "
                         "canonical" % (triangulation.word, worst, zs[worst]))
-    reference, pos = _cross_section(triangulation._system, _shape_array(zs))
+    reference, pos = _cross_section(triangulation._system, _shapes(zs))
     diameter = 0.0
     for i in range(triangulation.num_tetrahedra):
         for k, m in itertools.combinations(range(4), 2):
@@ -879,11 +982,10 @@ def bundle_report(word, tol=1e-12, depth=8, init="i"):
 
     ``depth`` is accepted and ignored, as in maximal_cusp.
     """
-    import numpy as np
     t = layered_triangulation(word)
     system = gluing_system(t)
     solved = solve_shapes(system, init=init, tol=tol)
-    residual = float(np.max(np.abs(system.residual(solved))))
+    residual = max(map(abs, system.residual(solved)))
     cusp = maximal_cusp(t, solved, depth=depth)
     return {
         "word": word,

@@ -39,6 +39,7 @@ byte-identical for the same numpy.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -95,12 +96,18 @@ class RunConfig:
         return asdict(self)
 
 
+@functools.lru_cache(maxsize=1)
+def _library_versions():
+    # read from the installed distributions, so a report names numpy and
+    # scipy without importing them; each lookup scans the import path, so
+    # a process does it once
+    from importlib.metadata import version
+    return version("numpy"), version("scipy")
+
+
 def _versions():
-    import numpy
-    import scipy
-    return {"cusplab": __version__,
-            "numpy": numpy.__version__,
-            "scipy": scipy.__version__}
+    numpy, scipy = _library_versions()
+    return {"cusplab": __version__, "numpy": numpy, "scipy": scipy}
 
 
 def _envelope(config):

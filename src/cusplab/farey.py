@@ -83,7 +83,9 @@ class Monodromy:
 
     The word, when present, must multiply out to the matrix under the R and
     L conventions of this module.  Products forget the word unless both
-    factors carry one.
+    factors carry one.  A product, an inverse and a power are exact by
+    construction and skip the checks: a product of two word-carrying
+    matrices is the matrix of the concatenated word.
     """
     matrix: tuple
     word: str = None
@@ -99,6 +101,15 @@ class Monodromy:
                 raise ValueError("word %r does not multiply out to the matrix"
                                  % self.word)
 
+    @classmethod
+    def _exact(cls, matrix, word=None):
+        # a matrix of determinant +1 that its word (if any) multiplies out
+        # to, by construction; no check
+        out = object.__new__(cls)
+        object.__setattr__(out, "matrix", matrix)
+        object.__setattr__(out, "word", word)
+        return out
+
     @property
     def trace(self):
         return self.matrix[0][0] + self.matrix[1][1]
@@ -113,17 +124,18 @@ class Monodromy:
         word = None
         if self.word is not None and other.word is not None:
             word = self.word + other.word
-        return Monodromy(((a * e + b * g, a * f + b * h),
-                          (c * e + d * g, c * f + d * h)), word)
+        return Monodromy._exact(((a * e + b * g, a * f + b * h),
+                                 (c * e + d * g, c * f + d * h)), word)
 
     def inverse(self):
         (a, b), (c, d) = self.matrix
-        return Monodromy(((d, -b), (-c, a)))
+        return Monodromy._exact(((d, -b), (-c, a)))
 
     def power(self, n):
         if n < 0:
             return self.inverse().power(-n)
-        out = Monodromy(((1, 0), (0, 1)), "" if self.word is not None else None)
+        out = Monodromy._exact(((1, 0), (0, 1)),
+                               "" if self.word is not None else None)
         base = self
         while n:
             if n & 1:
@@ -137,7 +149,8 @@ def word_to_matrix(word):
     """The Monodromy of a word over {L, R}; raises EmptyWord on ''."""
     if not word:
         raise EmptyWord("monodromy word is empty")
-    return Monodromy(_word_product(word), str(word))
+    word = str(word)
+    return Monodromy._exact(_word_product(word), word)
 
 
 def act(m, s):
@@ -307,23 +320,63 @@ def translation_distance(m, with_witness=False):
     """
     if not m.is_pseudo_anosov:
         raise NotPseudoAnosov("|trace| = %d is not > 2" % abs(m.trace))
-    frame, positive = _positive_frame(m)
     (a, b), (c, d) = m.matrix
+    best, witness = _least_move(_ladder_slopes(m), a, b, c, d)
+    if with_witness:
+        return best, Slope(*witness)
+    return best
+
+
+def _ladder_slopes(m):
+    # The slopes C v, canonical (q >= 0, infinity 1/0), for the columns v
+    # of one ladder period of the positive conjugate N = C^-1 (+-m) C.
+    frame, positive = _positive_frame(m)
     (fa, fb), (fc, fd) = frame.matrix
-    best = None
+    out = []
     for x, y in _ladder(positive):
         p, q = fa * x + fb * y, fc * x + fd * y
         if q < 0 or (q == 0 and p < 0):
             p, q = -p, -q
+        out.append((p, q))
+    return out
+
+
+def _least_move(slopes, a, b, c, d):
+    # (min over the slopes s of d(s, M s), a slope attaining it) for the
+    # matrix M = [[a, b], [c, d]]
+    best = None
+    for p, q in slopes:
         ip, iq = a * p + b * q, c * p + d * q
         if iq < 0 or (iq == 0 and ip < 0):
             ip, iq = -ip, -iq
         step = _distance_pq(p, q, ip, iq)
         if best is None or step < best:
             best, witness = step, (p, q)
-    if with_witness:
-        return best, Slope(*witness)
-    return best
+    return best, witness
+
+
+def translation_distances(m, n_max):
+    """{n: translation distance of m^n} for n = 1..n_max, exactly.
+
+    Equal to translation_distance(m.power(n)) for each n, from one frame
+    and one ladder period of m.  C^-1 (+-m)^n C = N^n, and the positive
+    word of N^n is w^n, so m^n has the ladder of m; N commutes with N^n,
+    so d(N v, N^n N v) = d(v, N^n v) and one period of N already meets
+    every value of d(v, N^n v) on the ladder.  translation_distance's
+    exactness argument, applied to N^n, makes that minimum the minimum
+    over all slopes.  |trace| <= 2 raises NotPseudoAnosov.
+    """
+    if not m.is_pseudo_anosov:
+        raise NotPseudoAnosov("|trace| = %d is not > 2" % abs(m.trace))
+    slopes = _ladder_slopes(m)
+    (a0, b0), (c0, d0) = m.matrix
+    a, b, c, d = a0, b0, c0, d0
+    out = {}
+    for n in range(1, n_max + 1):
+        out[n] = _least_move(slopes, a, b, c, d)[0]
+        a, b, c, d = (a * a0 + b * c0, a * b0 + b * d0,
+                      c * a0 + d * c0, c * b0 + d * d0)
+    return out
 
 
 def stable_upper(m, N):
@@ -331,10 +384,13 @@ def stable_upper(m, N):
 
     The distances are subadditive in n, so the running infimum of the list
     is a certified upper estimate for the stable translation distance.
+    m^n inf is the first column of m^n, carried along as an integer pair.
     """
+    (a, b), (c, d) = m.matrix
+    p, q = 1, 0
     out = []
-    power = m
     for n in range(1, N + 1):
-        out.append(Fraction(distance(INFINITY, act(power, INFINITY)), n))
-        power = power * m
+        p, q = a * p + b * q, c * p + d * q
+        # d(inf, p/q) with p/q primitive; the sign of the pair is irrelevant
+        out.append(Fraction(_steps_from_infinity(p, q) if q else 0, n))
     return out

@@ -19,6 +19,14 @@ cusp torus and takes the principal log of the completeness ratio, and each
 Jacobian column is its own residual call.  They share the package's cusp
 development, which the lattice and area tests check on their own.
 
+The least-squares solve is the shape solve before it left numpy: the
+residual is one array expression, logs times a dense column matrix with
+the completeness imaginary part wrapped, the n Jacobian columns are one
+vectorised evaluation at z + h*I, and each step is ``numpy.linalg.lstsq``
+on the full system, every edge row kept.  It shares the package's sparse
+rows and completeness sign, which the developed residual checks, and
+nothing of its evaluation or elimination.
+
 The slope walk is the torus slope parser before the closed form: the
 straight segment of a slope is walked through the triangulated plane with
 exact rational arithmetic, counting its crossings with the three line
@@ -618,6 +626,86 @@ def solve_shapes_developed(system, tol=1e-12):
         if float(np.max(np.abs(f))) < tol:
             return ShapeVector(tuple(z))
     raise MaxIterations("no convergence within 50 Newton steps")
+
+
+# ---- least-squares shape solve ----
+
+def _dense_columns(system):
+    # Every row of the system as one column over the 3n log-parameters,
+    # stacked as the solve did, in the memory layout it had: that layout
+    # picks numpy's summation order, and with it the branch side of the
+    # completeness sums that sit on the cut at z = i.
+    n = system.triangulation.num_tetrahedra
+    edge = np.zeros((len(system.edge_rows), 3 * n), dtype=np.int64)
+    for r, row in enumerate(system.edge_rows):
+        for i, k, c in row:
+            edge[r, k * n + i] = c
+    complete = np.zeros(3 * n)
+    for i, k, c in system._complete_row:
+        complete[k * n + i] = c
+    return np.column_stack((edge.T, complete)).astype(complex)
+
+
+def _residual_array(system, columns, zs):
+    # residuals of one shape array (shape (n,)) or of a stack of them
+    # (shape (m, n), one residual row each)
+    logs = np.concatenate((np.log(zs), -np.log(1.0 - zs),
+                           np.log((zs - 1.0) / zs)), axis=-1)
+    out = logs @ columns
+    out[..., :-1] -= 2j * math.pi
+    last = out[..., -1]
+    last.imag = math.pi - np.mod(math.pi * (1 - system._sign) - last.imag,
+                                 2.0 * math.pi)
+    return out
+
+
+def solve_shapes_lstsq(system, tol=1e-12):
+    """Damped Newton with numpy arrays and a least-squares step.
+
+    The same start (every shape at i), forward-difference step h = 1e-7,
+    principal branch, line search, floor and tolerances as
+    cusplab.bundle.solve_shapes, which is checked against it.
+    """
+    columns = _dense_columns(system)
+    word = system.triangulation.word
+    n = system.triangulation.num_tetrahedra
+    z = np.full(n, 1j, dtype=complex)
+    floor = 1e-13
+    f = _residual_array(system, columns, z)
+    if float(np.max(np.abs(f))) < tol:
+        return ShapeVector(tuple(z))
+    size = float(np.linalg.norm(f))
+    h = 1e-7
+    shift = h * np.eye(n)
+    for it in range(1, 51):
+        jac = ((_residual_array(system, columns, z + shift) - f) / h).T
+        step = np.linalg.lstsq(jac, -f, rcond=None)[0]
+        if not np.all(np.isfinite(step)):
+            raise Diverged("%r step %d: Newton step is not finite"
+                           % (word, it))
+        t = 1.0
+        flattened = False
+        while True:
+            z2 = z + t * step
+            if np.min(z2.imag) <= floor:
+                flattened = True
+            else:
+                f2 = _residual_array(system, columns, z2)
+                if np.all(np.isfinite(f2)):
+                    size2 = float(np.linalg.norm(f2))
+                    if size2 < size or np.max(np.abs(f2)) < tol:
+                        z, f, size = z2, f2, size2
+                        break
+            t *= 0.5
+            if t < 1e-12:
+                if flattened:
+                    raise DegenerateShape("%r step %d: shapes collapse onto "
+                                          "the real line" % (word, it))
+                raise Diverged("%r step %d: step halving cannot reduce the "
+                               "residual" % (word, it))
+        if float(np.max(np.abs(f))) < tol:
+            return ShapeVector(tuple(z))
+    raise MaxIterations("%r: no convergence within 50 Newton steps" % word)
 
 
 # ---- arc distance from one end ----

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from cusplab.bundle import (
 )
 from oracles import (bloch_wigner, developed_residual, figure_eight_cusp,
                      lobachevsky_spence, maximal_cusp_bfs,
-                     solve_shapes_developed)
+                     solve_shapes_developed, solve_shapes_lstsq)
 
 REGULAR = complex(0.5, math.sqrt(3.0) / 2.0)
 
@@ -62,6 +64,30 @@ def two_letter_words(max_len):
             word = "".join(letters)
             if "R" in word and "L" in word:
                 yield word
+
+
+def random_words(count, low, high, seed):
+    """Seeded random words with both letters, lengths low..high."""
+    rng = random.Random(seed)
+    words = []
+    while len(words) < count:
+        word = "".join(rng.choice("RL")
+                       for _ in range(rng.randint(low, high)))
+        if "R" in word and "L" in word:
+            words.append(word)
+    return words
+
+
+def bundle_pool():
+    """The 48 words of the bundle-report benchmark pool: lengths 6..16,
+    both letters, no repeats, drawn from the paper's arXiv number."""
+    rng = random.Random(11085748)
+    words = []
+    while len(words) < 48:
+        word = "".join(rng.choice("RL") for _ in range(rng.randint(6, 16)))
+        if "R" in word and "L" in word and word not in words:
+            words.append(word)
+    return words
 
 
 class TestLayeredTriangulation:
@@ -242,6 +268,32 @@ class TestSolveShapes:
             got = solve_shapes(system)
             assert max(abs(z - w) for z, w in zip(got, want)) < 1e-10, word
 
+    # failures of the least-squares solve, frozen from the oracle: every
+    # one a DegenerateShape, although each of these triangulations is
+    # geometric (Gueritaud 2006)
+    @pytest.mark.parametrize("words, failures", [
+        (lambda: list(two_letter_words(9)), 77),
+        (bundle_pool, 11),
+        (lambda: random_words(200, 10, 20, seed=7), 29),
+    ], ids=["length<=9", "bundle-pool", "random-10-20"])
+    def test_matches_the_lstsq_solver(self, words, failures):
+        # the numpy solve with a least-squares step on the full system:
+        # the same exception class, or the same shapes
+        seen = Counter()
+        for word in words():
+            system = gluing_system(layered_triangulation(word))
+            try:
+                want = solve_shapes_lstsq(system)
+            except errors.NumericalError as exc:
+                with pytest.raises(errors.NumericalError) as info:
+                    solve_shapes(system)
+                assert type(info.value) is type(exc), word
+                seen[type(exc)] += 1
+                continue
+            got = solve_shapes(system)
+            assert max(abs(z - w) for z, w in zip(got, want)) < 1e-10, word
+        assert seen == {errors.DegenerateShape: failures}
+
     def test_degenerate_failure_names_word_step_and_tetrahedron(self):
         system = gluing_system(layered_triangulation("RRRRRLLRR"))
         with pytest.raises(errors.DegenerateShape) as info:
@@ -265,23 +317,25 @@ class TestSolveShapes:
         assert abs(complex(named[1]) - REGULAR) < 1e-9
 
     def test_iteration_cap_names_word_step_and_tetrahedron(self):
-        # a residual that shrinks on every call but never reaches tol
+        # a residual that shrinks on every call but never reaches tol,
+        # under an identity Newton system; the real parts move, Im z stays
         class Shrinking:
             triangulation = layered_triangulation("RRL")
             calls = 0
 
-            def residual(self, zs):
-                self.calls += 1
-                return np.full(3, 1.0 / self.calls, dtype=complex)
-
             def _evaluate(self, zs):
-                return zs
+                self.calls += 1
+                return [complex(1.0 / self.calls)] * 4, None
+
+            def _newton_system(self, zs, f, state, h):
+                return [[complex(r == c) for c in range(3)] + [-f[r]]
+                        for r in range(3)]
 
         with pytest.raises(errors.MaxIterations) as info:
             solve_shapes(Shrinking(), init=[2j, 1j, 3j])
         message = str(info.value)
         assert "word 'RRL', Newton step 50:" in message
-        assert "worst tetrahedron" in message
+        assert "worst tetrahedron 1 has shape " in message
 
     def test_input_validation(self, solved_rl):
         _, system, _ = solved_rl
@@ -371,8 +425,24 @@ class TestCuspCrossSection:
 
     def test_unsolved_shapes_are_refused(self, solved_rl):
         tri, _, _ = solved_rl
-        with pytest.raises(errors.NotSolved):
+        with pytest.raises(errors.NotSolved) as info:
             cusp_cross_section(tri, [0.3 + 0.9j, 0.3 + 0.9j])
+        assert "np." not in str(info.value)
+
+    def test_incomplete_shapes_are_refused(self):
+        # the least-squares solve from z = i ends on this word at a point
+        # that meets every equation but is incomplete: the completeness
+        # log is a nonzero multiple of 2 pi i.  Its numpy shapes must come
+        # back as a plain complex derivative in the message.
+        word = "LRRRRRLRRLRRLRRLRRLRLLRLRRRRRR"
+        tri = layered_triangulation(word)
+        shapes = solve_shapes_lstsq(gluing_system(tri))
+        with pytest.raises(errors.NotSolved) as info:
+            cusp_cross_section(tri, np.array(shapes.shapes))
+        message = str(info.value)
+        assert "np." not in message
+        rho = complex(message.split("derivative ")[1].split(";")[0])
+        assert abs(rho - 1.0) > 1e-6
 
     def test_height_is_area_over_longitude(self, solved_rl):
         tri, _, shapes = solved_rl
@@ -424,8 +494,9 @@ class TestMaximalCusp:
 
     def test_unsolved_shapes_are_refused(self, solved_rl):
         tri, _, _ = solved_rl
-        with pytest.raises(errors.NotSolved):
+        with pytest.raises(errors.NotSolved) as info:
             maximal_cusp(tri, [1j, 1j])
+        assert "np." not in str(info.value)
 
     def test_shapes_off_the_upper_half_plane_are_refused(self, solved_rl):
         # the edge formula rests on the triangulation being geometric
@@ -435,6 +506,7 @@ class TestMaximalCusp:
             maximal_cusp(tri, flipped)
         assert "'RL'" in str(info.value)
         assert "tetrahedron 1" in str(info.value)
+        assert "np." not in str(info.value)
 
     def test_one_development_per_call(self, monkeypatch):
         # the reference section and the edge formula read one development

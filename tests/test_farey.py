@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cusplab import cli, errors
+from cusplab import cli, errors, farey
 from cusplab.farey import (
     INFINITY,
     Monodromy,
@@ -15,6 +15,7 @@ from cusplab.farey import (
     slopes_in_box,
     stable_upper,
     translation_distance,
+    translation_distances,
     word_to_matrix,
 )
 from oracles import farey_bfs, farey_translation_box
@@ -189,6 +190,22 @@ class TestWordToMatrix:
         assert m.power(3).word == "RRLRRLRRL"
         assert m.power(-1).matrix == m.inverse().matrix
 
+    def test_power_multiplies_no_word_again(self, monkeypatch):
+        # a product of word-carrying matrices is the concatenated word's
+        # matrix by construction, so only word_to_matrix multiplies out
+        product = farey._word_product
+        calls = []
+
+        def counted(word):
+            calls.append(word)
+            return product(word)
+
+        monkeypatch.setattr(farey, "_word_product", counted)
+        power = word_to_matrix("RRL").power(20)
+        assert len(calls) <= 1
+        assert power.word == "RRL" * 20
+        assert power.matrix == product("RRL" * 20)
+
 
 class TestAct:
 
@@ -318,7 +335,53 @@ class TestTranslationDistance:
             == 2
 
 
+def wordless_matrices():
+    """The word-less and negative-trace matrices of the conjugacy and
+    negative-trace tests: conjugates of every class of length <= 6, their
+    negatives and inverses, and two negative traces."""
+    rng = np.random.default_rng(8)
+    out = [Monodromy(((-2, -1), (-1, -1))),
+           negated(word_to_matrix("RRRRRLLLLL"))]
+    for word in cli.corpus(6):
+        m = word_to_matrix(word)
+        for _ in range(4):
+            c = word_to_matrix(random_word(rng, 1, 6))
+            if rng.integers(2):
+                c = c.inverse()
+            conj = c * m * c.inverse()
+            out += [conj, negated(conj), conj.inverse()]
+    return out
+
+
+class TestTranslationDistances:
+
+    def test_one_ladder_matches_each_power(self):
+        for word in mixed_words(9):
+            m = word_to_matrix(word)
+            assert translation_distances(m, 5) == {
+                n: translation_distance(m.power(n)) for n in range(1, 6)}, word
+
+    def test_wordless_and_negative_trace(self):
+        for m in wordless_matrices():
+            assert m.word is None
+            assert translation_distances(m, 5) == {
+                n: translation_distance(m.power(n))
+                for n in range(1, 6)}, m.matrix
+
+    def test_not_pseudo_anosov(self):
+        with pytest.raises(errors.NotPseudoAnosov):
+            translation_distances(word_to_matrix("R"), 3)
+
+
 class TestStableUpper:
+
+    def test_matches_the_acted_powers(self):
+        # d(inf, m^n inf) / n, with m^n inf read off the powers themselves
+        matrices = [word_to_matrix(w) for w in mixed_words(7)]
+        for m in matrices + wordless_matrices():
+            assert stable_upper(m, 8) == [
+                Fraction(distance(INFINITY, act(m.power(n), INFINITY)), n)
+                for n in range(1, 9)], m.matrix
 
     def test_rl_is_constant_one(self):
         ratios = stable_upper(word_to_matrix("RL"), 30)

@@ -84,6 +84,15 @@ def test_distance_commands_leave_numpy_out(argv):
     assert loaded_after(code) == []
 
 
+@pytest.mark.parametrize("argv", [["verify-thm14", "--max-word-len", "3"],
+                                  ["bundle-report", "RL"]])
+def test_bundle_commands_leave_numpy_out(argv):
+    # the shape solve runs in plain complex arithmetic, and the report
+    # reads the library versions from package metadata
+    code = "from cusplab import cli; assert cli.run(%r) == 0" % (argv,)
+    assert loaded_after(code) == []
+
+
 def test_reports_keep_the_library_versions():
     import numpy
     import scipy
