@@ -337,6 +337,25 @@ class TestSolveShapes:
         assert "word 'RRL', Newton step 50:" in message
         assert "worst tetrahedron 1 has shape " in message
 
+    def test_singular_step_is_a_divergence(self):
+        # a zero pivot in the elimination is a step that is not finite,
+        # reported like the other failures, never a ZeroDivisionError
+        class Singular:
+            triangulation = layered_triangulation("RRL")
+
+            def _evaluate(self, zs):
+                return [1.0 + 0j] * 4, None
+
+            def _newton_system(self, zs, f, state, h):
+                return [[0j, 0j, 0j, -f[r]] for r in range(3)]
+
+        with pytest.raises(errors.Diverged) as info:
+            solve_shapes(Singular(), init=[2j, 1j, 3j])
+        message = str(info.value)
+        assert "word 'RRL', Newton step 1: Newton step is not finite" \
+            in message
+        assert "worst tetrahedron 1 has shape " in message
+
     def test_input_validation(self, solved_rl):
         _, system, _ = solved_rl
         with pytest.raises(ValueError):
