@@ -26,14 +26,16 @@ j re-evaluates only tetrahedron j's logs, and it takes each step from the
 square system left after dropping one edge row; solve_shapes says why
 both are exact.
 
-Plane bookkeeping.  The fiber is R^2/Z^2 minus the lattice, triangulated by
-two triangles with edge directions u, v, u + v.  The letter R flips the
-u-edge and replaces u by u + v; the letter L flips the v-edge and replaces
-v by u + v.  Either flip spans an ideal tetrahedron whose two bottom faces
-lie in the old triangulation and whose two top faces lie in the new one.
-Faces are identified with lattice triangles up to translation, and the top
-of the last layer is carried onto the bottom of the first by the inverse of
-the monodromy acting on the plane.
+Letter tables.  The fiber triangulation has three edge slots U, V and
+W = U + V; R flips U and L flips V, and either flip spans one tetrahedron
+with the new diagonal on vertices {0,1}, the old one on {2,3}, bottom faces
+0 and 1 and top faces 2 and 3.  The combinatorics depend only on the word.
+_STACK says how a layer's top faces glue to the next layer's bottom faces,
+given the next letter; the top of the last layer closes onto the bottom of
+the first by the same rule, with winding +1 and -1 on the two sides.
+_SLOT says which slot each edge of a layer lies on, given its letter; the
+slots hold the layers at which their edges were born, so edge class i is
+the edge born as tetrahedron i's top diagonal.
 """
 
 import cmath
@@ -58,23 +60,10 @@ __all__ = [
 
 # ---- layered triangulation ----------------------------------------------
 
-def _add(p, q):
-    return (p[0] + q[0], p[1] + q[1])
-
-
-def _sub(p, q):
-    return (p[0] - q[0], p[1] - q[1])
-
-
-def _neg(p):
-    return (-p[0], -p[1])
-
-
-# The vertex order (v0, v1, v2, v3) realizes the flip quadrilateral
-# (a, b, c, d), counterclockwise in the plane, as (a, c, b, d): the two
-# quad diagonals are then the opposite edge pairs {0,1} (new, top) and
-# {2,3} (old, bottom).  Faces are named by the omitted vertex, so faces
-# 0 and 1 are the bottom pair and faces 2 and 3 are the top pair.
+# Each layer's vertex order puts the diagonal its flip creates (the top
+# diagonal) on {0,1} and the diagonal it removes (the bottom diagonal) on
+# {2,3}.  Faces are named by the omitted vertex, so faces 0 and 1 are the
+# bottom pair and faces 2 and 3 are the top pair.
 _FACE = {r: tuple(m for m in range(4) if m != r) for r in range(4)}
 
 # Opposite edges carry equal dihedral parameters: index 0 is z itself on
@@ -87,13 +76,24 @@ for _k, _pairs in enumerate((((0, 1), (2, 3)),
     for _p in _pairs:
         _PAIR[frozenset(_p)] = _k
 
+# How a layer's top faces glue to the next layer's bottom faces, keyed by
+# the next layer's letter: (top face, bottom face, vertex bijection).  The
+# top of the last layer closes onto the bottom of the first by the same
+# rule.
+_STACK = {
+    "L": ((2, 0, {0: 2, 1: 1, 3: 3}), (3, 1, {0: 0, 1: 3, 2: 2})),
+    "R": ((2, 1, {0: 0, 1: 2, 3: 3}), (3, 0, {0: 3, 1: 1, 2: 2})),
+}
 
-@dataclass(frozen=True)
-class _Tet:
-    """One layer: the tetrahedron spanned by a single diagonal flip."""
-    letter: str
-    verts: tuple  # four plane points in (v0, v1, v2, v3) order
-
+# The fiber slot (0 = U, 1 = V, 2 = W = U + V) under the layer that each
+# of its edges other than the top diagonal {0,1} lies on, keyed by its
+# letter.  The bottom diagonal {2,3} lies on the slot the flip empties, U
+# for R and V for L; that slot then takes W's edge, and W takes the top
+# diagonal, the edge the layer gives birth to.
+_SLOT = {
+    "R": {(2, 3): 0, (0, 2): 2, (1, 3): 2, (0, 3): 1, (1, 2): 1},
+    "L": {(2, 3): 1, (0, 2): 0, (1, 3): 0, (0, 3): 2, (1, 2): 2},
+}
 
 # Walking once around the fiber puncture crosses the corners of the two
 # bottom faces of the first layer in a fixed cyclic order.  Entries are
@@ -113,13 +113,13 @@ class LayeredTriangulation:
     ``degrees`` records the winding of each gluing around the fiber
     direction (+1 crossing the monodromy closure upward, -1 downward, 0
     inside the stack).  ``edge_classes`` partitions the 6n tetrahedron
-    edges (tet, vertex pair) into the edges of the glued manifold, and
-    ``fiber_boundary_class`` lists the face corners of tetrahedron 0 that
-    a loop around the fiber puncture crosses, in cyclic order: the
-    peripheral class of the fiber boundary (the longitude).
+    edges (tet, vertex pair) into the edges of the glued manifold, class i
+    being the edge born at layer i as tetrahedron i's top diagonal
+    (i, (0, 1)).  ``fiber_boundary_class`` lists the face corners of
+    tetrahedron 0 that a loop around the fiber puncture crosses, in cyclic
+    order: the peripheral class of the fiber boundary (the longitude).
     """
     word: str
-    tetrahedra: tuple
     gluings: dict
     degrees: dict
     edge_classes: tuple
@@ -127,7 +127,7 @@ class LayeredTriangulation:
 
     @property
     def num_tetrahedra(self):
-        return len(self.tetrahedra)
+        return len(self.word)
 
     @cached_property
     def _system(self):
@@ -136,99 +136,50 @@ class LayeredTriangulation:
         return GluingSystem(self)
 
 
+def _advance(slots, letter, i):
+    # the fiber slots after layer i: its flip empties one slot, which takes
+    # W's edge, and W takes the newborn edge i
+    slots[_SLOT[letter][(2, 3)]] = slots[2]
+    slots[2] = i
+
+
 def layered_triangulation(word):
     """Build the layered triangulation of the bundle with monodromy ``word``.
 
     Raises NotPseudoAnosov for single-letter words (parabolic monodromy),
     EmptyWord for "", and ValueError on characters outside {L, R}.
     """
-    mono = word_to_matrix(word)
-    if not mono.is_pseudo_anosov:
+    if not word_to_matrix(word).is_pseudo_anosov:
         raise NotPseudoAnosov("monodromy %r is not pseudo-Anosov" % word)
 
-    u, v = (1, 0), (0, 1)
-    tets = []
-    for letter in word:
-        w = _add(u, v)
-        if letter == "R":
-            tets.append(_Tet(letter, (_neg(v), w, u, (0, 0))))
-            u = w
-        else:
-            tets.append(_Tet(letter, (_neg(u), w, (0, 0), v)))
-            v = w
-
-    (a, b), (c, d) = mono.matrix
-
-    def unwind(p):
-        # inverse monodromy on plane vectors (q, p); carries the top of the
-        # last layer back onto the bottom of the first
-        return (a * p[0] - c * p[1], -b * p[0] + d * p[1])
-
-    n = len(tets)
+    n = len(word)
     gluings = {}
     degrees = {}
-    for i, tet in enumerate(tets):
-        j = (i + 1) % n
-        wrap = (j == 0)
-        bottoms = {}
-        for r in (0, 1):
-            pts = [tets[j].verts[m] for m in _FACE[r]]
-            base = min(pts)
-            key = tuple(sorted(_sub(q, base) for q in pts))
-            bottoms[key] = (r, {_sub(q, base): m
-                                for q, m in zip(pts, _FACE[r])})
-        for r in (2, 3):
-            pts = [tet.verts[m] for m in _FACE[r]]
-            if wrap:
-                pts = [unwind(q) for q in pts]
-            base = min(pts)
-            key = tuple(sorted(_sub(q, base) for q in pts))
-            if key not in bottoms:
-                raise NumericalError("layer %d does not stack onto layer %d"
-                                     % (i, j))
-            r2, where = bottoms[key]
-            sigma = {m: where[_sub(q, base)]
-                     for q, m in zip(pts, _FACE[r])}
-            gluings[(i, r)] = (j, r2, sigma)
-            gluings[(j, r2)] = (i, r, {m2: m1 for m1, m2 in sigma.items()})
-            degrees[(i, r)] = 1 if wrap else 0
-            degrees[(j, r2)] = -1 if wrap else 0
-
-    for handle, (j, r2, _) in gluings.items():
-        back = gluings[(j, r2)]
-        if (back[0], back[1]) != handle or (j, r2) == handle:
-            raise NumericalError("face gluing is not an involution")
-
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for i in range(n):
-        for m1 in range(4):
-            for m2 in range(m1 + 1, 4):
-                parent[(i, (m1, m2))] = (i, (m1, m2))
-    for (i, r), (j, r2, sigma) in gluings.items():
-        face = _FACE[r]
-        for s in range(3):
-            for s2 in range(s + 1, 3):
-                m1, m2 = face[s], face[s2]
-                e1 = find((i, tuple(sorted((m1, m2)))))
-                e2 = find((j, tuple(sorted((sigma[m1], sigma[m2])))))
-                if e1 != e2:
-                    parent[e1] = e2
-    classes = {}
-    for edge in parent:
-        classes.setdefault(find(edge), []).append(edge)
-    edge_classes = tuple(tuple(sorted(members))
-                         for _, members in sorted(classes.items()))
+        j = (i + 1) % n
+        wrap = 1 if j == 0 else 0
+        for r, r2, sigma in _STACK[word[j]]:
+            gluings[(i, r)] = (j, r2, dict(sigma))
+            gluings[(j, r2)] = (i, r, {m2: m1 for m1, m2 in sigma.items()})
+            degrees[(i, r)] = wrap
+            degrees[(j, r2)] = -wrap
+
+    # The slots at the bottom of layer 0 are the ones the stack closes
+    # onto at the top of the last layer: run round the word until every
+    # slot holds an edge, then record each layer's edges.
+    slots = [None, None, None]
+    while None in slots:
+        for i, letter in enumerate(word):
+            _advance(slots, letter, i)
+    classes = [[(i, (0, 1))] for i in range(n)]
+    for i, letter in enumerate(word):
+        for edge, s in _SLOT[letter].items():
+            classes[slots[s]].append((i, edge))
+        _advance(slots, letter, i)
+    edge_classes = tuple(tuple(sorted(members)) for members in classes)
 
     walk = tuple((0, r, m) for r, m in _PUNCTURE_WALK[word[0]])
-    return LayeredTriangulation(word, tuple(tets), gluings, degrees,
-                                edge_classes, walk)
+    return LayeredTriangulation(word, gluings, degrees, edge_classes, walk)
 
 
 # ---- shapes and gluing equations ----------------------------------------

@@ -437,7 +437,9 @@ def _cmd_lemma_suite(config):
 
 # ---- dispatch ----
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="cusplab",
         description="Arc-complex distances and cusp geometry of "

@@ -13,6 +13,13 @@ horoball development for the maximal cusp.  They share the package's
 Farey distance and reference cusp cut, which other tests check on their
 own, and nothing of the ladder or the edge formula.
 
+The plane triangulation is layered_triangulation before its letter
+tables: every tetrahedron is placed in the plane, faces are matched as
+lattice triangles up to translation, the last layer is unwound by the
+inverse monodromy, and a union-find merges the 6n tetrahedron edges.  It
+shares the package's face and puncture-walk tables and nothing of the
+stacking or the edge slots.
+
 The developed residual and its Newton loop are the shape solve before the
 completeness row became a precomputed monomial: each residual develops the
 cusp torus and takes the principal log of the completeness ratio, and each
@@ -65,12 +72,14 @@ from scipy.sparse.csgraph import shortest_path
 
 from cusplab import geometry
 from cusplab.arcs import NormalArc, _neighbors
-from cusplab.bundle import (_FACE, _PAIR, CuspCrossSection, ShapeVector,
+from cusplab.bundle import (_FACE, _PAIR, _PUNCTURE_WALK, CuspCrossSection,
+                            LayeredTriangulation, ShapeVector,
                             cusp_cross_section)
 from cusplab.cli import CONE_TOL, TANGENT_TOL
 from cusplab.errors import (BudgetExceeded, DegenerateShape, DepthUnstable,
-                            Diverged, MaxIterations, NotAnArc, Unreachable)
-from cusplab.farey import Slope, _distance_pq
+                            Diverged, MaxIterations, NotAnArc,
+                            NotPseudoAnosov, NumericalError, Unreachable)
+from cusplab.farey import Slope, _distance_pq, word_to_matrix
 
 
 def farey_box_vertices(bound):
@@ -554,6 +563,117 @@ def maximal_cusp_bfs(triangulation, shapes, depth=8):
     mu, lam = mu / h, lam / h
     area = reference.area / (h * h)
     return CuspCrossSection((mu, lam), area, abs(lam), area / abs(lam))
+
+
+# ---- plane-point layered triangulation ----
+
+def _vadd(p, q):
+    return (p[0] + q[0], p[1] + q[1])
+
+
+def _vsub(p, q):
+    return (p[0] - q[0], p[1] - q[1])
+
+
+def layered_triangulation_plane(word):
+    """Layered triangulation of ``word`` built by placing it in the plane.
+
+    The fiber is R^2/Z^2 minus the lattice, triangulated by two triangles
+    with edge directions u, v, u + v; R flips the u-edge and replaces u by
+    u + v, L flips the v-edge and replaces v by u + v.  Each flip's
+    tetrahedron is four plane points, the flip quadrilateral (a, b, c, d)
+    counterclockwise taken as (a, c, b, d).  A top face glues to the
+    bottom face of the next layer that is the same lattice triangle up to
+    translation, matched by sorted difference tuples; the top of the last
+    layer is first carried back by the inverse monodromy.  Edge classes
+    come from a union-find over all 6n tetrahedron edges, in root order.
+    The package's letter tables are checked against it.
+    """
+    mono = word_to_matrix(word)
+    if not mono.is_pseudo_anosov:
+        raise NotPseudoAnosov("monodromy %r is not pseudo-Anosov" % word)
+
+    u, v = (1, 0), (0, 1)
+    verts = []
+    for letter in word:
+        w = _vadd(u, v)
+        if letter == "R":
+            verts.append(((-v[0], -v[1]), w, u, (0, 0)))
+            u = w
+        else:
+            verts.append(((-u[0], -u[1]), w, (0, 0), v))
+            v = w
+
+    (a, b), (c, d) = mono.matrix
+
+    def unwind(p):
+        # inverse monodromy on plane vectors (q, p)
+        return (a * p[0] - c * p[1], -b * p[0] + d * p[1])
+
+    n = len(verts)
+    gluings = {}
+    degrees = {}
+    for i in range(n):
+        j = (i + 1) % n
+        wrap = (j == 0)
+        bottoms = {}
+        for r in (0, 1):
+            pts = [verts[j][m] for m in _FACE[r]]
+            base = min(pts)
+            key = tuple(sorted(_vsub(q, base) for q in pts))
+            bottoms[key] = (r, {_vsub(q, base): m
+                                for q, m in zip(pts, _FACE[r])})
+        for r in (2, 3):
+            pts = [verts[i][m] for m in _FACE[r]]
+            if wrap:
+                pts = [unwind(q) for q in pts]
+            base = min(pts)
+            key = tuple(sorted(_vsub(q, base) for q in pts))
+            if key not in bottoms:
+                raise NumericalError("layer %d does not stack onto layer %d"
+                                     % (i, j))
+            r2, where = bottoms[key]
+            sigma = {m: where[_vsub(q, base)]
+                     for q, m in zip(pts, _FACE[r])}
+            gluings[(i, r)] = (j, r2, sigma)
+            gluings[(j, r2)] = (i, r, {m2: m1 for m1, m2 in sigma.items()})
+            degrees[(i, r)] = 1 if wrap else 0
+            degrees[(j, r2)] = -1 if wrap else 0
+
+    for handle, (j, r2, _) in gluings.items():
+        back = gluings[(j, r2)]
+        if (back[0], back[1]) != handle or (j, r2) == handle:
+            raise NumericalError("face gluing is not an involution")
+
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(n):
+        for m1 in range(4):
+            for m2 in range(m1 + 1, 4):
+                parent[(i, (m1, m2))] = (i, (m1, m2))
+    for (i, r), (j, r2, sigma) in gluings.items():
+        face = _FACE[r]
+        for s in range(3):
+            for s2 in range(s + 1, 3):
+                m1, m2 = face[s], face[s2]
+                e1 = find((i, tuple(sorted((m1, m2)))))
+                e2 = find((j, tuple(sorted((sigma[m1], sigma[m2])))))
+                if e1 != e2:
+                    parent[e1] = e2
+    classes = {}
+    for edge in parent:
+        classes.setdefault(find(edge), []).append(edge)
+    edge_classes = tuple(tuple(sorted(members))
+                         for _, members in sorted(classes.items()))
+
+    walk = tuple((0, r, m) for r, m in _PUNCTURE_WALK[word[0]])
+    return LayeredTriangulation(word, gluings, degrees, edge_classes, walk)
 
 
 # ---- developed-ratio shape solve ----

@@ -23,8 +23,9 @@ from cusplab.bundle import (
     total_volume,
 )
 from oracles import (bloch_wigner, developed_residual, figure_eight_cusp,
-                     lobachevsky_spence, maximal_cusp_bfs,
-                     solve_shapes_developed, solve_shapes_lstsq)
+                     layered_triangulation_plane, lobachevsky_spence,
+                     maximal_cusp_bfs, solve_shapes_developed,
+                     solve_shapes_lstsq)
 
 REGULAR = complex(0.5, math.sqrt(3.0) / 2.0)
 
@@ -104,6 +105,29 @@ class TestLayeredTriangulation:
             slots = [e for cls in tri.edge_classes for e in cls]
             assert len(slots) == 6 * len(word)
             assert len(set(slots)) == len(slots)
+
+    def test_class_i_is_the_edge_born_at_layer_i(self):
+        for word in ["RL", "RRL", "RRLL", "RRLRL"]:
+            tri = layered_triangulation(word)
+            for i, cls in enumerate(tri.edge_classes):
+                assert (i, (0, 1)) in cls, (word, i)
+
+    @pytest.mark.parametrize("words, count", [
+        (lambda: list(two_letter_words(9)), 1004),
+        (bundle_pool, 48),
+        (lambda: random_words(500, 10, 40, seed=1552), 500),
+    ], ids=["length<=9", "bundle-pool", "random-10-40"])
+    def test_matches_the_plane_oracle(self, words, count):
+        # the letter tables against plane points, face keys and a
+        # union-find: the same gluings, degrees and edge partition
+        words = words()
+        assert len(words) == count
+        for word in words:
+            got = layered_triangulation(word)
+            want = layered_triangulation_plane(word)
+            assert got.gluings == want.gluings, word
+            assert got.degrees == want.degrees, word
+            assert sorted(got.edge_classes) == sorted(want.edge_classes), word
 
     def test_gluings_form_a_fixed_point_free_involution(self):
         tri = layered_triangulation("RRLRL")

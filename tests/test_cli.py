@@ -1,9 +1,13 @@
 """Subcommand dispatch, corpus symmetry classes, and report formats."""
 
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -64,6 +68,41 @@ class TestCorpus:
     def test_short_cap_rejected(self):
         with pytest.raises(ValueError):
             cli.corpus(1)
+
+
+def run_redirected(argv):
+    """cli.run with stdout and stderr redirected: (code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_fresh(argv):
+    """cli.run in a new interpreter, so with a parser built afresh."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from cusplab import cli; sys.exit(cli.run(sys.argv[1:]))"]
+        + argv, env=env, capture_output=True, text=True, check=False)
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestParser:
+
+    CALLS = (["bundle-report"], ["--help"], ["farey-dist", "0/1", "2/5"])
+
+    def test_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_repeated_calls_match_a_fresh_process(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        fresh = [run_fresh(argv) for argv in self.CALLS]
+        assert [code for code, _, _ in fresh] == [2, 0, 0]
+        for _ in range(2):
+            for argv, want in zip(self.CALLS, fresh):
+                assert run_redirected(argv) == want
 
 
 class TestFareyDist:
