@@ -76,7 +76,7 @@ class CuspReport:
         return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
 
 
-def verify_fibered(word, n_max=4, tol=1e-12, depth=8, stable_n=20):
+def verify_fibered(word, n_max=4, tol=1e-12, stable_n=20):
     """Measure a bundle's maximal cusp and check the area/height bounds.
 
     Checks, for the once-punctured-torus fiber (chi = -1):
@@ -87,8 +87,7 @@ def verify_fibered(word, n_max=4, tol=1e-12, depth=8, stable_n=20):
     stable_upper / 536 chi^4 use an upper estimate of the stable
     distance, so a pass is stronger than the theorem
     (consistent-strong:*) and a failure proves nothing
-    (inconclusive:*).  ``depth`` is accepted and ignored, as in
-    maximal_cusp.
+    (inconclusive:*).
 
     Solver and geometry errors propagate unchanged.
     """
@@ -97,7 +96,7 @@ def verify_fibered(word, n_max=4, tol=1e-12, depth=8, stable_n=20):
     mono = farey.word_to_matrix(word)
     tri = bundle.layered_triangulation(word)
     shapes = bundle.solve_shapes(bundle.gluing_system(tri), tol=tol)
-    cusp = bundle.maximal_cusp(tri, shapes, depth=depth)
+    cusp = bundle.maximal_cusp(tri, shapes)
 
     d_psi_n = farey.translation_distances(mono, n_max)
     stable = float(min(farey.stable_upper(mono, stable_n)))

@@ -10,6 +10,13 @@ Newton iteration, and measures the cusp: the translation lattice of the
 boundary torus, the length of the fiber boundary (the longitude), and the
 maximal horoball neighborhood.
 
+The lattice is read off its two named loops, with no search for a basis.
+lam is the fiber boundary: the walk round the fiber puncture that
+LayeredTriangulation.fiber_boundary_class names, summed side by side over
+the developed cusp triangles, so its sign follows their orientation.  mu
+is the completeness loop, which winds once around the fiber direction,
+reduced modulo lam to the shortest vector of its class.
+
 The gluing equations are integer data fixed by the triangulation.  The
 edge rows are sparse integer rows over the log-parameters, and the
 completeness row is one signed monomial (-1)^s prod z_i^a_i (1 - z_i)^b_i,
@@ -301,8 +308,8 @@ class GluingSystem:
 
     One equation per edge class (the dihedral log-parameters around the
     class sum to 2*pi*i) plus one completeness equation: the log of the
-    derivative rho of a fixed peripheral loop with nonzero winding around
-    the fiber direction.  The edge equations carry one redundancy (their
+    derivative rho of a fixed peripheral loop that winds once around the
+    fiber direction.  The edge equations carry one redundancy (their
     sum is 2*pi*i times the number of edges for any upper-half-plane
     shapes), so Newton steps drop one of them; solve_shapes says why that
     is exact.
@@ -398,10 +405,13 @@ class GluingSystem:
         self._order = tuple(order)
         self._parent = parent
         self._nontree = tuple(nontree)
-        candidates = [x for x in nontree if x[2] != 0]
-        if not candidates:
-            raise NumericalError("no peripheral loop winds around the fiber")
-        self._complete = min(candidates, key=lambda x: (abs(x[2]), x[0]))
+        # the completeness loop, which is also the lattice's mu, must
+        # wind exactly once around the fiber direction
+        once = [x for x in nontree if abs(x[2]) == 1]
+        if not once:
+            raise NumericalError("word %r: no peripheral loop winds once "
+                                 "around the fiber" % t.word)
+        self._complete = min(once, key=lambda x: x[0])
 
     def _completeness_monomial(self):
         # Replays _develop on monomials, along the tree paths from the root
@@ -755,12 +765,15 @@ def total_volume(shapes):
 class CuspCrossSection:
     """Flat data of the cusp torus at one horospherical cut.
 
-    ``translations`` is a basis (mu, lam) of the peripheral lattice where
-    lam is the holonomy of the fiber boundary (the longitude) and mu is a
-    transverse curve winding once around the fiber direction; mu is only
-    canonical modulo lam.  The area is the coarea of the lattice and the
-    height is area divided by longitude length, so scaling the cut scales
-    lengths linearly and the area quadratically.
+    ``translations`` is a basis (mu, lam) of the peripheral lattice.  lam
+    is the fiber boundary (the longitude): the sum of the six cusp
+    triangle sides that the triangulation's fiber_boundary_class walks,
+    so its sign follows the orientation of the cusp triangles.  mu is the
+    completeness loop, which winds once around the fiber direction,
+    reduced modulo lam to the shortest vector of its class.  The area is
+    the coarea of the lattice and the height is area divided by longitude
+    length, so scaling the cut scales lengths linearly and the area
+    quadratically.
     """
     translations: tuple
     area: float
@@ -779,55 +792,6 @@ class CuspCrossSection:
         if abs(self.height * self.longitude_length - self.area) \
                 > 1e-9 * max(1.0, self.area):
             raise NumericalError("cusp height does not match the area")
-
-
-def _primitive_translation(values, scale):
-    # generator of a rank-one lattice of collinear complex numbers
-    vals = [w for w in values if abs(w) > 1e-9 * scale]
-    if not vals:
-        raise NumericalError("fiber boundary loop has trivial holonomy")
-    ref = max(vals, key=abs)
-    unit = ref / abs(ref)
-    reals = []
-    for w in vals:
-        x = w / unit
-        if abs(x.imag) > 1e-6 * scale:
-            raise NumericalError("peripheral translations are not collinear")
-        reals.append(x.real)
-    g = 0.0
-    for x in reals:
-        a, b = g, x
-        while abs(b) > 1e-7 * scale:
-            a, b = b, a - round(a / b) * b
-        g = a
-    for x in reals:
-        if abs(x / g - round(x / g)) > 1e-6:
-            raise NumericalError("peripheral translations are not commensurable")
-    return g * unit
-
-
-def _peripheral_basis(holonomies):
-    # Integer row reduction on winding degrees: one generator keeps the
-    # degree gcd (the transverse curve), the rest fall into the kernel of
-    # the winding map, which is spanned by the fiber boundary.
-    gens = [[deg, tr] for deg, _, tr in holonomies]
-    scale = max(max(abs(g[1]) for g in gens), 1.0)
-    while True:
-        nonzero = [g for g in gens if g[0] != 0]
-        if len(nonzero) <= 1:
-            break
-        nonzero.sort(key=lambda g: abs(g[0]))
-        pivot = nonzero[0]
-        for g in nonzero[1:]:
-            q = round(g[0] / pivot[0])
-            g[0] -= q * pivot[0]
-            g[1] -= q * pivot[1]
-    transverse = [g for g in gens if g[0] != 0]
-    if len(transverse) != 1 or abs(transverse[0][0]) != 1:
-        raise NumericalError("winding degrees do not span the fiber direction")
-    lam = _primitive_translation([g[1] for g in gens if g[0] == 0], scale)
-    mu = transverse[0][1] if transverse[0][0] == 1 else -transverse[0][1]
-    return mu, lam
 
 
 def cusp_cross_section(triangulation, shapes, base=(0, 0)):
@@ -855,32 +819,44 @@ def _cross_section(system, zs):
     if residual > 1e-8:
         raise NotSolved("shapes leave gluing residual %.3e" % residual)
     pos = system._develop(zs)
-    hol = system._holonomies(pos)
-    for _, rho, _ in hol:
+    for _, rho, _ in system._holonomies(pos):
         if abs(rho - 1.0) > 1e-6:
             raise NotSolved("peripheral holonomy has derivative %r; "
                             "the structure is incomplete" % (rho,))
-    mu, lam = _peripheral_basis(hol)
+    # Every derivative is 1, so a side's vector is the same in every
+    # chart.  lam walks the fiber boundary: corner (0, r, m) is the side
+    # of cusp triangle (0, m) across face r, run along _cyc(m).
+    lam = 0j
+    for i, r, m in system.triangulation.fiber_boundary_class:
+        cy = _cyc(m)
+        ti = cy.index(r)
+        p = pos[(i, m)]
+        lam += p[cy[(ti + 2) % 3]] - p[cy[(ti + 1) % 3]]
+    # mu is the completeness loop, turned to wind +1 around the fiber
+    side, other_side, deg = system._complete
+    mu = deg * system._side_holonomy(pos, side, other_side)[1]
     area = abs((mu.conjugate() * lam).imag)
     if area <= 1e-12 * abs(mu) * abs(lam):
         raise NumericalError("peripheral translations are linearly dependent")
+    # the shortest vector of mu's class modulo lam
+    mu -= round((mu / lam).real) * lam
     section = CuspCrossSection((mu, lam), area, abs(lam), area / abs(lam))
     return section, pos
 
 
 # ---- maximal cusp --------------------------------------------------------
 
-def maximal_cusp(triangulation, shapes, depth=8):
+def maximal_cusp(triangulation, shapes):
     """Cusp cross section at the first self-tangency of the cusp.
 
     Reads the maximal cusp off the edges of the triangulation: the
     largest horoball diameter D at the reference cut of
     cusp_cross_section is the largest value of h_k h_m below, and the
     maximal cut scales the reference lattice by 1 / sqrt(D), so its area
-    is the reference area over D.  ``depth`` is accepted and ignored:
-    the computation is exact and has no search depth.  Raises
-    NotSolved on unsolved shapes and on a shape outside the upper half
-    plane, naming the word and the worst tetrahedron.
+    is the reference area over D.  The computation is exact and has no
+    search depth.  Raises NotSolved on unsolved shapes and on a shape
+    outside the upper half plane, naming the word and the worst
+    tetrahedron.
 
     Edge formula.  In a tetrahedron with a vertex k at infinity and the
     cusp cut at height one, an ideal vertex m carries the horoball of
@@ -928,16 +904,13 @@ def maximal_cusp(triangulation, shapes, depth=8):
 
 # ---- reports -------------------------------------------------------------
 
-def bundle_report(word, tol=1e-12, depth=8, init="i"):
-    """Solve a bundle end to end; returns a JSON-ready dictionary.
-
-    ``depth`` is accepted and ignored, as in maximal_cusp.
-    """
+def bundle_report(word, tol=1e-12, init="i"):
+    """Solve a bundle end to end; returns a JSON-ready dictionary."""
     t = layered_triangulation(word)
     system = gluing_system(t)
     solved = solve_shapes(system, init=init, tol=tol)
     residual = max(map(abs, system.residual(solved)))
-    cusp = maximal_cusp(t, solved, depth=depth)
+    cusp = maximal_cusp(t, solved)
     return {
         "word": word,
         "shapes": [[z.real, z.imag] for z in solved],

@@ -194,7 +194,7 @@ def _cmd_arc_dist(args, config):
 
 def _cmd_bundle_report(args, config):
     report = bundle.bundle_report(args.word, tol=config.tol,
-                                  depth=config.depth, init=config.init)
+                                  init=config.init)
     doc = _envelope(config)
     doc.update(report)
     _emit(_json_text(doc), config.out)
@@ -224,7 +224,7 @@ def _thm14_csv(config, reports):
 
 def _cmd_verify_thm14(config):
     reports = [bounds.verify_fibered(word, n_max=config.n_max,
-                                     tol=config.tol, depth=config.depth,
+                                     tol=config.tol,
                                      stable_n=config.stable_n)
                for word in corpus(config.max_word_len)]
 

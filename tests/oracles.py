@@ -13,6 +13,12 @@ horoball development for the maximal cusp.  They share the package's
 Farey distance and reference cusp cut, which other tests check on their
 own, and nothing of the ladder or the edge formula.
 
+The gcd basis is the cusp lattice before it was read off its two named
+loops: integer row reduction on the windings of all non-tree loops of the
+cusp graph, then a floating-point Euclid over the translations of winding
+zero.  It shares the package's development and its loops, which the area
+tests check on their own.
+
 The plane triangulation is layered_triangulation before its letter
 tables: every tetrahedron is placed in the plane, faces are matched as
 lattice triangles up to translation, the last layer is unwound by the
@@ -563,6 +569,67 @@ def maximal_cusp_bfs(triangulation, shapes, depth=8):
     mu, lam = mu / h, lam / h
     area = reference.area / (h * h)
     return CuspCrossSection((mu, lam), area, abs(lam), area / abs(lam))
+
+
+# ---- peripheral basis by integer reduction and a float gcd ----
+
+def _primitive_translation(values, scale):
+    # generator of a rank-one lattice of collinear complex numbers
+    vals = [w for w in values if abs(w) > 1e-9 * scale]
+    if not vals:
+        raise NumericalError("fiber boundary loop has trivial holonomy")
+    ref = max(vals, key=abs)
+    unit = ref / abs(ref)
+    reals = []
+    for w in vals:
+        x = w / unit
+        if abs(x.imag) > 1e-6 * scale:
+            raise NumericalError("peripheral translations are not collinear")
+        reals.append(x.real)
+    g = 0.0
+    for x in reals:
+        a, b = g, x
+        while abs(b) > 1e-7 * scale:
+            a, b = b, a - round(a / b) * b
+        g = a
+    for x in reals:
+        if abs(x / g - round(x / g)) > 1e-6:
+            raise NumericalError("peripheral translations are not "
+                                 "commensurable")
+    return g * unit
+
+
+def peripheral_basis_gcd(holonomies):
+    """Peripheral lattice basis (mu, lam) from every non-tree loop.
+
+    ``holonomies`` is GluingSystem.holonomies: (winding, derivative,
+    translation) per loop.  Integer row reduction on the windings leaves
+    one generator of winding +-1 (mu, turned to +1) and a kernel of
+    winding zero, whose translations are collinear multiples of the fiber
+    boundary; lam is their generator, found by a floating-point Euclid.
+    Raises NumericalError when the windings do not span or the kernel is
+    not a rank-one lattice.  cusplab.bundle reads the same lattice off the
+    two named loops and is checked against it.
+    """
+    gens = [[deg, tr] for deg, _, tr in holonomies]
+    scale = max(max(abs(g[1]) for g in gens), 1.0)
+    while True:
+        nonzero = [g for g in gens if g[0] != 0]
+        if len(nonzero) <= 1:
+            break
+        nonzero.sort(key=lambda g: abs(g[0]))
+        pivot = nonzero[0]
+        for g in nonzero[1:]:
+            q = round(g[0] / pivot[0])
+            g[0] -= q * pivot[0]
+            g[1] -= q * pivot[1]
+    transverse = [g for g in gens if g[0] != 0]
+    if len(transverse) != 1 or abs(transverse[0][0]) != 1:
+        raise NumericalError("winding degrees do not span the fiber "
+                             "direction")
+    lam = _primitive_translation([g[1] for g in gens if g[0] == 0], scale)
+    mu = transverse[0][1] if transverse[0][0] == 1 else -transverse[0][1]
+    return mu, lam
 
 
 # ---- plane-point layered triangulation ----

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -24,8 +25,8 @@ from cusplab.bundle import (
 )
 from oracles import (bloch_wigner, developed_residual, figure_eight_cusp,
                      layered_triangulation_plane, lobachevsky_spence,
-                     maximal_cusp_bfs, solve_shapes_developed,
-                     solve_shapes_lstsq)
+                     maximal_cusp_bfs, peripheral_basis_gcd,
+                     solve_shapes_developed, solve_shapes_lstsq)
 
 REGULAR = complex(0.5, math.sqrt(3.0) / 2.0)
 
@@ -224,6 +225,16 @@ class TestGluingSystem:
                 got = system.residual(zs)
                 want = developed_residual(system, zs)
                 assert float(np.max(np.abs(got - want))) < 1e-12, word
+
+    def test_completeness_loop_must_wind_once(self):
+        # with every winding doubled no loop winds once around the fiber,
+        # so the completeness loop cannot serve as the lattice's mu
+        tri = layered_triangulation("RRL")
+        doubled = dataclasses.replace(
+            tri, degrees={f: 2 * d for f, d in tri.degrees.items()})
+        with pytest.raises(errors.NumericalError) as info:
+            GluingSystem(doubled)
+        assert "word 'RRL'" in str(info.value)
 
     def test_one_system_per_triangulation(self):
         tri = layered_triangulation("RRLRL")
@@ -487,6 +498,48 @@ class TestCuspCrossSection:
         rho = complex(message.split("derivative ")[1].split(";")[0])
         assert abs(rho - 1.0) > 1e-6
 
+    # (word, base corner) pairs compared, frozen: the solved words of
+    # each set at base (0, 0), and every corner of the words up to
+    # length 5, which all solve
+    @pytest.mark.parametrize("words, corners, compared", [
+        (lambda: list(two_letter_words(8)), False, 476),
+        (bundle_pool, False, 37),
+        (lambda: list(two_letter_words(5)), True, 912),
+    ], ids=["length<=8", "bundle-pool", "corners-length<=5"])
+    def test_matches_the_gcd_basis(self, words, corners, compared):
+        # the two named loops against integer reduction over every
+        # non-tree loop and a float gcd: the same lattice, lam up to sign
+        # and mu up to a multiple of lam, which the gcd basis leaves
+        # unreduced
+        seen = 0
+        for word in words():
+            tri = layered_triangulation(word)
+            try:
+                shapes = solve_shapes(gluing_system(tri))
+            except errors.NumericalError:
+                continue
+            bases = [(i, k) for i in range(len(word)) for k in range(4)] \
+                if corners else [(0, 0)]
+            for base in bases:
+                got = cusp_cross_section(tri, shapes, base=base)
+                system = GluingSystem(tri, base=base)
+                mu, lam = peripheral_basis_gcd(system.holonomies(shapes))
+                area = abs((mu.conjugate() * lam).imag)
+                where = (word, base)
+                assert abs(got.area - area) < 1e-11 * area, where
+                assert abs(got.longitude_length - abs(lam)) \
+                    < 1e-11 * abs(lam), where
+                assert abs(got.height - area / abs(lam)) \
+                    < 1e-11 * area / abs(lam), where
+                got_mu, got_lam = got.translations
+                assert min(abs(got_lam - lam), abs(got_lam + lam)) \
+                    < 1e-11 * abs(lam), where
+                shift = round(((got_mu - mu) / lam).real)
+                assert abs(got_mu - mu - shift * lam) < 1e-11 * abs(mu), where
+                assert abs((got_mu / got_lam).real) <= 0.5 + 1e-12, where
+                seen += 1
+        assert seen == compared
+
     def test_height_is_area_over_longitude(self, solved_rl):
         tri, _, shapes = solved_rl
         cusp = cusp_cross_section(tri, shapes)
@@ -567,10 +620,6 @@ class TestMaximalCusp:
             del calls[:]
             maximal_cusp(tri, shapes)
             assert calls == [gluing_system(tri)], word
-
-    def test_depth_is_ignored(self, solved_rl, maximal_rl):
-        tri, _, shapes = solved_rl
-        assert maximal_cusp(tri, shapes, depth=1) == maximal_rl
 
     def test_edge_formula_matches_the_horoball_search(self):
         for word in cli.corpus(5):

@@ -167,12 +167,24 @@ class TestBundleReport:
         assert doc["word"] == "RL"
         assert doc["config"]["out"] == str(path)
 
+    def test_depth_is_accepted_and_ignored(self, capsys):
+        docs = []
+        for extra in ([], ["--depth", "1"]):
+            assert cli.run(["bundle-report", "RL"] + extra) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        # only the config, which records the flag, differs
+        assert (docs[0]["config"]["depth"], docs[1]["config"]["depth"]) \
+            == (8, 1)
+        for doc in docs:
+            del doc["config"]["depth"]
+        assert docs[0] == docs[1]
+
     def test_reducible_word_is_an_input_error(self, capsys):
         assert cli.run(["bundle-report", "RR"]) == 2
         assert "error" in capsys.readouterr().err
 
     def test_numerical_failure_exits_three(self, monkeypatch, capsys):
-        def blow_up(word, tol, depth, init):
+        def blow_up(word, tol, init):
             raise errors.Diverged("no convergence")
         monkeypatch.setattr(bundle, "bundle_report", blow_up)
         assert cli.run(["bundle-report", "RL"]) == 3
