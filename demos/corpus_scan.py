@@ -7,8 +7,8 @@ margins in the two proven inequalities
 
     area(dC) <= 9 d(psi)      height(dC) < 3 d(psi)
 
-together with the consistency checks against the stable distance
-estimate.  The default cap is length 5; pass a different cap on the
+together with the checks against the exact stable translation
+distance.  The default cap is length 5; pass a different cap on the
 command line to go further.
 """
 
@@ -31,7 +31,7 @@ def main():
         tri = bundle.layered_triangulation(word)
         shapes = bundle.solve_shapes(bundle.gluing_system(tri))
         volume = bundle.total_volume(shapes)
-        rep = bounds.verify_fibered(word, n_max=1, stable_n=12)
+        rep = bounds.verify_fibered(word, n_max=1)
         print("%-8s %10.6f %10.6f %10.6f %8.4f %3d %10.6f %10.6f"
               % (word, volume, rep.cusp_area, rep.longitude, rep.height,
                  rep.d_psi_n[1], rep.margins["area_n1"],

@@ -5,9 +5,10 @@ farey module computes exact translation distances of its monodromy; this
 module evaluates the area and height inequalities relating the two and
 emits signed margin reports.  A negative margin on one of the proven
 inequalities is flagged as a violation.  The lower bounds involve the
-stable translation distance, which is only ever estimated from above, so
-checking against the estimate is strictly stronger than the theorem:
-those checks are labeled consistent or inconclusive, never violated.
+stable translation distance, which farey computes exactly from a 2x2
+min-plus matrix.  Those checks keep the labels from when it was only
+estimated from above, consistent-strong or inconclusive, never violated,
+until the report schema changes.
 
 The quasi-Fuchsian bound expressions are evaluated as pure arithmetic
 for tabulation; no quasi-Fuchsian geometry is computed here.
@@ -33,8 +34,9 @@ class CuspReport:
     """Maximal-cusp measurements of one bundle, with bound margins.
 
     ``d_psi_n`` maps n to the exact arc-complex translation distance of
-    the n-th power of the monodromy; ``stable_upper`` is the certified
-    upper estimate of the stable translation distance.  ``margins`` maps
+    the n-th power of the monodromy; ``stable_upper`` is the stable
+    translation distance, exact, under the name it had as an upper
+    estimate.  ``margins`` maps
     each inequality to its signed slack (positive means satisfied), and
     ``flags`` carries one label per check: violation:* for a failed
     proven inequality, consistent-strong:*/ inconclusive:* for the
@@ -76,18 +78,17 @@ class CuspReport:
         return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
 
 
-def verify_fibered(word, n_max=4, tol=1e-12, stable_n=20):
+def verify_fibered(word, n_max=4, tol=1e-12):
     """Measure a bundle's maximal cusp and check the area/height bounds.
 
     Checks, for the once-punctured-torus fiber (chi = -1):
     n * area <= 9 chi^2 d(psi^n) and n * height < -3 chi d(psi^n) for
     every n up to n_max (n = 1 is the plain statement), each recorded as
     a signed margin and flagged violation:* when negative.  The stable
-    comparisons area > stable_upper / 450 chi^4 and height >
-    stable_upper / 536 chi^4 use an upper estimate of the stable
-    distance, so a pass is stronger than the theorem
-    (consistent-strong:*) and a failure proves nothing
-    (inconclusive:*).
+    comparisons area > tau / 450 chi^4 and height > tau / 536 chi^4 use
+    the exact stable distance tau; a pass is labeled consistent-strong:*
+    and a failure inconclusive:*, the labels of the upper estimate they
+    were once checked against.
 
     Solver and geometry errors propagate unchanged.
     """
@@ -99,7 +100,7 @@ def verify_fibered(word, n_max=4, tol=1e-12, stable_n=20):
     cusp = bundle.maximal_cusp(tri, shapes)
 
     d_psi_n = farey.translation_distances(mono, n_max)
-    stable = float(min(farey.stable_upper(mono, stable_n)))
+    stable = float(farey.stable_translation_distance(mono))
 
     margins = {}
     flags = []

@@ -46,7 +46,6 @@ the edge born as tetrahedron i's top diagonal.
 """
 
 import cmath
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -75,13 +74,19 @@ _FACE = {r: tuple(m for m in range(4) if m != r) for r in range(4)}
 
 # Opposite edges carry equal dihedral parameters: index 0 is z itself on
 # the diagonal pair, 1 is 1/(1-z), 2 is (z-1)/z.  The three multiply to -1
-# and their principal logarithms sum to pi*i whenever Im z > 0.
+# and their principal logarithms sum to pi*i whenever Im z > 0.  Keyed by
+# the edge's vertex pair in either order.
 _PAIR = {}
 for _k, _pairs in enumerate((((0, 1), (2, 3)),
                              ((0, 2), (1, 3)),
                              ((0, 3), (1, 2)))):
-    for _p in _pairs:
-        _PAIR[frozenset(_p)] = _k
+    for _a, _b in _pairs:
+        _PAIR[(_a, _b)] = _PAIR[(_b, _a)] = _k
+
+# The cyclic order of the cusp triangle at vertex k: the other three
+# vertices, reversed at odd k, whose triangles have the opposite
+# orientation to those at even k.
+_CYC = ((1, 2, 3), (3, 2, 0), (0, 1, 3), (2, 1, 0))
 
 # How a layer's top faces glue to the next layer's bottom faces, keyed by
 # the next layer's letter: (top face, bottom face, vertex bijection).  The
@@ -229,7 +234,7 @@ def _shapes(shapes):
 
 
 def _corner(z, k, m):
-    p = _PAIR[frozenset((k, m))]
+    p = _PAIR[k, m]
     if p == 0:
         return z
     if p == 1:
@@ -243,16 +248,10 @@ def _corner(z, k, m):
 # repeats adding up; multiplying monomials concatenates their terms.
 # Every developed cusp side is the root side times a monomial.
 
-def _logs(z):
-    # principal logs of the three parameters of shape z, in _PAIR order:
-    # log z, log 1/(1 - z), log (z - 1)/z
-    return (cmath.log(z), -cmath.log(1.0 - z), cmath.log((z - 1.0) / z))
-
-
 def _corner_monomials(i, k, m, n):
     # the corner parameter w at vertex k towards m, and w - 1
     z, w = i, n + i
-    p = _PAIR[frozenset((k, m))]
+    p = _PAIR[k, m]
     if p == 0:
         return (0, ((z, 1),)), (1, ((w, 1),))       # z, -(1 - z)
     if p == 1:
@@ -270,13 +269,6 @@ def _mono_div(x, y):
 
 def _mono_neg(x):
     return ((x[0] + 1) % 2, x[1])
-
-
-def _cyc(k):
-    # cyclic order of the cusp triangle at vertex k; odd vertices reverse
-    # orientation relative to even ones
-    rest = tuple(m for m in range(4) if m != k)
-    return rest if k % 2 == 0 else rest[::-1]
 
 
 def _sparse_row(terms):
@@ -344,24 +336,24 @@ class GluingSystem:
         self.triangulation = triangulation
         n = triangulation.num_tetrahedra
         self.edge_rows = tuple(
-            _sparse_row((i, _PAIR[frozenset(edge)], 1) for i, edge in cls)
+            _sparse_row((i, _PAIR[edge], 1) for i, edge in cls)
             for cls in triangulation.edge_classes)
         self._build_cusp_graph(base)
         self._sign, terms = self._completeness_monomial()
         # b.log(1 - z) is -b times the parameter log 1/(1 - z)
         self._complete_row = _sparse_row(
             (c, 0, e) if c < n else (c - n, 1, -e) for c, e in terms)
-        # what tetrahedron j's logs feed: (row, parameter, coefficient) in
-        # the Newton system, which drops the last edge row, and
-        # (parameter, coefficient) in the completeness row
-        kept = self.edge_rows[:-1]
-        self._touch = tuple(
-            tuple((r, k, c) for r, row in enumerate(kept)
-                  for i, k, c in row if i == j)
-            for j in range(n))
-        self._complete_touch = tuple(
-            tuple((k, c) for i, k, c in self._complete_row if i == j)
-            for j in range(n))
+        # what tetrahedron j's logs feed, each list in row order:
+        # (row, parameter, coefficient) in the Newton system, which drops
+        # the last edge row, and (parameter, coefficient) in the
+        # completeness row
+        self._touch = [[] for _ in range(n)]
+        for r, row in enumerate(self.edge_rows[:-1]):
+            for i, k, c in row:
+                self._touch[i].append((r, k, c))
+        self._complete_touch = [[] for _ in range(n)]
+        for i, k, c in self._complete_row:
+            self._complete_touch[i].append((k, c))
 
     @property
     def num_equations(self):
@@ -424,14 +416,14 @@ class GluingSystem:
         n = self.triangulation.num_tetrahedra
         one = (0, ())
         root = self._order[0]
-        cy = _cyc(root[1])
+        cy = _CYC[root[1]]
         frame = {root: (cy[0], cy[1], cy[2], one)}
 
         def place(node):
             prev, r = self._parent[node]
             sigma = glu[(prev[0], r)][2]
             shared = {sigma[m]: m for m in _FACE[r] if m != prev[1]}
-            cy = _cyc(node[1])
+            cy = _CYC[node[1]]
             ti = next(x for x in range(3) if cy[x] not in shared)
             a, b = cy[(ti + 1) % 3], cy[(ti + 2) % 3]
             frame[node] = (a, b, cy[ti], side(prev, shared[a], shared[b]))
@@ -467,7 +459,7 @@ class GluingSystem:
         glu = self.triangulation.gluings
         pos = {}
         i0, k0 = self._order[0]
-        cy = _cyc(k0)
+        cy = _CYC[k0]
         pos[(i0, k0)] = {cy[0]: 0j, cy[1]: 1 + 0j,
                          cy[2]: _corner(zs[i0], k0, cy[0])}
         for node in self._order[1:]:
@@ -480,7 +472,7 @@ class GluingSystem:
             for m in _FACE[r]:
                 if m != k:
                     known[sigma[m]] = p[m]
-            cy = _cyc(k2)
+            cy = _CYC[k2]
             missing = next(m for m in cy if m not in known)
             ti = cy.index(missing)
             a_idx = cy[(ti + 1) % 3]
@@ -512,8 +504,11 @@ class GluingSystem:
     def _evaluate(self, zs):
         # Residuals of a sequence of shapes, edge rows first, with no
         # validation; also the per-tetrahedron logs and the unwrapped
-        # completeness sum, which _newton_system reuses.
-        logs = [_logs(z) for z in zs]
+        # completeness sum, which _newton_system reuses.  The logs of
+        # shape z are the principal logs of its three parameters in _PAIR
+        # order: log z, log 1/(1 - z), log (z - 1)/z.
+        logs = [(cmath.log(z), -cmath.log(1.0 - z), cmath.log((z - 1.0) / z))
+                for z in zs]
         out = [_row_sum(row, logs) - 2j * math.pi for row in self.edge_rows]
         raw = _row_sum(self._complete_row, logs)
         out.append(self._wrap(raw))
@@ -531,8 +526,9 @@ class GluingSystem:
         last = [0j] * n + [-f[-1]]
         for j, z in enumerate(zs):
             old = logs[j]
-            new = _logs(z + h)
-            delta = (new[0] - old[0], new[1] - old[1], new[2] - old[2])
+            w = z + h
+            delta = (cmath.log(w) - old[0], -cmath.log(1.0 - w) - old[1],
+                     cmath.log((w - 1.0) / w) - old[2])
             for r, k, c in self._touch[j]:
                 rows[r][j] += c * delta[k] / h
             moved = raw + sum([c * delta[k]
@@ -563,7 +559,7 @@ class GluingSystem:
         """Total euclidean area of the developed cusp triangles."""
         total = 0.0
         for node, p in self._develop(_shapes(shapes)).items():
-            cy = _cyc(node[1])
+            cy = _CYC[node[1]]
             u = p[cy[1]] - p[cy[0]]
             w = p[cy[2]] - p[cy[0]]
             total += 0.5 * abs((u.conjugate() * w).imag)
@@ -591,7 +587,12 @@ def _eliminate(rows):
     # with partial pivoting, in place; None when a pivot is exactly zero.
     n = len(rows)
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(rows[r][col]))
+        # the first row of largest modulus, as max() would pick it
+        piv, size = col, abs(rows[col][col])
+        for r in range(col + 1, n):
+            a = abs(rows[r][col])
+            if a > size:
+                piv, size = r, a
         if rows[piv][col] == 0:
             return None
         rows[col], rows[piv] = rows[piv], rows[col]
@@ -814,21 +815,23 @@ def cusp_cross_section(triangulation, shapes, base=(0, 0)):
 
 def _cross_section(system, zs):
     # cusp_cross_section and the development it was read from, which
-    # maximal_cusp reuses for the edge formula
-    residual = max(map(abs, system.residual(zs)))
+    # maximal_cusp reuses for the edge formula; zs are validated shapes
+    word = system.triangulation.word
+    residual = max(map(abs, system._evaluate(zs)[0]))
     if residual > 1e-8:
-        raise NotSolved("shapes leave gluing residual %.3e" % residual)
+        raise NotSolved("word %r: shapes leave gluing residual %.3e"
+                        % (word, residual))
     pos = system._develop(zs)
     for _, rho, _ in system._holonomies(pos):
         if abs(rho - 1.0) > 1e-6:
-            raise NotSolved("peripheral holonomy has derivative %r; "
-                            "the structure is incomplete" % (rho,))
+            raise NotSolved("word %r: peripheral holonomy has derivative "
+                            "%r; the structure is incomplete" % (word, rho))
     # Every derivative is 1, so a side's vector is the same in every
     # chart.  lam walks the fiber boundary: corner (0, r, m) is the side
-    # of cusp triangle (0, m) across face r, run along _cyc(m).
+    # of cusp triangle (0, m) across face r, run along _CYC[m].
     lam = 0j
     for i, r, m in system.triangulation.fiber_boundary_class:
-        cy = _cyc(m)
+        cy = _CYC[m]
         ti = cy.index(r)
         p = pos[(i, m)]
         lam += p[cy[(ti + 2) % 3]] - p[cy[(ti + 1) % 3]]
@@ -837,7 +840,8 @@ def _cross_section(system, zs):
     mu = deg * system._side_holonomy(pos, side, other_side)[1]
     area = abs((mu.conjugate() * lam).imag)
     if area <= 1e-12 * abs(mu) * abs(lam):
-        raise NumericalError("peripheral translations are linearly dependent")
+        raise NumericalError("word %r: peripheral translations are linearly "
+                             "dependent" % word)
     # the shortest vector of mu's class modulo lam
     mu -= round((mu / lam).real) * lam
     section = CuspCrossSection((mu, lam), area, abs(lam), area / abs(lam))
@@ -879,22 +883,36 @@ def maximal_cusp(triangulation, shapes):
     the canonical decomposition: dual to the face of the Ford domain that
     the largest isometric sphere spans.  So the largest ball over all
     horoball pairs is the largest over the edges.
+
+    Each edge {k, m} of a face r meets the face's third vertex m', so
+    h_k is the side of cusp triangle (i, k) across face r, and h_m that
+    of (i, m).  The twelve sides of a tetrahedron's four cusp triangles
+    are read once and multiplied face by face, three edges per face.
     """
-    zs = [complex(z) for z in shapes]
-    worst = min(range(len(zs)), key=lambda i: zs[i].imag, default=None)
-    if worst is not None and not zs[worst].imag > 0.0:
-        raise NotSolved("word %r: tetrahedron %d has shape %r outside the "
-                        "upper half plane, so the edges need not be "
-                        "canonical" % (triangulation.word, worst, zs[worst]))
-    reference, pos = _cross_section(triangulation._system, _shapes(zs))
+    if isinstance(shapes, ShapeVector):
+        zs = shapes.shapes
+    else:
+        zs = [complex(z) for z in shapes]
+        worst = min(range(len(zs)), key=lambda i: zs[i].imag, default=None)
+        if worst is not None and not zs[worst].imag > 0.0:
+            raise NotSolved("word %r: tetrahedron %d has shape %r outside "
+                            "the upper half plane, so the edges need not be "
+                            "canonical"
+                            % (triangulation.word, worst, zs[worst]))
+        zs = _shapes(zs)
+    reference, pos = _cross_section(triangulation._system, zs)
     diameter = 0.0
     for i in range(triangulation.num_tetrahedra):
-        for k, m in itertools.combinations(range(4), 2):
-            for m2 in range(4):
-                if m2 != k and m2 != m:
-                    h_k = abs(pos[(i, k)][m] - pos[(i, k)][m2])
-                    h_m = abs(pos[(i, m)][k] - pos[(i, m)][m2])
-                    diameter = max(diameter, h_k * h_m)
+        # side[k][r]: the side of cusp triangle (i, k) across face r
+        side = []
+        for k in range(4):
+            p = pos[(i, k)]
+            a, b, c = _CYC[k]
+            side.append({a: abs(p[b] - p[c]), b: abs(p[c] - p[a]),
+                         c: abs(p[a] - p[b])})
+        for r, (a, b, c) in _FACE.items():
+            h_a, h_b, h_c = side[a][r], side[b][r], side[c][r]
+            diameter = max(diameter, h_a * h_b, h_a * h_c, h_b * h_c)
     h = math.sqrt(diameter)
     mu, lam = reference.translations
     mu, lam = mu / h, lam / h

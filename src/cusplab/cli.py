@@ -27,8 +27,10 @@ with one ``dn`` column per checked power, margins as
 ``name=value`` pairs joined by ``;``, and flags joined by ``;``.  The
 pairs file for verify-lifting is a JSON list of two-element lists of arc
 literals (``"arc w0,..;c0,.."`` or ``"slope p/q"``) read on the base
-surface of the cover.  ``--depth`` is accepted and ignored: the maximal
-cusp is computed exactly, with no search depth.
+surface of the cover.  ``--depth`` and ``--stable-n`` are accepted and
+ignored: the maximal cusp is computed exactly, with no search depth, and
+so is the stable translation distance, with no number of powers; both
+stay in the echoed configuration.
 
 lemma-suite draws its samples from numpy's PCG64 ``Generator`` stream
 for ``--seed``, the one ``numpy.random.default_rng(seed)`` gives.  The
@@ -47,7 +49,7 @@ import sys
 from dataclasses import dataclass, asdict
 
 from . import __version__, arcs, bounds, bundle, farey, geometry, surface
-from .errors import CuspLabError, NumericalError
+from .errors import CuspLabError, NumericalError, OverlappingHoroballs
 
 __all__ = ["RunConfig", "corpus", "run", "main"]
 
@@ -134,15 +136,34 @@ def _note(msg):
 
 # ---- corpus ----
 
-def _canonical(word):
-    """Largest rotation of the word or its letter swap, R sorting high."""
-    best = None
-    for w in (word, word.translate(_SWAP)):
-        for i in range(len(w)):
-            rot = w[i:] + w[:i]
-            if best is None or rot > best:
-                best = rot
-    return best
+def _necklaces(n):
+    """Words of length n over {R, L} with both letters that are their own
+    largest rotation, R sorting high, in decreasing order.
+
+    The Fredricksen-Kessler-Maiorana algorithm (Ruskey, Savage and Wang,
+    J. Algorithms 13 (1992)) over the digits R = 0 < L = 1, where the
+    largest rotation is the least digit string: a holds the prenecklaces
+    in increasing order, p is the period of a, and a is a necklace
+    exactly when p divides n.  The first, all R, and the last, all L, are
+    skipped.
+    """
+    a = [0] * n
+    while True:
+        i = n - 1
+        while i >= 0 and a[i]:
+            i -= 1
+        if i == 0:
+            return
+        a[i] = 1
+        p = i + 1
+        for j in range(p, n):
+            a[j] = a[j - p]
+        if n % p == 0:
+            yield "".join(["RL"[x] for x in a])
+
+
+def _largest_rotation(word):
+    return max([word[i:] + word[:i] for i in range(len(word))])
 
 
 def corpus(max_len):
@@ -152,19 +173,19 @@ def corpus(max_len):
     rotation and the R/L swap; rotation is conjugation of the monodromy
     and the swap inverts it up to conjugacy, so each class is one
     homeomorphism type.  Pure powers of one letter are parabolic, not
-    pseudo-Anosov, and are excluded by construction.  Sorted by length
-    then lexicographically; this is the canonical report order.
+    pseudo-Anosov, and are excluded by construction.  The representative
+    of a class is its largest word under rotation and swap, R sorting
+    high: a necklace (its own largest rotation) that is at least the
+    largest rotation of its swap.  Sorted by length then
+    lexicographically; this is the canonical report order.
     """
     if max_len < 2:
         raise ValueError("corpus needs max_len >= 2")
-    seen = set()
+    words = []
     for n in range(2, max_len + 1):
-        # bit patterns 1 .. 2^n - 2 always contain both letters
-        for bits in range(1, 2 ** n - 1):
-            word = "".join("R" if (bits >> (n - 1 - i)) & 1 else "L"
-                           for i in range(n))
-            seen.add(_canonical(word))
-    return sorted(seen, key=lambda w: (len(w), w))
+        words += sorted(w for w in _necklaces(n)
+                        if w >= _largest_rotation(w.translate(_SWAP)))
+    return words
 
 
 # ---- subcommand handlers ----
@@ -224,8 +245,7 @@ def _thm14_csv(config, reports):
 
 def _cmd_verify_thm14(config):
     reports = [bounds.verify_fibered(word, n_max=config.n_max,
-                                     tol=config.tol,
-                                     stable_n=config.stable_n)
+                                     tol=config.tol)
                for word in corpus(config.max_word_len)]
 
     _emit(_thm14_csv(config, reports), config.out)
@@ -310,7 +330,11 @@ class _Draws:
             return self._next()
 
     def uniform(self, lo, hi):
-        return lo + (hi - lo) * ((self._word() >> 11) * 2.0 ** -53)
+        try:
+            w = self._next()
+        except StopIteration:
+            w = self._word()
+        return lo + (hi - lo) * ((w >> 11) * 2.0 ** -53)
 
     def _uint32(self):
         half = self._half
@@ -331,8 +355,10 @@ class _Draws:
         return m >> 32
 
 
-def _random_disjoint_pair(draws):
-    # occasionally put one ball at infinity; redraw until disjoint
+def _random_tangent_lengths(draws):
+    # tangent_lengths of a random disjoint pair: occasionally put one
+    # ball at infinity, and redraw until tangent_lengths accepts the pair
+    # as disjoint
     while True:
         if draws.integers(6) == 0:
             h1 = geometry.Horoball(math.inf, draws.uniform(0.1, 5.0))
@@ -342,8 +368,10 @@ def _random_disjoint_pair(draws):
         c2 = complex(draws.uniform(-5, 5), draws.uniform(-5, 5))
         h2 = geometry.Horoball(c2, draws.uniform(0.05, 3.0))
         if h1.at_infinity or abs(h1.center - h2.center) > 1e-12:
-            if geometry.horoball_distance(h1, h2) >= 0.0:
-                return h1, h2
+            try:
+                return geometry.tangent_lengths(h1, h2)
+            except OverlappingHoroballs:
+                pass
 
 
 def _tangent_check(config, draws):
@@ -359,7 +387,7 @@ def _tangent_check(config, draws):
     worst_l2 = 0.0
     violations = 0
     for _ in range(config.samples):
-        l1, l2 = geometry.tangent_lengths(*_random_disjoint_pair(draws))
+        l1, l2 = _random_tangent_lengths(draws)
         worst_l1 = min(worst_l1, l1)
         worst_l2 = max(worst_l2, l2)
         if l1 < geometry.TANGENT_MIN - TANGENT_TOL:
@@ -473,7 +501,8 @@ def _build_parser():
                        help="scan the word corpus against the cusp bounds")
     p.add_argument("--max-word-len", type=int, required=True, metavar="K")
     p.add_argument("--n-max", type=int, default=4, metavar="N")
-    p.add_argument("--stable-n", type=int, default=20, metavar="N")
+    p.add_argument("--stable-n", type=int, default=20, metavar="N",
+                   help="ignored; the stable distance is computed exactly")
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--depth", type=int, default=8,
                    help="ignored; the maximal cusp needs no search depth")

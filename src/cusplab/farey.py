@@ -4,8 +4,8 @@ Every essential arc on the once-punctured torus is determined by its slope
 p/q, and two arcs have disjoint representatives exactly when the slopes
 satisfy |p q' - q p'| = 1.  The graph on the extended rationals with those
 edges is the Farey graph; its combinatorial distance is what this module
-computes, exactly, together with the action of torus monodromies on slopes
-and their translation distances.
+computes, exactly, together with the action of torus monodromies on slopes,
+their translation distances and their stable translation distances.
 
 Conventions fixed here: R = [[1,1],[0,1]] and L = [[1,0],[1,1]], and a word
 over {L, R} multiplies out to the left-to-right product of its letter
@@ -379,12 +379,49 @@ def translation_distances(m, n_max):
     return out
 
 
+def stable_translation_distance(m):
+    """The stable translation distance lim d(s, m^k s)/k, exactly.
+
+    Returns min(T00, T11, (T01 + T10)/2) as a Fraction, where T is the
+    2x2 matrix T_ij = d(r_i, N r_j) of the positive frame N = C^-1 (+-m) C
+    that translation_distance builds, with r_0 = inf and r_1 = 0.  The
+    limit does not depend on s, since |d(s, m^k s) - d(t, m^k t)| <=
+    2 d(s, t), and C is a Farey isometry, so it is the limit of
+    d(r_0, N^k r_0)/k.  |trace| <= 2 raises NotPseudoAnosov.
+
+    Proof.  N has positive entries, so it maps the closed interval of
+    slopes [0, inf] into the open interval (0, inf), and the Farey edges
+    E_k = N^k {inf, 0} are nested: each lies strictly inside the interval
+    that the one before it bounds.  No Farey edge joins a slope inside an
+    edge's interval to one outside it, so each E_l separates the graph,
+    and a path from E_0 to E_k meets E_1, ..., E_(k-1) in that order.
+    Splitting a geodesic from r_i to N^k r_j at its first vertex x_l on
+    each E_l, with x_l = N^l r_(j_l), gives
+    d(r_i, N^k r_j) = sum over l of d(N^(l-1) r_(j_(l-1)), N^l r_(j_l)) =
+    sum of T_(j_(l-1) j_l), minimised over the choices: d(r_i, N^k r_j) is
+    the (i, j) entry of the k-th min-plus power of T.  The growth rate of
+    the min-plus powers of a matrix with finite entries is its minimum
+    cycle mean (Cuninghame-Green, "Minimax algebra", 1979), and the
+    simple cycles on two nodes are the two loops and the one 2-cycle.
+    """
+    if not m.is_pseudo_anosov:
+        raise NotPseudoAnosov("|trace| = %d is not > 2" % abs(m.trace))
+    (a, b), (c, d) = _positive_frame(m)[1].matrix
+    # N inf = a/c and N 0 = b/d, both canonical since every entry is > 0
+    t00 = _distance_pq(1, 0, a, c)
+    t01 = _distance_pq(1, 0, b, d)
+    t10 = _distance_pq(0, 1, a, c)
+    t11 = _distance_pq(0, 1, b, d)
+    return min(Fraction(t00), Fraction(t11), Fraction(t01 + t10, 2))
+
+
 def stable_upper(m, N):
     """The ratios d(inf, m^n inf)/n for n = 1..N, as exact fractions.
 
     The distances are subadditive in n, so the running infimum of the list
-    is a certified upper estimate for the stable translation distance.
-    m^n inf is the first column of m^n, carried along as an integer pair.
+    is a certified upper estimate for the stable translation distance;
+    stable_translation_distance gives the limit itself.  m^n inf is the
+    first column of m^n, carried along as an integer pair.
     """
     (a, b), (c, d) = m.matrix
     p, q = 1, 0

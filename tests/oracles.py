@@ -13,6 +13,15 @@ horoball development for the maximal cusp.  They share the package's
 Farey distance and reference cusp cut, which other tests check on their
 own, and nothing of the ladder or the edge formula.
 
+The pairwise edge formula is maximal_cusp before it read each cusp
+triangle's sides once: for every edge and every third vertex it reads the
+two sides afresh.  It shares the package's reference cut and development,
+so it checks the face-by-face bookkeeping, to the last bit.
+
+The rotation corpus is cusplab.cli.corpus before it generated necklaces:
+every word of each length is canonicalised by all its rotations and those
+of its letter swap.  It shares nothing with the necklace generator.
+
 The gcd basis is the cusp lattice before it was read off its two named
 loops: integer row reduction on the windings of all non-tree loops of the
 cusp graph, then a floating-point Euclid over the translations of winding
@@ -68,6 +77,7 @@ package's geometry and tolerances, and nothing of its draw source.
 """
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 from math import gcd
@@ -79,7 +89,7 @@ from scipy.sparse.csgraph import shortest_path
 from cusplab import geometry
 from cusplab.arcs import NormalArc, _neighbors
 from cusplab.bundle import (_FACE, _PAIR, _PUNCTURE_WALK, CuspCrossSection,
-                            LayeredTriangulation, ShapeVector,
+                            LayeredTriangulation, ShapeVector, _cross_section,
                             cusp_cross_section)
 from cusplab.cli import CONE_TOL, TANGENT_TOL
 from cusplab.errors import (BudgetExceeded, DegenerateShape, DepthUnstable,
@@ -571,6 +581,32 @@ def maximal_cusp_bfs(triangulation, shapes, depth=8):
     return CuspCrossSection((mu, lam), area, abs(lam), area / abs(lam))
 
 
+def maximal_cusp_pairwise(triangulation, shapes):
+    """Maximal cusp by the edge formula, one edge and third vertex at a time.
+
+    For each tetrahedron, each edge {k, m} (k < m) and each third vertex
+    m', h_k h_m with h_k and h_m read afresh off the developed cusp
+    triangles (i, k) and (i, m): 24 side lengths per tetrahedron where
+    cusplab.bundle.maximal_cusp reads 12.  The same products of the same
+    side lengths, so the result must be equal to the last bit.
+    """
+    reference, pos = _cross_section(triangulation._system,
+                                    ShapeVector(tuple(shapes)).shapes)
+    diameter = 0.0
+    for i in range(triangulation.num_tetrahedra):
+        for k, m in itertools.combinations(range(4), 2):
+            for m2 in range(4):
+                if m2 != k and m2 != m:
+                    h_k = abs(pos[(i, k)][m] - pos[(i, k)][m2])
+                    h_m = abs(pos[(i, m)][k] - pos[(i, m)][m2])
+                    diameter = max(diameter, h_k * h_m)
+    h = math.sqrt(diameter)
+    mu, lam = reference.translations
+    mu, lam = mu / h, lam / h
+    area = reference.area / diameter
+    return CuspCrossSection((mu, lam), area, abs(lam), area / abs(lam))
+
+
 # ---- peripheral basis by integer reduction and a float gcd ----
 
 def _primitive_translation(values, scale):
@@ -758,7 +794,7 @@ def developed_residual(system, shapes):
     classes = system.triangulation.edge_classes
     out = np.empty(len(classes) + 1, dtype=complex)
     for e, cls in enumerate(classes):
-        out[e] = sum(logs[_PAIR[frozenset(edge)]][i]
+        out[e] = sum(logs[_PAIR[edge]][i]
                      for i, edge in cls) - 2j * math.pi
     pos = system._develop(zs)
     rho, _ = system._side_holonomy(pos, system._complete[0],
@@ -1118,6 +1154,41 @@ def arc_walk(tri, w, c):
             point, slot = nseg[2], nseg[3]
         else:
             point, slot = nseg[0], nseg[1]
+
+
+# ---- corpus by canonicalising every word ----
+
+_SWAP = str.maketrans("RL", "LR")
+
+
+def canonical_word(word):
+    """Largest rotation of the word or its letter swap, R sorting high."""
+    best = None
+    for w in (word, word.translate(_SWAP)):
+        for i in range(len(w)):
+            rot = w[i:] + w[:i]
+            if best is None or rot > best:
+                best = rot
+    return best
+
+
+def corpus_rotations(max_len):
+    """cusplab.cli.corpus by canonicalising all 2^n words of each length.
+
+    Every word with both letters, by its bit pattern, is sent to its
+    canonical_word; the distinct results, sorted by length then
+    lexicographically.
+    """
+    if max_len < 2:
+        raise ValueError("corpus needs max_len >= 2")
+    seen = set()
+    for n in range(2, max_len + 1):
+        # bit patterns 1 .. 2^n - 2 always contain both letters
+        for bits in range(1, 2 ** n - 1):
+            word = "".join("R" if (bits >> (n - 1 - i)) & 1 else "L"
+                           for i in range(n))
+            seen.add(canonical_word(word))
+    return sorted(seen, key=lambda w: (len(w), w))
 
 
 # ---- lemma checks with one Generator call per draw ----

@@ -23,9 +23,10 @@ from cusplab.bundle import (
     tetrahedron_volume,
     total_volume,
 )
-from oracles import (bloch_wigner, developed_residual, figure_eight_cusp,
-                     layered_triangulation_plane, lobachevsky_spence,
-                     maximal_cusp_bfs, peripheral_basis_gcd,
+from oracles import (bloch_wigner, canonical_word, developed_residual,
+                     figure_eight_cusp, layered_triangulation_plane,
+                     lobachevsky_spence, maximal_cusp_bfs,
+                     maximal_cusp_pairwise, peripheral_basis_gcd,
                      solve_shapes_developed, solve_shapes_lstsq)
 
 REGULAR = complex(0.5, math.sqrt(3.0) / 2.0)
@@ -481,6 +482,7 @@ class TestCuspCrossSection:
         tri, _, _ = solved_rl
         with pytest.raises(errors.NotSolved) as info:
             cusp_cross_section(tri, [0.3 + 0.9j, 0.3 + 0.9j])
+        assert str(info.value).startswith("word 'RL': ")
         assert "np." not in str(info.value)
 
     def test_incomplete_shapes_are_refused(self):
@@ -592,6 +594,7 @@ class TestMaximalCusp:
         tri, _, _ = solved_rl
         with pytest.raises(errors.NotSolved) as info:
             maximal_cusp(tri, [1j, 1j])
+        assert str(info.value).startswith("word 'RL': ")
         assert "np." not in str(info.value)
 
     def test_shapes_off_the_upper_half_plane_are_refused(self, solved_rl):
@@ -632,6 +635,31 @@ class TestMaximalCusp:
             assert abs(got.longitude_length
                        - want.longitude_length) < 1e-10, word
 
+    # words compared, frozen: the solved words of each set
+    @pytest.mark.parametrize("words, solved", [
+        (lambda: list(two_letter_words(9)), 927),
+        (bundle_pool, 37),
+        (lambda: random_words(200, 10, 20, seed=7), 171),
+    ], ids=["length<=9", "bundle-pool", "random-10-20"])
+    def test_matches_the_pairwise_edge_formula(self, words, solved):
+        # the same side lengths multiplied in the same pairs: equal to
+        # the last bit
+        seen = 0
+        for word in words():
+            tri = layered_triangulation(word)
+            try:
+                shapes = solve_shapes(gluing_system(tri))
+            except errors.NumericalError:
+                continue
+            got = maximal_cusp(tri, shapes)
+            want = maximal_cusp_pairwise(tri, shapes)
+            assert got.area == want.area, word
+            assert got.longitude_length == want.longitude_length, word
+            assert got.height == want.height, word
+            assert got.translations == want.translations, word
+            seen += 1
+        assert seen == solved
+
     def test_rotation_and_swap_invariance(self):
         # every word of length <= 6: a rotation relabels the same
         # triangulation and the R/L swap reverses its orientation
@@ -643,7 +671,7 @@ class TestMaximalCusp:
                     continue
                 tri = layered_triangulation(word)
                 cusp = maximal_cusp(tri, solve_shapes(gluing_system(tri)))
-                by_class.setdefault(cli._canonical(word), []).append(
+                by_class.setdefault(canonical_word(word), []).append(
                     (cusp.area, cusp.height))
         assert len(by_class) == len(cli.corpus(6))
         for word, values in by_class.items():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cusplab import bundle, cli, errors, farey, surface
-from oracles import lemma_checks_scalar
+from oracles import canonical_word, corpus_rotations, lemma_checks_scalar
 
 SQRT3 = math.sqrt(3.0)
 
@@ -50,10 +50,15 @@ class TestCorpus:
         assert len(words) == len(set(words))
         for w in words:
             assert "R" in w and "L" in w
-            assert cli._canonical(w) == w
+            assert canonical_word(w) == w
         # distinct entries really are distinct classes
         reps = [rotation_swap_class(w) for w in words]
         assert len(set(reps)) == len(words)
+
+    def test_matches_the_rotation_corpus(self):
+        # the necklace generator against canonicalising every word
+        for max_len in range(2, 15):
+            assert cli.corpus(max_len) == corpus_rotations(max_len), max_len
 
     def test_powers_of_mixed_words_stay(self):
         # RLRL is a square but still pseudo-Anosov, unlike RRRR

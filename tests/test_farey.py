@@ -13,12 +13,13 @@ from cusplab.farey import (
     adjacent,
     distance,
     slopes_in_box,
+    stable_translation_distance,
     stable_upper,
     translation_distance,
     translation_distances,
     word_to_matrix,
 )
-from oracles import farey_bfs, farey_translation_box
+from oracles import canonical_word, farey_bfs, farey_translation_box
 
 ZERO = Slope(0, 1)
 
@@ -303,7 +304,7 @@ class TestTranslationDistance:
         for word in mixed_words(6):
             m = word_to_matrix(word)
             got = tuple(translation_distance(m.power(n)) for n in (1, 2))
-            by_class.setdefault(cli._canonical(word), set()).add(got)
+            by_class.setdefault(canonical_word(word), set()).add(got)
         assert len(by_class) == len(cli.corpus(6))
         for word, values in by_class.items():
             assert len(values) == 1, word
@@ -371,6 +372,55 @@ class TestTranslationDistances:
     def test_not_pseudo_anosov(self):
         with pytest.raises(errors.NotPseudoAnosov):
             translation_distances(word_to_matrix("R"), 3)
+
+
+class TestStableTranslationDistance:
+
+    def test_matches_the_estimate_on_the_corpus(self):
+        # the canonical words of length <= 10, where the estimate over
+        # twenty powers already reaches the limit
+        words = cli.corpus(10)
+        assert len(words) == 127
+        for word in words:
+            m = word_to_matrix(word)
+            assert stable_translation_distance(m) == min(stable_upper(m, 20)), \
+                word
+
+    def test_is_the_growth_rate_of_the_powers(self):
+        # every word of length <= 10: never above the subadditive
+        # estimate, and within 2 of d(inf, m^60 inf) / 60 at sixty powers
+        count = 0
+        for word in mixed_words(10):
+            m = word_to_matrix(word)
+            tau = stable_translation_distance(m)
+            assert isinstance(tau, Fraction)
+            assert tau <= min(stable_upper(m, 20)), word
+            d60 = distance(INFINITY, act(m.power(60), INFINITY))
+            assert abs(d60 - 60 * tau) <= 2, word
+            count += 1
+        assert count == 2026
+
+    def test_figure_eight_is_one(self):
+        assert stable_translation_distance(word_to_matrix("RL")) == 1
+
+    def test_conjugates_inverses_and_powers(self):
+        # a conjugate, -m and m^-1 move slopes as far in the limit; m^3
+        # moves them three times as far
+        rng = np.random.default_rng(13)
+        for word in cli.corpus(6):
+            m = word_to_matrix(word)
+            tau = stable_translation_distance(m)
+            assert stable_translation_distance(m.power(3)) == 3 * tau, word
+            for _ in range(4):
+                c = word_to_matrix(random_word(rng, 1, 6))
+                conj = c * m * c.inverse()
+                for other in (conj, negated(conj), conj.inverse()):
+                    assert other.word is None
+                    assert stable_translation_distance(other) == tau, word
+
+    def test_not_pseudo_anosov(self):
+        with pytest.raises(errors.NotPseudoAnosov):
+            stable_translation_distance(word_to_matrix("R"))
 
 
 class TestStableUpper:
