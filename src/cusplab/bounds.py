@@ -55,7 +55,8 @@ class CuspReport:
     def __post_init__(self):
         gap = abs(self.height * self.longitude - self.cusp_area)
         if gap > 1e-10 * max(1.0, self.cusp_area):
-            raise NumericalError("height does not equal area over longitude")
+            raise NumericalError("word %r: height does not equal area over "
+                                 "longitude" % self.word)
 
     @property
     def violations(self):

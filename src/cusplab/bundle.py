@@ -5,10 +5,10 @@ the circle with once-punctured-torus fiber.  Layering one ideal tetrahedron
 per letter between consecutive diagonal flips of the fiber triangulation,
 then closing up through the monodromy, yields the standard ideal
 triangulation of the bundle.  This module builds that triangulation, writes
-Thurston's gluing equations in logarithmic form, solves them by a damped
-Newton iteration, and measures the cusp: the translation lattice of the
-boundary torus, the length of the fiber boundary (the longitude), and the
-maximal horoball neighborhood.
+Thurston's gluing equations in logarithmic form, solves them at the volume
+maximum over angle structures, and measures the cusp: the translation
+lattice of the boundary torus, the length of the fiber boundary (the
+longitude), and the maximal horoball neighborhood.
 
 The lattice is read off its two named loops, with no search for a basis.
 lam is the fiber boundary: the walk round the fiber puncture that
@@ -19,19 +19,20 @@ reduced modulo lam to the shortest vector of its class.
 
 The gluing equations are integer data fixed by the triangulation.  The
 edge rows are sparse integer rows over the log-parameters, and the
-completeness row is one signed monomial (-1)^s prod z_i^a_i (1 - z_i)^b_i,
-read off once by developing the cusp torus symbolically; so a residual is
-a short sum of log z and log(1 - z) terms and never develops the cusp.
-The system of the default base corner is built once per triangulation and
-cached on it; gluing_system, cusp_cross_section and maximal_cusp share it,
-and any other base builds its own.
+completeness row is read off the word: the column of cusp triangles at
+vertex 3 climbs the layers once (_completeness_row says why).  So a
+residual is a short sum of log z and log(1 - z) terms and never develops
+the cusp.  The system of the default base corner is built once per
+triangulation and cached on it; gluing_system, cusp_cross_section and
+maximal_cusp share it, and any other base builds its own.
 
-The systems are small, one tetrahedron per letter, so everything here runs
-in plain complex arithmetic and this module imports no numpy.  The solver
-keeps the principal branch and a forward-difference Jacobian whose column
-j re-evaluates only tetrahedron j's logs, and it takes each step from the
-square system left after dropping one edge row; solve_shapes says why
-both are exact.
+Every layered triangulation of these bundles is geometric (Gueritaud,
+Geom. Topol. 10 (2006)), and its complete structure is the maximum of
+volume over angle structures (Casson-Rivin).  solve_shapes finds that
+maximum by Newton's method on the angles and polishes the shapes it
+gives by Newton steps on the gluing equations.  The systems are small,
+one tetrahedron per letter, so everything here runs in plain
+floating-point arithmetic and this module imports no numpy.
 
 Letter tables.  The fiber triangulation has three edge slots U, V and
 W = U + V; R flips U and L flips V, and either flip spans one tetrahedron
@@ -242,118 +243,85 @@ def _corner(z, k, m):
     return (z - 1.0) / z
 
 
-# A monomial (s, terms) over n tetrahedra stands for the function
-# (-1)^s prod z_i^a_i (1 - z_i)^b_i of the shapes.  ``terms`` lists
-# (column, exponent) pairs, column i for z_i and n + i for 1 - z_i, with
-# repeats adding up; multiplying monomials concatenates their terms.
-# Every developed cusp side is the root side times a monomial.
-
-def _corner_monomials(i, k, m, n):
-    # the corner parameter w at vertex k towards m, and w - 1
-    z, w = i, n + i
-    p = _PAIR[k, m]
-    if p == 0:
-        return (0, ((z, 1),)), (1, ((w, 1),))       # z, -(1 - z)
-    if p == 1:
-        return (0, ((w, -1),)), (0, ((z, 1), (w, -1)))  # 1/(1-z), z/(1-z)
-    return (1, ((z, -1), (w, 1))), (1, ((z, -1),))  # -(1-z)/z, -1/z
-
-
-def _mono_mul(x, y):
-    return ((x[0] + y[0]) % 2, x[1] + y[1])
-
-
-def _mono_div(x, y):
-    return ((x[0] + y[0]) % 2, x[1] + tuple((c, -e) for c, e in y[1]))
-
-
-def _mono_neg(x):
-    return ((x[0] + 1) % 2, x[1])
-
-
 def _sparse_row(terms):
     # (tetrahedron, parameter, coefficient) triples, repeats added up and
-    # zero coefficients dropped, in parameter-major order (see _row_sum)
+    # zero coefficients dropped
     row = {}
     for i, k, c in terms:
-        row[(k, i)] = row.get((k, i), 0) + c
-    return tuple((i, k, c) for (k, i), c in sorted(row.items()) if c)
+        row[(i, k)] = row.get((i, k), 0) + c
+    return tuple((i, k, c) for (i, k), c in sorted(row.items()) if c)
 
 
-def _row_sum(row, logs):
-    # One term at a time, in the row's parameter-major order: the order
-    # of a plain dot product over dense (log z, log 1/(1 - z),
-    # log (z - 1)/z) columns.  At the start z = i many completeness sums
-    # lie exactly on the branch cut, where the rounding of this sum picks
-    # the side and with it the Newton path.  In this order the path ends
-    # as the numpy least-squares solve's does on every word up to length
-    # 20 that the tests check; in tetrahedron-major order one word of them
-    # changes outcome.
-    total = 0j
-    for i, k, c in row:
-        total += c * logs[i][k]
-    return total
+def _completeness_row(word):
+    """The completeness row of the word's layered triangulation.
+
+    Returns (row, s): sum_i log 1/(1 - z_i) + sum over word[i] = R of
+    log z_i = i*pi*s modulo 2*pi*i, s = #R mod 2, as a sparse row.  The
+    row less i*pi*s is the log of the inverse derivative of a loop that
+    winds once round the fiber direction, so it vanishes when complete.
+
+    The loop is the column of cusp triangles at vertex 3.  Triangle
+    (i, 3) has sides across faces 0 and 1 at the bottom of its layer and
+    side {0, 1}, across face 2, at the top; either row of _STACK glues top
+    face 2 to a bottom face with vertex 3 fixed, so (0, 3), ...,
+    (n - 1, 3) stack up and close through the monodromy.  Developed up the
+    column, each layer turns its entry side into its exit side {0, 1} by
+    the parameter of the corner they share, which in _develop's convention
+    is the side towards c over the side towards b at corner a of _CYC
+    order (a, b, c).  _STACK[word[i]] enters layer i across
+
+    - face 0 for L: side {1, 2} meets {0, 1} at vertex 1, on edge {1, 3}
+      of parameter 1/(1 - z_i), and the ratio is 1 - z_i;
+    - face 1 for R: side {0, 2} meets {0, 1} at vertex 0, on edge {0, 3},
+      and the ratio is its parameter (z_i - 1)/z_i.
+
+    Top face 2 glues with vertex 1 fixed under _STACK["L"] and vertex 0
+    under _STACK["R"], so the next layer measures the side from the same
+    end when the letters agree and from the other, a factor -1, when
+    they differ.  A cyclic word changes
+    letter an even number of times, so the derivative is prod over L of
+    (1 - z_i) times prod over R of (z_i - 1)/z_i, whose inverse is (-1)^#R
+    prod_i 1/(1 - z_i) prod over R of z_i.
+    """
+    row = tuple((i, k, 1) for i, letter in enumerate(word)
+                for k in (0, 1) if k or letter == "R")
+    return row, word.count("R") % 2
 
 
 class GluingSystem:
     """Logarithmic gluing equations of a layered triangulation.
 
     One equation per edge class (the dihedral log-parameters around the
-    class sum to 2*pi*i) plus one completeness equation: the log of the
-    derivative rho of a fixed peripheral loop that winds once around the
-    fiber direction.  The edge equations carry one redundancy (their
-    sum is 2*pi*i times the number of edges for any upper-half-plane
-    shapes), so Newton steps drop one of them; solve_shapes says why that
-    is exact.
+    class sum to 2*pi*i) plus one completeness equation, the log of the
+    derivative of a peripheral loop that winds once around the fiber
+    direction.  The edge equations carry one redundancy (their sum is
+    2*pi*i times the number of edges for any upper-half-plane shapes), so
+    the solve drops the last of them.
 
     Both kinds of row are fixed sparse integer data, built once.
     ``edge_rows`` holds one tuple of (tetrahedron i, parameter k,
     coefficient) triples per edge class, k indexing log z_i, log 1/(1 -
-    z_i) and log (z_i - 1)/z_i in that order.  Developing the cusp torus
-    from its root corner makes every cusp side the root side times a
-    signed monomial (-1)^s prod z_i^a_i (1 - z_i)^b_i, because each corner
-    parameter and each corner parameter less one is such a monomial
-    (Neumann-Zagier, Topology 24 (1985)).  So rho is a fixed monomial and
-    the completeness row is a.log z + b.log(1 - z) + i*pi*s with its
-    imaginary part wrapped into (-pi, pi]: the principal log of rho, to
-    rounding, with no development at all.  It is kept in the same sparse
-    form, b.log(1 - z) read as -b times log 1/(1 - z).
+    z_i) and log (z_i - 1)/z_i in that order; so does the completeness
+    row, read off the word by _completeness_row.  Residuals take
+    principal logs: every parameter of an upper-half-plane shape has
+    argument in (0, pi), and the completeness residual, less i*pi*s, is
+    wrapped into (-pi, pi].
 
-    Branches are fixed once and for all: every dihedral parameter of an
-    upper-half-plane shape has argument in (0, pi), so the principal
-    logarithm is the correct branch of the edge rows throughout the
-    iteration and is never recomputed.  The completeness row stays on the
-    principal branch too, even where rho crosses the negative real axis:
-    solve_shapes says why.
-
-    ``base`` is the (tetrahedron, vertex) corner at the root of the
-    development.  The system of the default base (0, 0) is cached on its
-    triangulation and returned by gluing_system; a system for any other
-    base is built afresh each time.
+    ``base`` is the (tetrahedron, vertex) corner at the root of the cusp
+    development, which places the reference cut and the loop, winding
+    once round the fiber, that cusp_cross_section reads mu from.  The
+    system of the default base (0, 0) is cached on its triangulation and
+    returned by gluing_system; any other base builds its own each time.
     """
 
     def __init__(self, triangulation, base=(0, 0)):
         self.triangulation = triangulation
-        n = triangulation.num_tetrahedra
         self.edge_rows = tuple(
             _sparse_row((i, _PAIR[edge], 1) for i, edge in cls)
             for cls in triangulation.edge_classes)
+        self._complete_row, self._sign = _completeness_row(
+            triangulation.word)
         self._build_cusp_graph(base)
-        self._sign, terms = self._completeness_monomial()
-        # b.log(1 - z) is -b times the parameter log 1/(1 - z)
-        self._complete_row = _sparse_row(
-            (c, 0, e) if c < n else (c - n, 1, -e) for c, e in terms)
-        # what tetrahedron j's logs feed, each list in row order:
-        # (row, parameter, coefficient) in the Newton system, which drops
-        # the last edge row, and (parameter, coefficient) in the
-        # completeness row
-        self._touch = [[] for _ in range(n)]
-        for r, row in enumerate(self.edge_rows[:-1]):
-            for i, k, c in row:
-                self._touch[i].append((r, k, c))
-        self._complete_touch = [[] for _ in range(n)]
-        for i, k, c in self._complete_row:
-            self._complete_touch[i].append((k, c))
 
     @property
     def num_equations(self):
@@ -393,7 +361,8 @@ class GluingSystem:
                     deg = winding[node] + t.degrees[(i, r)] - winding[other]
                     nontree.append(((i, k, r), (j, sigma[k], r2), deg))
         if len(order) != 4 * t.num_tetrahedra:
-            raise NumericalError("cusp cross section is not connected")
+            raise NumericalError("word %r: cusp cross section is not "
+                                 "connected" % t.word)
         self._order = tuple(order)
         self._parent = parent
         self._nontree = tuple(nontree)
@@ -404,53 +373,6 @@ class GluingSystem:
             raise NumericalError("word %r: no peripheral loop winds once "
                                  "around the fiber" % t.word)
         self._complete = min(once, key=lambda x: x[0])
-
-    def _completeness_monomial(self):
-        # Replays _develop on monomials, along the tree paths from the root
-        # to the two triangles of the completeness side only.
-        # frame[node] = (a, b, c, mono): the side a -> b of the node's
-        # triangle is mono times the root side, the side a -> c is w_a
-        # times that and b -> c is w_a - 1 times it, where w_a is the
-        # corner parameter at a.
-        glu = self.triangulation.gluings
-        n = self.triangulation.num_tetrahedra
-        one = (0, ())
-        root = self._order[0]
-        cy = _CYC[root[1]]
-        frame = {root: (cy[0], cy[1], cy[2], one)}
-
-        def place(node):
-            prev, r = self._parent[node]
-            sigma = glu[(prev[0], r)][2]
-            shared = {sigma[m]: m for m in _FACE[r] if m != prev[1]}
-            cy = _CYC[node[1]]
-            ti = next(x for x in range(3) if cy[x] not in shared)
-            a, b = cy[(ti + 1) % 3], cy[(ti + 2) % 3]
-            frame[node] = (a, b, cy[ti], side(prev, shared[a], shared[b]))
-
-        def side(node, m1, m2):
-            path = []
-            up = node
-            while up not in frame:
-                path.append(up)
-                up = self._parent[up][0]
-            for later in reversed(path):
-                place(later)
-            a, b, c, mono = frame[node]
-            w, w_less_one = _corner_monomials(node[0], node[1], a, n)
-            if c not in (m1, m2):
-                v, start = mono, a
-            elif b not in (m1, m2):
-                v, start = _mono_mul(w, mono), a
-            else:
-                v, start = _mono_mul(w_less_one, mono), b
-            return v if m1 == start else _mono_neg(v)
-
-        (i, k, r), (j, k2, _), _ = self._complete
-        sigma = glu[(i, r)][2]
-        m1, m2 = (m for m in _FACE[r] if m != k)
-        return _mono_div(side((i, k), m1, m2),
-                         side((j, k2), sigma[m1], sigma[m2]))
 
     def _develop(self, zs):
         # Similarity development of the cusp torus in C, rooted at the
@@ -495,54 +417,88 @@ class GluingSystem:
         rho = (p[m2] - p[m1]) / (q[sigma[m2]] - q[sigma[m1]])
         return rho, p[m1] - rho * q[sigma[m1]]
 
-    def _wrap(self, raw):
-        # principal branch: Im of the completeness sum plus pi*s, wrapped
-        # into (-pi, pi]
-        return complex(raw.real, math.pi - (
-            math.pi * (1 - self._sign) - raw.imag) % (2.0 * math.pi))
-
     def _evaluate(self, zs):
         # Residuals of a sequence of shapes, edge rows first, with no
-        # validation; also the per-tetrahedron logs and the unwrapped
-        # completeness sum, which _newton_system reuses.  The logs of
-        # shape z are the principal logs of its three parameters in _PAIR
-        # order: log z, log 1/(1 - z), log (z - 1)/z.
+        # validation, from the principal logs of the parameters of each
+        # shape z in _PAIR order: log z, log 1/(1 - z), log (z - 1)/z.
         logs = [(cmath.log(z), -cmath.log(1.0 - z), cmath.log((z - 1.0) / z))
                 for z in zs]
-        out = [_row_sum(row, logs) - 2j * math.pi for row in self.edge_rows]
-        raw = _row_sum(self._complete_row, logs)
-        out.append(self._wrap(raw))
-        return out, (logs, raw)
+        out = [sum([c * logs[i][k] for i, k, c in row]) - 2j * math.pi
+               for row in self.edge_rows]
+        raw = sum([c * logs[i][k] for i, k, c in self._complete_row])
+        out.append(complex(raw.real, math.pi - (
+            math.pi * (1 - self._sign) - raw.imag) % (2.0 * math.pi)))
+        return out
 
-    def _newton_system(self, zs, f, state, h):
-        # The forward-difference Newton system at zs, as augmented rows
-        # [J_r1 .. J_rn | -f_r]: every edge row but the last, then the
-        # completeness row.  Column j moves z_j alone, so it re-evaluates
-        # tetrahedron j's logs and adds the change into the rows that
-        # tetrahedron touches; the completeness entry is re-wrapped.
-        logs, raw = state
-        n = len(zs)
-        rows = [[0j] * n + [-f[r]] for r in range(len(self.edge_rows) - 1)]
-        last = [0j] * n + [-f[-1]]
-        for j, z in enumerate(zs):
-            old = logs[j]
-            w = z + h
-            delta = (cmath.log(w) - old[0], -cmath.log(1.0 - w) - old[1],
-                     cmath.log((w - 1.0) / w) - old[2])
-            for r, k, c in self._touch[j]:
-                rows[r][j] += c * delta[k] / h
-            moved = raw + sum([c * delta[k]
-                               for k, c in self._complete_touch[j]])
-            last[j] = (self._wrap(moved) - f[-1]) / h
-        rows.append(last)
+    def _jacobian(self, zs, f):
+        # The Newton system in w = log z as augmented rows [J | -f]: every
+        # edge row but the last, then the completeness row.  The logs of
+        # the parameters have derivatives 1, z/(1 - z) and 1/(z - 1) in w.
+        rates = [(1.0, z / (1.0 - z), 1.0 / (z - 1.0)) for z in zs]
+        rows = []
+        for row, value in zip(self.edge_rows[:-1] + (self._complete_row,),
+                              f[:-2] + f[-1:]):
+            line = [0j] * len(zs) + [-value]
+            for i, k, c in row:
+                line[i] += c * rates[i][k]
+            rows.append(line)
         return rows
+
+    @cached_property
+    def _angle_space(self):
+        # The angles theta[3i + k] of parameter k of tetrahedron i, pi in
+        # each tetrahedron and 2*pi on every edge row but the last, as
+        # offset + basis . y: gamma_i = pi - alpha_i - beta_i, and
+        # Gauss-Jordan elimination of the edge rows over (alpha, beta)
+        # leaves n + 1 free columns, y.  The basis has one sparse row of
+        # (column, value) pairs per angle; also returns the column count.
+        n = self.triangulation.num_tetrahedra
+        rows = []
+        for row in self.edge_rows[:-1]:
+            line = [0.0] * (2 * n) + [2.0 * math.pi]
+            for i, k, c in row:
+                if k == 2:
+                    line[2 * i] -= c
+                    line[2 * i + 1] -= c
+                    line[-1] -= c * math.pi
+                else:
+                    line[2 * i + k] += c
+            rows.append(line)
+        pivots = {}     # column -> its row of the reduced echelon form
+        for col in range(2 * n):
+            r = len(pivots)
+            best = max(range(r, len(rows)), default=None,
+                       key=lambda q: abs(rows[q][col]))
+            if best is None or abs(rows[best][col]) < 1e-9:
+                continue
+            rows[r], rows[best] = rows[best], rows[r]
+            top = rows[r]
+            top[:] = [x / top[col] for x in top]
+            for line in rows:
+                factor = line[col]
+                if line is not top and factor:
+                    line[:] = [x - factor * y for x, y in zip(line, top)]
+            pivots[col] = top
+        free = [c for c in range(2 * n) if c not in pivots]
+        # (alpha_i, beta_i), columns 2i and 2i + 1, as (offset, coefficients)
+        coords = [(pivots[c][-1], [-pivots[c][f] for f in free])
+                  if c in pivots else (0.0, [float(c == f) for f in free])
+                  for c in range(2 * n)]
+        offset, basis = [], []
+        for i in range(n):
+            (a, ca), (b, cb) = coords[2 * i], coords[2 * i + 1]
+            offset += [a, b, math.pi - a - b]
+            for coeffs in (ca, cb, [-x - y for x, y in zip(ca, cb)]):
+                basis.append(tuple((j, x) for j, x in enumerate(coeffs)
+                                   if x))
+        return offset, basis, len(free)
 
     def residual(self, shapes):
         """Equation residuals at the given shapes, edge rows first.
 
         Returns a list of complex numbers.
         """
-        return self._evaluate(_shapes(shapes))[0]
+        return self._evaluate(_shapes(shapes))
 
     def holonomies(self, shapes):
         """(winding, derivative, translation) for each generating loop."""
@@ -575,11 +531,17 @@ def gluing_system(triangulation):
     return triangulation._system
 
 
-def _failure(system, step, z, what):
-    worst = min(range(len(z)), key=lambda i: z[i].imag)
-    return ("word %r, Newton step %d: %s; worst tetrahedron %d has shape %r"
-            % (system.triangulation.word, step, what, worst,
-               complex(z[worst])))
+def _failure(system, step, what, z=None, theta=None):
+    # the message of a failed solve: the word, the step, and the worst
+    # tetrahedron, by its smallest angle or the smallest Im z
+    if theta is not None:
+        worst = min(range(len(theta)), key=theta.__getitem__) // 3
+        has = "angles %r" % (tuple(theta[3 * worst:3 * worst + 3]),)
+    else:
+        worst = min(range(len(z)), key=lambda i: z[i].imag)
+        has = "shape %r" % (complex(z[worst]),)
+    return ("word %r, Newton step %d: %s; worst tetrahedron %d has %s"
+            % (system.triangulation.word, step, what, worst, has))
 
 
 def _eliminate(rows):
@@ -602,7 +564,7 @@ def _eliminate(rows):
             if factor:
                 for c in range(col + 1, n + 1):
                     row[c] -= factor * top[c]
-    x = [0j] * n
+    x = [0.0] * n
     for col in range(n - 1, -1, -1):
         top = rows[col]
         acc = top[n]
@@ -612,100 +574,134 @@ def _eliminate(rows):
     return x
 
 
-def _norm(f):
-    return math.sqrt(sum([w.real * w.real + w.imag * w.imag for w in f]))
+def _angle_step(system, step, theta, weights, values):
+    # The angle step B dy for the dy that solves (B^T W B) dy = B^T v,
+    # with B the basis of the system's angle space and W = diag(weights).
+    _, basis, dim = system._angle_space
+    rows = [[0.0] * (dim + 1) for _ in range(dim)]
+    for row, w, v in zip(basis, weights, values):
+        for a, x in row:
+            line = rows[a]
+            line[dim] += x * v
+            wx = w * x
+            for b, y in row:
+                line[b] += wx * y
+    dy = _eliminate(rows)
+    if dy is None:
+        raise Diverged(_failure(system, step, "Newton step is not finite",
+                                theta=theta))
+    return [sum([x * dy[j] for j, x in row]) for row in basis]
 
 
-def _finite(values):
-    return all(map(cmath.isfinite, values))
+def _rise(theta, step, t):
+    # the derivative of the volume along step, at theta + t * step
+    return sum([-math.log(2.0 * math.sin(a + t * s)) * s
+                for a, s in zip(theta, step)])
 
 
-def solve_shapes(system, init=None, tol=1e-12):
-    """Solve the gluing system by damped Newton iteration.
+def _inside(theta, step):
+    # the step length 1, or 99% of the way to the first angle to reach 0
+    room = min([-a / s for a, s in zip(theta, step) if s < 0.0],
+               default=math.inf)
+    return min(1.0, 0.99 * room)
 
-    ``init`` may be a ShapeVector, an iterable of complex numbers, the
-    string "i" (every shape at i, the default) or "regular" (every shape
-    at the hexagonal point (1 + i*sqrt(3))/2).  Shapes are kept in the
-    open upper half plane; steps are halved until the residual drops.
-    Raises DegenerateShape when flattening tetrahedra block all progress,
-    Diverged when no step length helps, MaxIterations past the cap; the
-    message names the word, the Newton step and the worst tetrahedron
-    (the smallest Im z) with its shape.  An already solved input returns
-    immediately.
 
-    The systems are small (one tetrahedron per letter), so the iteration
-    runs in plain complex arithmetic, with no numpy.  The Jacobian is a
-    forward difference with step h = 1e-7.  Its column j moves z_j alone,
-    and z_j enters only tetrahedron j's three logs, so the column
-    re-evaluates those three logs and adds their change into the rows
-    that tetrahedron touches: the same difference quotient as a full
-    re-evaluation, without the untouched terms.  The completeness entry
-    is re-wrapped onto the principal branch each time.
+_MAX_STEPS = 50
 
-    The step solves the square system left after dropping the last edge
-    row, by Gaussian elimination with partial pivoting.  The edge rows
-    sum to zero identically, in the residual and so in every Jacobian
-    column, and any n - 1 of them are independent; so the dropped row
-    carries no information, and the square solve is the least-squares
-    step of the full system up to rounding.
 
-    The derivative stays a forward difference on the principal branch on
-    purpose.  From the start z = i, the completeness derivative rho of
-    many words lies on the negative real axis, the principal log's branch
-    cut.  A column that straddles the cut has an entry near 2*pi/h and
-    steers the first step, and the iteration's outcome depends on it: an
-    analytic Jacobian, or a branch fixed once at z = i, loses words that
-    this iteration solves.  A different start point is the place to
-    change the derivative.
+def solve_shapes(system, tol=1e-12):
+    """Solve the gluing system at the volume maximum over angle structures.
+
+    An angle structure gives each tetrahedron positive angles alpha, beta,
+    gamma summing to pi, the arguments of z, 1/(1 - z) and (z - 1)/z, and
+    each edge angles summing to 2*pi.  The volume, a sum of Lobachevsky
+    functions, is strictly concave on them, and a critical point inside
+    is the complete structure (Casson-Rivin; Futer-Gueritaud, Contemp.
+    Math. 541 (2011)).  Every layered triangulation of these bundles is
+    geometric (Gueritaud, Geom. Topol. 10 (2006)): the maximum is inside.
+
+    The angles range over GluingSystem._angle_space.  From pi/3, which
+    misses the edge rows, infeasible-start Newton steps toward the
+    analytic centre of -sum log theta run until a full step meets them,
+    each stopping 1% short of the nearest angle 0; an angle below 1e-13
+    means there is no inside.  Newton steps on the volume follow, with
+    gradient -log(2 sin theta) and Hessian diag(-cot theta).  Near the
+    boundary, or far from the maximum (Newton decrement over 0.01), a
+    step is cut by a secant on the derivative along it, then halved
+    until the volume still rises at its end.  After a full step with
+    decrement below 1e-12 the shapes z = (sin beta / sin gamma)
+    e^(i alpha) lie within about 1e-12 of the root, and Newton steps in
+    log z with an analytic Jacobian, on the completeness row and every
+    edge row but the last (minus the sum of the others), bring the
+    residual under ``tol``: none or one, in practice.
+
+    Raises DegenerateShape when no angle structure has all angles
+    positive, Diverged on a zero pivot or a shape step that does not
+    reduce the residual, and MaxIterations past 50 Newton steps in all,
+    naming the word, the step and the worst tetrahedron (angles or shape).
     """
-    n = system.triangulation.num_tetrahedra
-    if init is None or (isinstance(init, str) and init == "i"):
-        z = [1j] * n
-    elif isinstance(init, str) and init == "regular":
-        z = [complex(0.5, math.sqrt(3.0) / 2.0)] * n
-    elif isinstance(init, str):
-        raise ValueError("unknown initial guess %r" % init)
+    offset, basis, _ = system._angle_space
+    theta = [math.pi / 3.0] * len(basis)
+    # the start less the point of the angle space with its free angles
+    defect = [a * (1.0 - sum([x for _, x in row])) - o
+              for a, o, row in zip(theta, offset, basis)]
+    share = 1.0     # of the defect still to remove
+    for step in range(1, _MAX_STEPS + 1):
+        move = _angle_step(system, step, theta, [1.0 / (a * a) for a in theta],
+                           [(1.0 + share * e / a) / a
+                            for a, e in zip(theta, defect)])
+        move = [m - share * e for m, e in zip(move, defect)]
+        t = _inside(theta, move)
+        theta = [a + t * m for a, m in zip(theta, move)]
+        if t == 1.0 or min(theta) < 1e-13:
+            break
+        share *= 1.0 - t
+    if t < 1.0:
+        raise DegenerateShape(_failure(
+            system, step, "no angle structure has every angle positive",
+            theta=theta))
+
+    for step in range(step + 1, _MAX_STEPS + 1):
+        gradient = [-math.log(2.0 * math.sin(a)) for a in theta]
+        move = _angle_step(system, step, theta,
+                           [1.0 / math.tan(a) for a in theta], gradient)
+        decrement = sum([g * m for g, m in zip(gradient, move)])
+        t = _inside(theta, move)
+        if t < 1.0 or decrement > 0.01:
+            rise = _rise(theta, move, t)
+            if rise < 0.0:
+                t *= decrement / (decrement - rise)
+            while t > 1e-12 and _rise(theta, move, t) < 0.0:
+                t *= 0.5
+        theta = [a + t * m for a, m in zip(theta, move)]
+        if t == 1.0 and decrement < 1e-12:
+            break
     else:
-        z = list(_shapes(init))
-        if len(z) != n:
-            raise ValueError("expected %d shapes, got %d" % (n, len(z)))
+        raise MaxIterations(_failure(
+            system, _MAX_STEPS, "no convergence within %d Newton steps"
+            % _MAX_STEPS, theta=theta))
 
-    floor = 1e-13
-    f, state = system._evaluate(z)
-    if max(map(abs, f)) < tol:
-        return ShapeVector(tuple(z))
-
-    size = _norm(f)
-    h = 1e-7
-    for it in range(1, 51):
-        step = _eliminate(system._newton_system(z, f, state, h))
-        if step is None or not _finite(step):
-            raise Diverged(_failure(system, it, z,
-                                    "Newton step is not finite"))
-        t = 1.0
-        flattened = False
-        while True:
-            z2 = [w + t * dw for w, dw in zip(z, step)]
-            if min(w.imag for w in z2) <= floor:
-                flattened = True
-            else:
-                f2, state2 = system._evaluate(z2)
-                if _finite(f2):
-                    size2 = _norm(f2)
-                    if size2 < size or max(map(abs, f2)) < tol:
-                        z, f, state, size = z2, f2, state2, size2
-                        break
-            t *= 0.5
-            if t < 1e-12:
-                if flattened:
-                    raise DegenerateShape(_failure(
-                        system, it, z, "shapes collapse onto the real line"))
-                raise Diverged(_failure(
-                    system, it, z, "step halving cannot reduce the residual"))
-        if max(map(abs, f)) < tol:
-            return ShapeVector(tuple(z))
-    raise MaxIterations(_failure(system, 50, z,
-                                 "no convergence within 50 Newton steps"))
+    z = [cmath.rect(math.sin(theta[i + 1]) / math.sin(theta[i + 2]),
+                    theta[i]) for i in range(0, len(theta), 3)]
+    f = system._evaluate(z)
+    size = max(map(abs, f))
+    while not size < tol:
+        step += 1
+        if step > _MAX_STEPS:
+            raise MaxIterations(_failure(
+                system, _MAX_STEPS, "no convergence within %d Newton steps"
+                % _MAX_STEPS, z=z))
+        move = _eliminate(system._jacobian(z, f))
+        if move is None or not all(map(cmath.isfinite, move)):
+            raise Diverged(_failure(system, step, "Newton step is not "
+                                    "finite", z=z))
+        z2 = [w * cmath.exp(m) for w, m in zip(z, move)]
+        f = system._evaluate(z2)
+        if not max(map(abs, f)) < size:
+            raise Diverged(_failure(system, step, "the Newton step does not "
+                                    "reduce the residual", z=z))
+        z, size = z2, max(map(abs, f))
+    return ShapeVector(tuple(z))
 
 
 # ---- volume --------------------------------------------------------------
@@ -817,7 +813,7 @@ def _cross_section(system, zs):
     # cusp_cross_section and the development it was read from, which
     # maximal_cusp reuses for the edge formula; zs are validated shapes
     word = system.triangulation.word
-    residual = max(map(abs, system._evaluate(zs)[0]))
+    residual = max(map(abs, system._evaluate(zs)))
     if residual > 1e-8:
         raise NotSolved("word %r: shapes leave gluing residual %.3e"
                         % (word, residual))
@@ -922,11 +918,11 @@ def maximal_cusp(triangulation, shapes):
 
 # ---- reports -------------------------------------------------------------
 
-def bundle_report(word, tol=1e-12, init="i"):
+def bundle_report(word, tol=1e-12):
     """Solve a bundle end to end; returns a JSON-ready dictionary."""
     t = layered_triangulation(word)
     system = gluing_system(t)
-    solved = solve_shapes(system, init=init, tol=tol)
+    solved = solve_shapes(system, tol=tol)
     residual = max(map(abs, system.residual(solved)))
     cusp = maximal_cusp(t, solved)
     return {

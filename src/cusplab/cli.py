@@ -27,10 +27,12 @@ with one ``dn`` column per checked power, margins as
 ``name=value`` pairs joined by ``;``, and flags joined by ``;``.  The
 pairs file for verify-lifting is a JSON list of two-element lists of arc
 literals (``"arc w0,..;c0,.."`` or ``"slope p/q"``) read on the base
-surface of the cover.  ``--depth`` and ``--stable-n`` are accepted and
-ignored: the maximal cusp is computed exactly, with no search depth, and
-so is the stable translation distance, with no number of powers; both
-stay in the echoed configuration.
+surface of the cover.  ``--depth``, ``--init`` and ``--stable-n`` are
+accepted and ignored: the maximal cusp is computed exactly, with no
+search depth, the shapes are solved from the volume maximum over angle
+structures, with no starting guess, and the stable translation distance
+is exact, with no number of powers; all three stay in the echoed
+configuration.
 
 lemma-suite draws its samples from numpy's PCG64 ``Generator`` stream
 for ``--seed``, the one ``numpy.random.default_rng(seed)`` gives.  The
@@ -214,8 +216,7 @@ def _cmd_arc_dist(args, config):
 
 
 def _cmd_bundle_report(args, config):
-    report = bundle.bundle_report(args.word, tol=config.tol,
-                                  init=config.init)
+    report = bundle.bundle_report(args.word, tol=config.tol)
     doc = _envelope(config)
     doc.update(report)
     _emit(_json_text(doc), config.out)
@@ -494,7 +495,8 @@ def _build_parser():
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--depth", type=int, default=8,
                    help="ignored; the maximal cusp needs no search depth")
-    p.add_argument("--init", choices=["regular", "i"], default="i")
+    p.add_argument("--init", choices=["regular", "i"], default="i",
+                   help="ignored; the shapes start from the volume maximum")
     p.add_argument("--out", metavar="FILE")
 
     p = sub.add_parser("verify-thm14",

@@ -41,13 +41,23 @@ cusp torus and takes the principal log of the completeness ratio, and each
 Jacobian column is its own residual call.  They share the package's cusp
 development, which the lattice and area tests check on their own.
 
-The least-squares solve is the shape solve before it left numpy: the
-residual is one array expression, logs times a dense column matrix with
-the completeness imaginary part wrapped, the n Jacobian columns are one
-vectorised evaluation at z + h*I, and each step is ``numpy.linalg.lstsq``
-on the full system, every edge row kept.  It shares the package's sparse
-rows and completeness sign, which the developed residual checks, and
-nothing of its evaluation or elimination.
+The replayed monomial is the completeness row before it was read off the
+word: _develop replayed on signed monomials (-1)^s prod z^a (1 - z)^b
+along the cusp-graph tree, for the system's completeness loop or any other
+loop that closes a non-tree side.  It shares the package's cusp graph and
+nothing of the letter row, which it is checked against on integer
+exponents.  The column development is the loop the letter row is the
+derivative of, developed triangle by triangle up the stack; it shares the
+package's tables and corner parameters.
+
+The least-squares solve is the shape solve before it left numpy, and
+before the volume maximum replaced its start at z = i: the residual is one
+array expression, logs times a dense column matrix with the completeness
+imaginary part wrapped, the n Jacobian columns are one vectorised
+evaluation at z + h*I, and each step is ``numpy.linalg.lstsq`` on the full
+system, every edge row kept.  Its completeness row is the replayed
+monomial.  It shares the package's edge rows and nothing of its
+evaluation, elimination or angle structures.
 
 The slope walk is the torus slope parser before the closed form: the
 straight segment of a slope is walked through the triangulated plane with
@@ -88,7 +98,8 @@ from scipy.sparse.csgraph import shortest_path
 
 from cusplab import geometry
 from cusplab.arcs import NormalArc, _neighbors
-from cusplab.bundle import (_FACE, _PAIR, _PUNCTURE_WALK, CuspCrossSection,
+from cusplab.bundle import (_CYC, _FACE, _PAIR, _PUNCTURE_WALK,
+                            CuspCrossSection, _corner,
                             LayeredTriangulation, ShapeVector, _cross_section,
                             cusp_cross_section)
 from cusplab.cli import CONE_TOL, TANGENT_TOL
@@ -806,9 +817,10 @@ def developed_residual(system, shapes):
 def solve_shapes_developed(system, tol=1e-12):
     """Damped Newton on developed_residual, one residual call per column.
 
-    The same start (every shape at i), forward-difference step, line
-    search and tolerances as cusplab.bundle.solve_shapes, which is checked
-    against it.
+    The shape solve before the volume maximum: every shape starts at i,
+    with a forward-difference step, a halving line search and the floor
+    Im z > 1e-13.  cusplab.bundle.solve_shapes is checked against it
+    wherever its shapes are complete.
     """
     n = system.triangulation.num_tetrahedra
     z = np.full(n, 1j, dtype=complex)
@@ -851,25 +863,132 @@ def solve_shapes_developed(system, tol=1e-12):
     raise MaxIterations("no convergence within 50 Newton steps")
 
 
+# ---- replayed completeness monomial ----
+
+# A monomial (s, terms) over n tetrahedra stands for the function
+# (-1)^s prod z_i^a_i (1 - z_i)^b_i of the shapes.  ``terms`` lists
+# (column, exponent) pairs, column i for z_i and n + i for 1 - z_i, with
+# repeats adding up; multiplying monomials concatenates their terms.
+# Every developed cusp side is the root side times a monomial.
+
+def _corner_monomials(i, k, m, n):
+    # the corner parameter w at vertex k towards m, and w - 1
+    z, w = i, n + i
+    p = _PAIR[k, m]
+    if p == 0:
+        return (0, ((z, 1),)), (1, ((w, 1),))       # z, -(1 - z)
+    if p == 1:
+        return (0, ((w, -1),)), (0, ((z, 1), (w, -1)))  # 1/(1-z), z/(1-z)
+    return (1, ((z, -1), (w, 1))), (1, ((z, -1),))  # -(1-z)/z, -1/z
+
+
+def _mono_mul(x, y):
+    return ((x[0] + y[0]) % 2, x[1] + y[1])
+
+
+def _mono_div(x, y):
+    return ((x[0] + y[0]) % 2, x[1] + tuple((c, -e) for c, e in y[1]))
+
+
+def _mono_neg(x):
+    return ((x[0] + 1) % 2, x[1])
+
+
+def completeness_monomial(system, loop=None):
+    """The derivative of a peripheral loop as a signed monomial (s, terms).
+
+    ``loop`` is one of the system's non-tree sides, by default its
+    completeness loop.  Replays _develop on monomials, along the tree
+    paths from the root to the two triangles of the loop's side only.
+    frame[node] = (a, b, c, mono): the side a -> b of the node's triangle
+    is mono times the root side, the side a -> c is w_a times that and
+    b -> c is w_a - 1 times it, where w_a is the corner parameter at a.
+    """
+    glu = system.triangulation.gluings
+    n = system.triangulation.num_tetrahedra
+    one = (0, ())
+    root = system._order[0]
+    cy = _CYC[root[1]]
+    frame = {root: (cy[0], cy[1], cy[2], one)}
+
+    def place(node):
+        prev, r = system._parent[node]
+        sigma = glu[(prev[0], r)][2]
+        shared = {sigma[m]: m for m in _FACE[r] if m != prev[1]}
+        cy = _CYC[node[1]]
+        ti = next(x for x in range(3) if cy[x] not in shared)
+        a, b = cy[(ti + 1) % 3], cy[(ti + 2) % 3]
+        frame[node] = (a, b, cy[ti], side(prev, shared[a], shared[b]))
+
+    def side(node, m1, m2):
+        path = []
+        up = node
+        while up not in frame:
+            path.append(up)
+            up = system._parent[up][0]
+        for later in reversed(path):
+            place(later)
+        a, b, c, mono = frame[node]
+        w, w_less_one = _corner_monomials(node[0], node[1], a, n)
+        if c not in (m1, m2):
+            v, start = mono, a
+        elif b not in (m1, m2):
+            v, start = _mono_mul(w, mono), a
+        else:
+            v, start = _mono_mul(w_less_one, mono), b
+        return v if m1 == start else _mono_neg(v)
+
+    (i, k, r), (j, k2, _), _ = system._complete if loop is None else loop
+    sigma = glu[(i, r)][2]
+    m1, m2 = (m for m in _FACE[r] if m != k)
+    return _mono_div(side((i, k), m1, m2),
+                     side((j, k2), sigma[m1], sigma[m2]))
+
+
+def column_derivative(triangulation, shapes):
+    """Derivative of the loop of cusp triangles (0, 3), ..., (n - 1, 3).
+
+    Develops triangle (0, 3) with unit side 0 -> 1, then each triangle at
+    vertex 3 on top of the one below it, across top face 2 as _STACK
+    glues it, once round the stack back to (0, 3); returns the ratio of
+    the final side 0 -> 1 to the first.
+    """
+    glu = triangulation.gluings
+    a, b, c = _CYC[3]
+    p = {a: 0j, b: 1 + 0j}
+    p[c] = _corner(shapes[0], 3, a)
+    first = p[1] - p[0]
+    for i in range(triangulation.num_tetrahedra):
+        j, _, sigma = glu[(i, 2)]
+        p = {sigma[m]: p[m] for m in _FACE[2] if m != 3}
+        ti = next(x for x in range(3) if _CYC[3][x] not in p)
+        a, b = _CYC[3][(ti + 1) % 3], _CYC[3][(ti + 2) % 3]
+        p[_CYC[3][ti]] = p[a] + _corner(shapes[j], 3, a) * (p[b] - p[a])
+    return (p[1] - p[0]) / first
+
+
 # ---- least-squares shape solve ----
 
 def _dense_columns(system):
     # Every row of the system as one column over the 3n log-parameters,
     # stacked as the solve did, in the memory layout it had: that layout
     # picks numpy's summation order, and with it the branch side of the
-    # completeness sums that sit on the cut at z = i.
+    # completeness sums that sit on the cut at z = i.  The completeness
+    # column is the replayed monomial, b.log(1 - z) read as -b times
+    # log 1/(1 - z).  Returns the columns and the monomial's sign.
     n = system.triangulation.num_tetrahedra
     edge = np.zeros((len(system.edge_rows), 3 * n), dtype=np.int64)
     for r, row in enumerate(system.edge_rows):
         for i, k, c in row:
             edge[r, k * n + i] = c
+    sign, terms = completeness_monomial(system)
     complete = np.zeros(3 * n)
-    for i, k, c in system._complete_row:
-        complete[k * n + i] = c
-    return np.column_stack((edge.T, complete)).astype(complex)
+    for c, e in terms:
+        complete[c] += e if c < n else -e
+    return np.column_stack((edge.T, complete)).astype(complex), sign
 
 
-def _residual_array(system, columns, zs):
+def _residual_array(columns, sign, zs):
     # residuals of one shape array (shape (n,)) or of a stack of them
     # (shape (m, n), one residual row each)
     logs = np.concatenate((np.log(zs), -np.log(1.0 - zs),
@@ -877,7 +996,7 @@ def _residual_array(system, columns, zs):
     out = logs @ columns
     out[..., :-1] -= 2j * math.pi
     last = out[..., -1]
-    last.imag = math.pi - np.mod(math.pi * (1 - system._sign) - last.imag,
+    last.imag = math.pi - np.mod(math.pi * (1 - sign) - last.imag,
                                  2.0 * math.pi)
     return out
 
@@ -885,23 +1004,25 @@ def _residual_array(system, columns, zs):
 def solve_shapes_lstsq(system, tol=1e-12):
     """Damped Newton with numpy arrays and a least-squares step.
 
-    The same start (every shape at i), forward-difference step h = 1e-7,
-    principal branch, line search, floor and tolerances as
-    cusplab.bundle.solve_shapes, which is checked against it.
+    The shape solve before the volume maximum: every shape starts at i,
+    with a forward-difference step h = 1e-7 on the principal branch, a
+    halving line search and the floor Im z > 1e-13.
+    cusplab.bundle.solve_shapes is checked against it wherever its shapes
+    are complete.
     """
-    columns = _dense_columns(system)
+    columns, sign = _dense_columns(system)
     word = system.triangulation.word
     n = system.triangulation.num_tetrahedra
     z = np.full(n, 1j, dtype=complex)
     floor = 1e-13
-    f = _residual_array(system, columns, z)
+    f = _residual_array(columns, sign, z)
     if float(np.max(np.abs(f))) < tol:
         return ShapeVector(tuple(z))
     size = float(np.linalg.norm(f))
     h = 1e-7
     shift = h * np.eye(n)
     for it in range(1, 51):
-        jac = ((_residual_array(system, columns, z + shift) - f) / h).T
+        jac = ((_residual_array(columns, sign, z + shift) - f) / h).T
         step = np.linalg.lstsq(jac, -f, rcond=None)[0]
         if not np.all(np.isfinite(step)):
             raise Diverged("%r step %d: Newton step is not finite"
@@ -913,7 +1034,7 @@ def solve_shapes_lstsq(system, tol=1e-12):
             if np.min(z2.imag) <= floor:
                 flattened = True
             else:
-                f2 = _residual_array(system, columns, z2)
+                f2 = _residual_array(columns, sign, z2)
                 if np.all(np.isfinite(f2)):
                     size2 = float(np.linalg.norm(f2))
                     if size2 < size or np.max(np.abs(f2)) < tol:

@@ -107,8 +107,9 @@ class TestVerifyFibered:
         assert rl_report.to_json() == again.to_json()
 
     def test_report_invariant_enforced(self):
-        with pytest.raises(errors.NumericalError):
+        with pytest.raises(errors.NumericalError) as info:
             CuspReport("RL", -1, 3.0, 2.0, 1.0, {1: 1}, 1.0, {}, ())
+        assert str(info.value).startswith("word 'RL': height ")
 
     def test_bad_word_propagates(self):
         with pytest.raises(errors.NotPseudoAnosov):

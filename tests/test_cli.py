@@ -173,15 +173,16 @@ class TestBundleReport:
         assert doc["config"]["out"] == str(path)
 
     def test_depth_is_accepted_and_ignored(self, capsys):
+        # and so is --init: the solve starts from the volume maximum
         docs = []
-        for extra in ([], ["--depth", "1"]):
+        for extra in ([], ["--depth", "1", "--init", "regular"]):
             assert cli.run(["bundle-report", "RL"] + extra) == 0
             docs.append(json.loads(capsys.readouterr().out))
-        # only the config, which records the flag, differs
-        assert (docs[0]["config"]["depth"], docs[1]["config"]["depth"]) \
-            == (8, 1)
+        # only the config, which records the flags, differs
+        assert [(d["config"]["depth"], d["config"]["init"]) for d in docs] \
+            == [(8, "i"), (1, "regular")]
         for doc in docs:
-            del doc["config"]["depth"]
+            del doc["config"]["depth"], doc["config"]["init"]
         assert docs[0] == docs[1]
 
     def test_reducible_word_is_an_input_error(self, capsys):
@@ -189,7 +190,7 @@ class TestBundleReport:
         assert "error" in capsys.readouterr().err
 
     def test_numerical_failure_exits_three(self, monkeypatch, capsys):
-        def blow_up(word, tol, init):
+        def blow_up(word, tol):
             raise errors.Diverged("no convergence")
         monkeypatch.setattr(bundle, "bundle_report", blow_up)
         assert cli.run(["bundle-report", "RL"]) == 3
