@@ -89,12 +89,16 @@ class RunConfig:
     fmt: str = "json"
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError("--tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("--tol must be positive and finite, got %r"
+                             % self.tol)
         for name in ("depth", "budget", "cap", "n_max", "max_word_len",
                      "stable_n", "samples", "cone_samples"):
             if int(getattr(self, name)) < 1:
-                raise ValueError("%s must be positive" % name)
+                raise ValueError("--%s must be positive"
+                                 % name.replace("_", "-"))
+        if int(self.seed) < 0:
+            raise ValueError("--seed must be non-negative, got %d" % self.seed)
 
     def to_json(self):
         return asdict(self)
@@ -580,3 +584,7 @@ def run(argv):
 
 def main():
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -7,6 +7,13 @@ edges is the Farey graph; its combinatorial distance is what this module
 computes, exactly, together with the action of torus monodromies on slopes,
 their translation distances and their stable translation distances.
 
+The translation quantities all read one 2x2 matrix.  Conjugate the
+monodromy to a matrix N with positive entries; T_ij is the distance from
+r_i to N r_j, where r_0 = inf and r_1 = 0 are the ends of the frame edge.
+The diagonal minimum of T's n-th min-plus power is the translation
+distance of the n-th power of the monodromy, and T's minimum cycle mean is
+the stable translation distance.
+
 Conventions fixed here: R = [[1,1],[0,1]] and L = [[1,0],[1,1]], and a word
 over {L, R} multiplies out to the left-to-right product of its letter
 matrices.  Slopes are written p/q with q >= 0 in lowest terms, infinity
@@ -261,121 +268,68 @@ def _positive_frame(m):
     return frame, n
 
 
-def _ladder(n):
-    # Columns of the partial products P_k of the positive word of n, for
-    # k = len(word) .. 0: peel the last letter off (R added the first
-    # column to the second, L the second to the first) down to the
-    # identity, recording each new column.
-    (a, b), (c, d) = n.matrix
-    columns = [(a, c), (b, d)]
-    while (a, b, c, d) != (1, 0, 0, 1):
-        if a >= b and c >= d:
-            a, c = a - b, c - d
-            columns.append((a, c))
-        else:
-            b, d = b - a, d - c
-            columns.append((b, d))
-    return columns
+def _distance_matrix(m):
+    # (C, T): the frame C of the positive conjugate N = C^-1 (+-m) C, and
+    # the 2x2 matrix T_ij = d(r_i, N r_j) with r_0 = inf and r_1 = 0
+    if not m.is_pseudo_anosov:
+        raise NotPseudoAnosov("|trace| = %d is not > 2" % abs(m.trace))
+    frame, positive = _positive_frame(m)
+    (a, b), (c, d) = positive.matrix
+    # N inf = a/c and N 0 = b/d, both canonical since every entry is > 0
+    return frame, ((_distance_pq(1, 0, a, c), _distance_pq(1, 0, b, d)),
+                   (_distance_pq(0, 1, a, c), _distance_pq(0, 1, b, d)))
 
 
 def translation_distance(m, with_witness=False):
     """Minimum of d(s, m s) over all slopes, exactly.
 
-    The minimum is taken over the vertices of one period of the ladder of
-    m, and with_witness=True returns (distance, slope) with a slope that
-    attains it.  A pseudo-Anosov monodromy fixes no slope, so the result
-    is at least 1; |trace| <= 2 raises NotPseudoAnosov.
-
-    Ladder.  Conjugate +-m (same action on slopes) to a matrix N with
-    positive entries, N = C^-1 (+-m) C; N is the product of a positive
-    word w in R and L, containing both letters.  A matrix carrying a word
-    needs no conjugation: C is the identity and w is its word.  The
-    partial products P_k = w_1 ... w_k, extended to all integers k by
-    P_(k+n) = N P_k with n = len(w), give Farey triangles P_k{inf, 0, 1};
-    consecutive ones share the edge with endpoints the columns of
-    P_(k+1), so their union Lambda is a strip of triangles, connected
-    across edges, that N carries onto itself shifted by n.  Its vertex
-    set V is the set of columns of all P_k, and since d(N v, N^2 v) =
-    d(v, N v) the minimum over V is the minimum over the columns of
-    P_0, ..., P_n.  The slopes returned are C applied to those columns,
-    and d(C v, m C v) = d(v, N v).
-
-    Exactness.  The dual graph of the Farey tessellation is a tree, so
-    every slope s outside V lies behind one boundary edge {u, v} of
-    Lambda: in the open arc that the edge cuts off from Lambda, which
-    holds no vertex of V.  No Farey edge crosses the geodesic uv, so
-    every path from s to a slope outside that arc passes through u or v.
-    N moves {u, v} to a different boundary edge (else N^2 would fix u,
-    and a hyperbolic matrix fixes no slope), and N s lies behind it.  So
-    a geodesic from s to N s passes through some x in {u, v} and then
-    through some N y with y in {u, v}, possibly N y = x:
-
-        d(s, N s) = d(s, x) + d(x, N y) + d(N y, N s)
-                  = d(s, x) + d(x, N y) + d(y, s).
-
-    If x = y this is at least 2 + d(x, N x).  Otherwise u and v are
-    adjacent, so d(y, N y) <= 1 + d(x, N y) and d(s, N s) >= 1 + d(y, N y).
-    Either way d(s, N s) exceeds d(x', N x') for some x' in V, and the
-    minimum over V is the minimum over all slopes.
+    The first power of translation_distances: min(T00, T11), where
+    T_ij = d(r_i, N r_j) in the positive frame N = C^-1 (+-m) C.
+    with_witness=True returns (distance, slope) with the slope C r_b that
+    attains it, since d(C r_b, m C r_b) = d(r_b, N r_b).  A pseudo-Anosov
+    monodromy fixes no slope, so the result is at least 1; |trace| <= 2
+    raises NotPseudoAnosov.
     """
-    if not m.is_pseudo_anosov:
-        raise NotPseudoAnosov("|trace| = %d is not > 2" % abs(m.trace))
-    (a, b), (c, d) = m.matrix
-    best, witness = _least_move(_ladder_slopes(m), a, b, c, d)
+    frame, ((t00, _), (_, t11)) = _distance_matrix(m)
+    best = min(t00, t11)
     if with_witness:
-        return best, Slope(*witness)
+        # C inf and C 0 are the columns of C
+        (fa, fb), (fc, fd) = frame.matrix
+        return best, Slope(fa, fc) if t00 == best else Slope(fb, fd)
     return best
-
-
-def _ladder_slopes(m):
-    # The slopes C v, canonical (q >= 0, infinity 1/0), for the columns v
-    # of one ladder period of the positive conjugate N = C^-1 (+-m) C.
-    frame, positive = _positive_frame(m)
-    (fa, fb), (fc, fd) = frame.matrix
-    out = []
-    for x, y in _ladder(positive):
-        p, q = fa * x + fb * y, fc * x + fd * y
-        if q < 0 or (q == 0 and p < 0):
-            p, q = -p, -q
-        out.append((p, q))
-    return out
-
-
-def _least_move(slopes, a, b, c, d):
-    # (min over the slopes s of d(s, M s), a slope attaining it) for the
-    # matrix M = [[a, b], [c, d]]
-    best = None
-    for p, q in slopes:
-        ip, iq = a * p + b * q, c * p + d * q
-        if iq < 0 or (iq == 0 and ip < 0):
-            ip, iq = -ip, -iq
-        step = _distance_pq(p, q, ip, iq)
-        if best is None or step < best:
-            best, witness = step, (p, q)
-    return best, witness
 
 
 def translation_distances(m, n_max):
     """{n: translation distance of m^n} for n = 1..n_max, exactly.
 
-    Equal to translation_distance(m.power(n)) for each n, from one frame
-    and one ladder period of m.  C^-1 (+-m)^n C = N^n, and the positive
-    word of N^n is w^n, so m^n has the ladder of m; N commutes with N^n,
-    so d(N v, N^n N v) = d(v, N^n v) and one period of N already meets
-    every value of d(v, N^n v) on the ladder.  translation_distance's
-    exactness argument, applied to N^n, makes that minimum the minimum
-    over all slopes.  |trace| <= 2 raises NotPseudoAnosov.
+    Conjugate +-m (same action on slopes) to N = C^-1 (+-m) C with
+    positive entries; C is a Farey isometry, so m^n moves slopes as far as
+    N^n does.  With r_0 = inf, r_1 = 0 and T_ij = d(r_i, N r_j), the
+    (i, j) entry of the n-th min-plus power of T is d(r_i, N^n r_j) (see
+    stable_translation_distance), and the translation distance of m^n is
+    its diagonal minimum, min over b of d(r_b, N^n r_b).  |trace| <= 2
+    raises NotPseudoAnosov.
+
+    Proof.  The intervals I_k = N^k [0, inf] are nested, and they shrink
+    to one irrational fixed point of N as k grows and grow to all but the
+    other as k falls, so a slope s lies in some I_k \\ I_(k+1); moving s
+    by N^-k changes no d(s, N^n s), so take k = 0.  If s is inf or 0
+    there is nothing to prove.  Otherwise s lies strictly inside I_0 and
+    outside I_n, while N^n s lies strictly inside I_n.  The Farey edge
+    N^n {inf, 0} separates the graph, so a geodesic from s to N^n s
+    passes through some N^n r_b, and
+
+        d(s, N^n s) = d(s, N^n r_b) + d(r_b, s) >= d(r_b, N^n r_b).
     """
-    if not m.is_pseudo_anosov:
-        raise NotPseudoAnosov("|trace| = %d is not > 2" % abs(m.trace))
-    slopes = _ladder_slopes(m)
-    (a0, b0), (c0, d0) = m.matrix
-    a, b, c, d = a0, b0, c0, d0
+    _, ((t00, t01), (t10, t11)) = _distance_matrix(m)
+    p00, p01, p10, p11 = t00, t01, t10, t11
     out = {}
     for n in range(1, n_max + 1):
-        out[n] = _least_move(slopes, a, b, c, d)[0]
-        a, b, c, d = (a * a0 + b * c0, a * b0 + b * d0,
-                      c * a0 + d * c0, c * b0 + d * d0)
+        out[n] = min(p00, p11)
+        p00, p01, p10, p11 = (min(p00 + t00, p01 + t10),
+                              min(p00 + t01, p01 + t11),
+                              min(p10 + t00, p11 + t10),
+                              min(p10 + t01, p11 + t11))
     return out
 
 
@@ -383,11 +337,10 @@ def stable_translation_distance(m):
     """The stable translation distance lim d(s, m^k s)/k, exactly.
 
     Returns min(T00, T11, (T01 + T10)/2) as a Fraction, where T is the
-    2x2 matrix T_ij = d(r_i, N r_j) of the positive frame N = C^-1 (+-m) C
-    that translation_distance builds, with r_0 = inf and r_1 = 0.  The
-    limit does not depend on s, since |d(s, m^k s) - d(t, m^k t)| <=
-    2 d(s, t), and C is a Farey isometry, so it is the limit of
-    d(r_0, N^k r_0)/k.  |trace| <= 2 raises NotPseudoAnosov.
+    2x2 matrix T_ij = d(r_i, N r_j) of translation_distances.  The limit
+    does not depend on s, since |d(s, m^k s) - d(t, m^k t)| <= 2 d(s, t),
+    and C is a Farey isometry, so it is the limit of d(r_0, N^k r_0)/k.
+    |trace| <= 2 raises NotPseudoAnosov.
 
     Proof.  N has positive entries, so it maps the closed interval of
     slopes [0, inf] into the open interval (0, inf), and the Farey edges
@@ -404,14 +357,7 @@ def stable_translation_distance(m):
     cycle mean (Cuninghame-Green, "Minimax algebra", 1979), and the
     simple cycles on two nodes are the two loops and the one 2-cycle.
     """
-    if not m.is_pseudo_anosov:
-        raise NotPseudoAnosov("|trace| = %d is not > 2" % abs(m.trace))
-    (a, b), (c, d) = _positive_frame(m)[1].matrix
-    # N inf = a/c and N 0 = b/d, both canonical since every entry is > 0
-    t00 = _distance_pq(1, 0, a, c)
-    t01 = _distance_pq(1, 0, b, d)
-    t10 = _distance_pq(0, 1, a, c)
-    t11 = _distance_pq(0, 1, b, d)
+    _, ((t00, t01), (t10, t11)) = _distance_matrix(m)
     return min(Fraction(t00), Fraction(t11), Fraction(t01 + t10, 2))
 
 

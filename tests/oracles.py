@@ -11,7 +11,13 @@ Two oracles are the searches that the package's exact computations
 replaced: the box search for translation distances and the breadth-first
 horoball development for the maximal cusp.  They share the package's
 Farey distance and reference cusp cut, which other tests check on their
-own, and nothing of the ladder or the edge formula.
+own, and nothing of the min-plus matrix or the edge formula.
+
+The ladder is the translation distance before it read the 2x2 min-plus
+matrix: the minimum of d(v, m^n v) over the vertices of one period of the
+strip of Farey triangles that the positive word of the monodromy lays
+down, one Farey distance per vertex and power.  It shares the package's
+positive frame and Farey distance, and nothing of the min-plus matrix.
 
 The pairwise edge formula is maximal_cusp before it read each cusp
 triangle's sides once: for every edge and every third vertex it reads the
@@ -106,7 +112,8 @@ from cusplab.cli import CONE_TOL, TANGENT_TOL
 from cusplab.errors import (BudgetExceeded, DegenerateShape, DepthUnstable,
                             Diverged, MaxIterations, NotAnArc,
                             NotPseudoAnosov, NumericalError, Unreachable)
-from cusplab.farey import Slope, _distance_pq, word_to_matrix
+from cusplab.farey import (Slope, _distance_pq, _positive_frame, act,
+                           distance, word_to_matrix)
 
 
 def farey_box_vertices(bound):
@@ -353,8 +360,7 @@ def farey_translation_box(m):
     Every slope with |p|, q <= bound is tried; the box starts at the
     square root of the largest matrix entry and doubles until the minimum
     survives two doublings unchanged.  A search, not a proof: the exact
-    ladder minimum of cusplab.farey.translation_distance is checked
-    against it.
+    cusplab.farey.translation_distance is checked against it.
     """
     if not m.is_pseudo_anosov:
         raise ValueError("|trace| = %d is not > 2" % abs(m.trace))
@@ -382,6 +388,52 @@ def farey_translation_box(m):
             best = cur
             stable = 0
         bound *= 2
+
+
+def _ladder(n):
+    # Columns of the partial products P_k of the positive word of n, for
+    # k = len(word) .. 0: peel the last letter off (R added the first
+    # column to the second, L the second to the first) down to the
+    # identity, recording each new column.
+    (a, b), (c, d) = n.matrix
+    columns = [(a, c), (b, d)]
+    while (a, b, c, d) != (1, 0, 0, 1):
+        if a >= b and c >= d:
+            a, c = a - b, c - d
+            columns.append((a, c))
+        else:
+            b, d = b - a, d - c
+            columns.append((b, d))
+    return columns
+
+
+def ladder_translation_distances(m, n_max):
+    """{n: translation distance of m^n} for n = 1..n_max, by the ladder.
+
+    Conjugate +-m to N = C^-1 (+-m) C with positive entries, the product
+    of a positive word w.  The partial products P_k of w, extended by
+    P_(k+len w) = N P_k, give Farey triangles P_k{inf, 0, 1} that form a
+    strip N carries onto itself, and the columns of P_0, ..., P_len(w)
+    meet every value of d(v, N^n v) on its vertices.  The minimum over
+    them is the minimum over all slopes: by the dual tree of the
+    tessellation, a slope off the strip lies behind a boundary edge
+    {u, v}, a geodesic to its image passes through u or v and then
+    through N u or N v, and so it is longer than d(x, N x) for one of
+    the two ends x.
+    """
+    frame, positive = _positive_frame(m)
+    sign = 1 if m.trace > 0 else -1
+    assert (frame * positive).matrix == tuple(
+        tuple(sign * x for x in row) for row in (m * frame).matrix)
+    assert all(x > 0 for row in positive.matrix for x in row)
+    (fa, fb), (fc, fd) = frame.matrix
+    slopes = [Slope(fa * x + fb * y, fc * x + fd * y)
+              for x, y in _ladder(positive)]
+    out = {}
+    for n in range(1, n_max + 1):
+        power = m.power(n)
+        out[n] = min(distance(s, act(power, s)) for s in slopes)
+    return out
 
 
 # ---- breadth-first horoball development ----

@@ -404,7 +404,13 @@ class TestLemmaStream:
 
     def test_negative_seed_exits_2(self, capsys):
         assert cli.run(["lemma-suite", "--seed", "-1"]) == 2
-        assert "expected non-negative integer" in capsys.readouterr().err
+        assert "--seed must be non-negative" in capsys.readouterr().err
+
+    def test_negative_seed_is_refused_by_the_config(self):
+        # before any draw source is built, so the message names the option
+        with pytest.raises(ValueError, match="--seed"):
+            cli.RunConfig("lemma-suite", seed=-1)
+        assert cli.RunConfig("lemma-suite", seed=0).seed == 0
 
     def test_zero_samples_exits_2(self, capsys):
         assert cli.run(["lemma-suite", "--samples", "0"]) == 2
@@ -418,10 +424,12 @@ class TestDispatch:
         ["verify-thm14", "--max-word-len", "2", "--n-max", "0"],
         ["verify-lifting", "--cover", "cover.tri", "--pairs", "pairs.json",
          "--cap", "-1"],
+        ["verify-thm14", "--max-word-len", "2", "--tol", "inf"],
     ])
     def test_nonpositive_caps_exit_2(self, argv, capsys):
+        # the message names the option, the one before the bad value
         assert cli.run(argv) == 2
-        assert "must be positive" in capsys.readouterr().err
+        assert "%s must be positive" % argv[-2] in capsys.readouterr().err
 
     def test_no_subcommand(self, capsys):
         assert cli.run([]) == 2

@@ -19,7 +19,8 @@ from cusplab.farey import (
     translation_distances,
     word_to_matrix,
 )
-from oracles import canonical_word, farey_bfs, farey_translation_box
+from oracles import (canonical_word, farey_bfs, farey_translation_box,
+                     ladder_translation_distances)
 
 ZERO = Slope(0, 1)
 
@@ -274,7 +275,7 @@ class TestTranslationDistance:
         with pytest.raises(errors.NotPseudoAnosov):
             translation_distance(Monodromy(((-1, 0), (0, -1))))
 
-    def test_ladder_matches_box_search(self):
+    def test_matches_box_search(self):
         # every class of length <= 6, powers up to 4, against the box
         # search with bound doubling that the ladder replaced
         for word in cli.corpus(6):
@@ -356,7 +357,7 @@ def wordless_matrices():
 
 class TestTranslationDistances:
 
-    def test_one_ladder_matches_each_power(self):
+    def test_one_matrix_matches_each_power(self):
         for word in mixed_words(9):
             m = word_to_matrix(word)
             assert translation_distances(m, 5) == {
@@ -372,6 +373,52 @@ class TestTranslationDistances:
     def test_not_pseudo_anosov(self):
         with pytest.raises(errors.NotPseudoAnosov):
             translation_distances(word_to_matrix("R"), 3)
+
+    def test_matches_the_ladder_up_to_length_12(self):
+        # every word of length <= 12 using both letters, powers up to 8
+        count = 0
+        for word in mixed_words(12):
+            m = word_to_matrix(word)
+            assert_matches_the_ladder(m, 8)
+            count += 1
+        assert count == 8166
+
+    def test_matches_the_ladder_on_long_words(self):
+        rng = np.random.default_rng(15)
+        count = 0
+        for _ in range(2000):
+            m = word_to_matrix(random_word(rng, 13, 40))
+            if m.is_pseudo_anosov:
+                assert_matches_the_ladder(m, 8)
+                count += 1
+        assert count == 2000
+
+    def test_matches_the_ladder_without_a_word(self):
+        for m in wordless_matrices():
+            assert_matches_the_ladder(m, 8)
+
+    def test_min_plus_powers_are_distances(self):
+        # the (i, j) entry of the n-th min-plus power of T is
+        # d(C r_i, m^n C r_j), with r_0 = inf and r_1 = 0
+        matrices = [word_to_matrix(w) for w in cli.corpus(8)]
+        for m in matrices + wordless_matrices():
+            frame, t = farey._distance_matrix(m)
+            ends = [act(frame, INFINITY), act(frame, ZERO)]
+            power = t
+            for n in range(1, 7):
+                image = [act(m.power(n), r) for r in ends]
+                assert power == tuple(
+                    tuple(distance(ends[i], image[j]) for j in range(2))
+                    for i in range(2)), (m.matrix, n)
+                power = tuple(
+                    tuple(min(power[i][k] + t[k][j] for k in range(2))
+                          for j in range(2))
+                    for i in range(2))
+
+
+def assert_matches_the_ladder(m, n_max):
+    assert translation_distances(m, n_max) \
+        == ladder_translation_distances(m, n_max), m.matrix
 
 
 class TestStableTranslationDistance:

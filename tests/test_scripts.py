@@ -101,3 +101,19 @@ def test_reports_keep_the_library_versions():
     versions = cli._versions()
     assert versions["numpy"] == numpy.__version__
     assert versions["scipy"] == scipy.__version__
+
+
+def run_module(*argv):
+    """`python -m cusplab.cli ARGV` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "cusplab.cli", *argv],
+                          env=src_env(), capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_module_entry_point_runs_the_cli():
+    done = run_module("farey-dist", "0/1", "2/5")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "2\n"
+    done = run_module("farey-dist", "0/1", "0/0")
+    assert done.returncode == 2
+    assert "0/0" in done.stderr
