@@ -21,18 +21,18 @@ The gluing equations are integer data fixed by the triangulation.  The
 edge rows are sparse integer rows over the log-parameters, and the
 completeness row is read off the word: the column of cusp triangles at
 vertex 3 climbs the layers once (_completeness_row says why).  So a
-residual is a short sum of log z and log(1 - z) terms and never develops
-the cusp.  The system of the default base corner is built once per
-triangulation and cached on it; gluing_system, cusp_cross_section and
-maximal_cusp share it, and any other base builds its own.
+residual is an exact sum (math.fsum) of log z and log(1 - z) terms and
+never develops the cusp.  The system of the default base corner is built
+once per triangulation and cached on it; gluing_system,
+cusp_cross_section and maximal_cusp share it, any other base its own.
 
 Every layered triangulation of these bundles is geometric (Gueritaud,
 Geom. Topol. 10 (2006)), and its complete structure is the maximum of
 volume over angle structures (Casson-Rivin).  solve_shapes finds that
-maximum by Newton's method on the angles and polishes the shapes it
-gives by Newton steps on the gluing equations.  The systems are small,
-one tetrahedron per letter, so everything here runs in plain
-floating-point arithmetic and this module imports no numpy.
+maximum by Newton's method on the angles, stepping through the edge
+rows, and polishes the shapes by Newton steps on the gluing equations.
+The systems are small and sparse, one tetrahedron per letter, so this
+module runs in plain floating-point arithmetic and imports no numpy.
 
 Letter tables.  The fiber triangulation has three edge slots U, V and
 W = U + V; R flips U and L flips V, and either flip spans one tetrahedron
@@ -417,18 +417,27 @@ class GluingSystem:
         rho = (p[m2] - p[m1]) / (q[sigma[m2]] - q[sigma[m1]])
         return rho, p[m1] - rho * q[sigma[m1]]
 
+    @cached_property
+    def _flat_rows(self):
+        # every row, edge rows first, as the indices 3i + k of its terms
+        # among the log-parameters, each repeated c times (all c > 0)
+        return [[j for i, k, c in row for j in (3 * i + k,) * c]
+                for row in self.edge_rows + (self._complete_row,)]
+
     def _evaluate(self, zs):
         # Residuals of a sequence of shapes, edge rows first, with no
-        # validation, from the principal logs of the parameters of each
-        # shape z in _PAIR order: log z, log 1/(1 - z), log (z - 1)/z.
-        logs = [(cmath.log(z), -cmath.log(1.0 - z), cmath.log((z - 1.0) / z))
-                for z in zs]
-        out = [sum([c * logs[i][k] for i, k, c in row]) - 2j * math.pi
-               for row in self.edge_rows]
-        raw = sum([c * logs[i][k] for i, k, c in self._complete_row])
-        out.append(complex(raw.real, math.pi - (
-            math.pi * (1 - self._sign) - raw.imag) % (2.0 * math.pi)))
-        return out
+        # validation, from the principal logs log z, log 1/(1 - z) and
+        # log (z - 1)/z of each shape, each row summed exactly by fsum; an
+        # edge row's sum is near 2*pi, so taking 2*pi off is exact too.
+        logs = [x for z in zs for x in (cmath.log(z), -cmath.log(1.0 - z),
+                                        cmath.log((z - 1.0) / z))]
+        re = [x.real for x in logs].__getitem__
+        im = [x.imag for x in logs].__getitem__
+        sums = [(math.fsum(map(re, row)), math.fsum(map(im, row)))
+                for row in self._flat_rows]
+        x, y = sums.pop()
+        return [complex(a, b - 2.0 * math.pi) for a, b in sums] + [complex(
+            x, math.pi - (math.pi * (1 - self._sign) - y) % (2.0 * math.pi))]
 
     def _jacobian(self, zs, f):
         # The Newton system in w = log z as augmented rows [J | -f]: every
@@ -445,53 +454,22 @@ class GluingSystem:
         return rows
 
     @cached_property
-    def _angle_space(self):
-        # The angles theta[3i + k] of parameter k of tetrahedron i, pi in
-        # each tetrahedron and 2*pi on every edge row but the last, as
-        # offset + basis . y: gamma_i = pi - alpha_i - beta_i, and
-        # Gauss-Jordan elimination of the edge rows over (alpha, beta)
-        # leaves n + 1 free columns, y.  The basis has one sparse row of
-        # (column, value) pairs per angle; also returns the column count.
-        n = self.triangulation.num_tetrahedra
-        rows = []
-        for row in self.edge_rows[:-1]:
-            line = [0.0] * (2 * n) + [2.0 * math.pi]
+    def _angle_plan(self):
+        # per tetrahedron, (e, a1 - a2, a0 - a2, a0 - a1) for each edge row
+        # e but the last that meets it (at most 4), a_k its coefficient on
+        # angle k, and (e, f, products of the differences) for e <= f
+        rows = [{} for _ in range(self.triangulation.num_tetrahedra)]
+        for e, row in enumerate(self.edge_rows[:-1]):
             for i, k, c in row:
-                if k == 2:
-                    line[2 * i] -= c
-                    line[2 * i + 1] -= c
-                    line[-1] -= c * math.pi
-                else:
-                    line[2 * i + k] += c
-            rows.append(line)
-        pivots = {}     # column -> its row of the reduced echelon form
-        for col in range(2 * n):
-            r = len(pivots)
-            best = max(range(r, len(rows)), default=None,
-                       key=lambda q: abs(rows[q][col]))
-            if best is None or abs(rows[best][col]) < 1e-9:
-                continue
-            rows[r], rows[best] = rows[best], rows[r]
-            top = rows[r]
-            top[:] = [x / top[col] for x in top]
-            for line in rows:
-                factor = line[col]
-                if line is not top and factor:
-                    line[:] = [x - factor * y for x, y in zip(line, top)]
-            pivots[col] = top
-        free = [c for c in range(2 * n) if c not in pivots]
-        # (alpha_i, beta_i), columns 2i and 2i + 1, as (offset, coefficients)
-        coords = [(pivots[c][-1], [-pivots[c][f] for f in free])
-                  if c in pivots else (0.0, [float(c == f) for f in free])
-                  for c in range(2 * n)]
-        offset, basis = [], []
-        for i in range(n):
-            (a, ca), (b, cb) = coords[2 * i], coords[2 * i + 1]
-            offset += [a, b, math.pi - a - b]
-            for coeffs in (ca, cb, [-x - y for x, y in zip(ca, cb)]):
-                basis.append(tuple((j, x) for j, x in enumerate(coeffs)
-                                   if x))
-        return offset, basis, len(free)
+                rows[i].setdefault(e, [0, 0, 0])[k] += c
+        plan = []
+        for meet in rows:
+            terms = [(e, a1 - a2, a0 - a2, a0 - a1)
+                     for e, (a0, a1, a2) in meet.items()]
+            plan.append((terms, [(e, f, c0 * d0, c1 * d1, c2 * d2)
+                                 for e, c0, c1, c2 in terms
+                                 for f, d0, d1, d2 in terms if e <= f]))
+        return plan
 
     def residual(self, shapes):
         """Equation residuals at the given shapes, edge rows first.
@@ -574,23 +552,38 @@ def _eliminate(rows):
     return x
 
 
-def _angle_step(system, step, theta, weights, values):
-    # The angle step B dy for the dy that solves (B^T W B) dy = B^T v,
-    # with B the basis of the system's angle space and W = diag(weights).
-    _, basis, dim = system._angle_space
-    rows = [[0.0] * (dim + 1) for _ in range(dim)]
-    for row, w, v in zip(basis, weights, values):
-        for a, x in row:
-            line = rows[a]
-            line[dim] += x * v
-            wx = w * x
-            for b, y in row:
-                line[b] += wx * y
-    dy = _eliminate(rows)
-    if dy is None:
+def _angle_step(system, step, theta, weights, values, defect):
+    # The angle step d of solve_shapes for W = diag(weights), v = values
+    # and the defect to take off E.  Per tetrahedron, with u_k = w_k / D
+    # and dx = (x1 - x2, x0 - x2, x0 - x1), a.Q.x = sum u_k da_k dx_k and
+    # Q x = (u1 dx1 + u2 dx2, u0 dx0 - u2 dx2, -u0 dx0 - u1 dx1).
+    rows = [[0.0] * len(defect) + [x] for x in defect]
+    parts = []      # the rows, u and dv of each tetrahedron
+    for i, (terms, pairs) in enumerate(system._angle_plan):
+        w0, w1, w2 = weights[3 * i:3 * i + 3]
+        v0, v1, v2 = values[3 * i:3 * i + 3]
+        d = w0 * w1 + w0 * w2 + w1 * w2
+        u0, u1, u2 = w0 / d, w1 / d, w2 / d
+        y0, y1, y2 = v1 - v2, v0 - v2, v0 - v1
+        parts.append((terms, u0, u1, u2, y0, y1, y2))
+        s0, s1, s2 = u0 * y0, u1 * y1, u2 * y2
+        for e, c0, c1, c2 in terms:
+            rows[e][-1] += c0 * s0 + c1 * s1 + c2 * s2
+        for e, f, g0, g1, g2 in pairs:
+            x = u0 * g0 + u1 * g1 + u2 * g2
+            rows[e][f] += x
+            if e != f:
+                rows[f][e] += x
+    lam = _eliminate(rows)
+    if lam is None:
         raise Diverged(_failure(system, step, "Newton step is not finite",
                                 theta=theta))
-    return [sum([x * dy[j] for j, x in row]) for row in basis]
+    out = []
+    for terms, u0, u1, u2, y0, y1, y2 in parts:
+        for e, c0, c1, c2 in terms:
+            y0, y1, y2 = y0 - lam[e] * c0, y1 - lam[e] * c1, y2 - lam[e] * c2
+        out += (u1 * y1 + u2 * y2, u0 * y0 - u2 * y2, -u0 * y0 - u1 * y1)
+    return out
 
 
 def _rise(theta, step, t):
@@ -620,42 +613,42 @@ def solve_shapes(system, tol=1e-12):
     Math. 541 (2011)).  Every layered triangulation of these bundles is
     geometric (Gueritaud, Geom. Topol. 10 (2006)): the maximum is inside.
 
-    The angles range over GluingSystem._angle_space.  From pi/3, which
-    misses the edge rows, infeasible-start Newton steps toward the
-    analytic centre of -sum log theta run until a full step meets them,
-    each stopping 1% short of the nearest angle 0; an angle below 1e-13
-    means there is no inside.  Newton steps on the volume follow, with
-    gradient -log(2 sin theta) and Hessian diag(-cot theta).  Near the
-    boundary, or far from the maximum (Newton decrement over 0.01), a
-    step is cut by a secant on the derivative along it, then halved
-    until the volume still rises at its end.  After a full step with
-    decrement below 1e-12 the shapes z = (sin beta / sin gamma)
-    e^(i alpha) lie within about 1e-12 of the root, and Newton steps in
-    log z with an analytic Jacobian, on the completeness row and every
-    edge row but the last (minus the sum of the others), bring the
-    residual under ``tol``: none or one, in practice.
+    Each angle step d minimises d.W.d / 2 - v.d, keeps every angle sum
+    and takes a defect off E, the edge rows but the last: d = Q (v -
+    E^T lam), (E Q E^T) lam = E Q v + defect, with Q = P (P^T W P)^-1 P^T
+    = (1/D) [[w1 + w2, -w2, -w1], [-w2, w0 + w2, -w0], [-w1, -w0, w0 +
+    w1]] per tetrahedron, P = [[1, 0], [0, 1], [-1, -1]], D = w0 w1 +
+    w0 w2 + w1 w2 > 0.  From pi/3, steps toward the analytic centre of
+    -sum log theta (W = 1/theta^2, v = 1/theta) take off what is left of
+    the start's defect until a full step meets the edge rows, each
+    stopping 1% short of the nearest angle 0; an angle below 1e-13 means
+    there is no inside.  Newton steps on the volume follow (v = -log(2
+    sin theta), W = cot theta, D = 1, no defect).  Near the boundary, or
+    far from the maximum (Newton decrement over 0.01), a step is cut by a
+    secant on the derivative along it, then halved until the volume
+    still rises at its end.  After a full step with decrement below
+    1e-12 the shapes z = (sin beta / sin gamma) e^(i alpha) lie within
+    about 1e-12 of the root, and Newton steps in log z with an analytic
+    Jacobian, on the completeness row and E, bring the residual (rows
+    summed by math.fsum) under ``tol``: none or one, in practice.
 
     Raises DegenerateShape when no angle structure has all angles
     positive, Diverged on a zero pivot or a shape step that does not
     reduce the residual, and MaxIterations past 50 Newton steps in all,
     naming the word, the step and the worst tetrahedron (angles or shape).
     """
-    offset, basis, _ = system._angle_space
-    theta = [math.pi / 3.0] * len(basis)
-    # the start less the point of the angle space with its free angles
-    defect = [a * (1.0 - sum([x for _, x in row])) - o
-              for a, o, row in zip(theta, offset, basis)]
-    share = 1.0     # of the defect still to remove
+    theta = [math.pi / 3.0] * (3 * system.triangulation.num_tetrahedra)
+    # what is left of the start's excess on every edge row but the last
+    defect = [sum([c * theta[3 * i + k] for i, k, c in row]) - 2.0 * math.pi
+              for row in system.edge_rows[:-1]]
     for step in range(1, _MAX_STEPS + 1):
         move = _angle_step(system, step, theta, [1.0 / (a * a) for a in theta],
-                           [(1.0 + share * e / a) / a
-                            for a, e in zip(theta, defect)])
-        move = [m - share * e for m, e in zip(move, defect)]
+                           [1.0 / a for a in theta], defect)
         t = _inside(theta, move)
         theta = [a + t * m for a, m in zip(theta, move)]
+        defect = [(1.0 - t) * e for e in defect]
         if t == 1.0 or min(theta) < 1e-13:
             break
-        share *= 1.0 - t
     if t < 1.0:
         raise DegenerateShape(_failure(
             system, step, "no angle structure has every angle positive",
@@ -664,7 +657,8 @@ def solve_shapes(system, tol=1e-12):
     for step in range(step + 1, _MAX_STEPS + 1):
         gradient = [-math.log(2.0 * math.sin(a)) for a in theta]
         move = _angle_step(system, step, theta,
-                           [1.0 / math.tan(a) for a in theta], gradient)
+                           [1.0 / math.tan(a) for a in theta], gradient,
+                           defect)
         decrement = sum([g * m for g, m in zip(gradient, move)])
         t = _inside(theta, move)
         if t < 1.0 or decrement > 0.01:

@@ -65,6 +65,13 @@ system, every edge row kept.  Its completeness row is the replayed
 monomial.  It shares the package's edge rows and nothing of its
 evaluation, elimination or angle structures.
 
+The angle-basis solve is the volume maximum before its angle steps went
+through the edge rows: Gauss-Jordan elimination of the edge rows but the
+last gives the angle space as an offset plus a dense basis of n + 1
+columns, and each Newton step solves the Gram system of that basis.  It
+shares the package's residual, Jacobian, elimination and line-search
+helpers, and nothing of the edge-row step.
+
 The slope walk is the torus slope parser before the closed form: the
 straight segment of a slope is walked through the triangulated plane with
 exact rational arithmetic, counting its crossings with the three line
@@ -104,8 +111,9 @@ from scipy.sparse.csgraph import shortest_path
 
 from cusplab import geometry
 from cusplab.arcs import NormalArc, _neighbors
-from cusplab.bundle import (_CYC, _FACE, _PAIR, _PUNCTURE_WALK,
-                            CuspCrossSection, _corner,
+from cusplab.bundle import (_CYC, _FACE, _MAX_STEPS, _PAIR, _PUNCTURE_WALK,
+                            CuspCrossSection, _corner, _eliminate, _failure,
+                            _inside, _rise,
                             LayeredTriangulation, ShapeVector, _cross_section,
                             cusp_cross_section)
 from cusplab.cli import CONE_TOL, TANGENT_TOL
@@ -1102,6 +1110,168 @@ def solve_shapes_lstsq(system, tol=1e-12):
         if float(np.max(np.abs(f))) < tol:
             return ShapeVector(tuple(z))
     raise MaxIterations("%r: no convergence within 50 Newton steps" % word)
+
+
+# ---- angle-basis shape solve ----
+
+def angle_space(system):
+    """The angle structures of a GluingSystem as offset + basis . y.
+
+    Angle 3i + k is the argument of parameter k of tetrahedron i.  The
+    angles sum to pi in each tetrahedron and to 2*pi on every edge row but
+    the last: gamma_i = pi - alpha_i - beta_i, and Gauss-Jordan
+    elimination of the edge rows over (alpha, beta) leaves n + 1 free
+    columns, y.  Returns the offset, one sparse row of (column, value)
+    pairs per angle, and the angle each column of y is.
+    """
+    n = system.triangulation.num_tetrahedra
+    rows = []
+    for row in system.edge_rows[:-1]:
+        line = [0.0] * (2 * n) + [2.0 * math.pi]
+        for i, k, c in row:
+            if k == 2:
+                line[2 * i] -= c
+                line[2 * i + 1] -= c
+                line[-1] -= c * math.pi
+            else:
+                line[2 * i + k] += c
+        rows.append(line)
+    pivots = {}     # column -> its row of the reduced echelon form
+    for col in range(2 * n):
+        r = len(pivots)
+        best = max(range(r, len(rows)), default=None,
+                   key=lambda q: abs(rows[q][col]))
+        if best is None or abs(rows[best][col]) < 1e-9:
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
+        top = rows[r]
+        top[:] = [x / top[col] for x in top]
+        for line in rows:
+            factor = line[col]
+            if line is not top and factor:
+                line[:] = [x - factor * y for x, y in zip(line, top)]
+        pivots[col] = top
+    free = [c for c in range(2 * n) if c not in pivots]
+    # (alpha_i, beta_i), columns 2i and 2i + 1, as (offset, coefficients)
+    coords = [(pivots[c][-1], [-pivots[c][f] for f in free])
+              if c in pivots else (0.0, [float(c == f) for f in free])
+              for c in range(2 * n)]
+    offset, basis = [], []
+    for i in range(n):
+        (a, ca), (b, cb) = coords[2 * i], coords[2 * i + 1]
+        offset += [a, b, math.pi - a - b]
+        for coeffs in (ca, cb, [-x - y for x, y in zip(ca, cb)]):
+            basis.append(tuple((j, x) for j, x in enumerate(coeffs) if x))
+    return offset, basis, [3 * (c // 2) + c % 2 for c in free]
+
+
+def angle_shift(space, theta):
+    """theta less the angle structure that has theta's free angles."""
+    offset, basis, free = space
+    y = [theta[a] for a in free]
+    return [a - o - sum([x * y[j] for j, x in row])
+            for a, o, row in zip(theta, offset, basis)]
+
+
+def angle_step_basis(space, weights, values, shift):
+    """The angle move B dy - shift of least d.W.d / 2 - values.d.
+
+    B is the basis of ``space``, W = diag(weights), and dy solves the Gram
+    system (B^T W B) dy = B^T (values + W shift).  Returns None on a zero
+    pivot.
+    """
+    _, basis, free = space
+    dim = len(free)
+    rows = [[0.0] * (dim + 1) for _ in range(dim)]
+    for row, w, v, e in zip(basis, weights, values, shift):
+        for a, x in row:
+            line = rows[a]
+            line[dim] += x * (v + w * e)
+            wx = w * x
+            for b, y in row:
+                line[b] += wx * y
+    dy = _eliminate(rows)
+    if dy is None:
+        return None
+    return [sum([x * dy[j] for j, x in row]) - e
+            for row, e in zip(basis, shift)]
+
+
+def solve_shapes_basis(system, tol=1e-12):
+    """cusplab.bundle.solve_shapes with its angle steps over angle_space.
+
+    The same two phases, stop tests, line search and polish in log z,
+    each angle step taken by angle_step_basis; raises as solve_shapes
+    does.  cusplab.bundle.solve_shapes is checked against it word by
+    word.
+    """
+    space = angle_space(system)
+    theta = [math.pi / 3.0] * len(space[0])
+    defect = angle_shift(space, theta)
+    share = 1.0     # of the defect still to remove
+    step = 0
+
+    def move_by(weights, values, shift):
+        move = angle_step_basis(space, weights, values, shift)
+        if move is None:
+            raise Diverged(_failure(system, step, "Newton step is not "
+                                    "finite", theta=theta))
+        return move
+
+    for step in range(1, _MAX_STEPS + 1):
+        move = move_by([1.0 / (a * a) for a in theta],
+                       [1.0 / a for a in theta], [share * e for e in defect])
+        t = _inside(theta, move)
+        theta = [a + t * m for a, m in zip(theta, move)]
+        if t == 1.0 or min(theta) < 1e-13:
+            break
+        share *= 1.0 - t
+    if t < 1.0:
+        raise DegenerateShape(_failure(
+            system, step, "no angle structure has every angle positive",
+            theta=theta))
+
+    met = [0.0] * len(theta)
+    for step in range(step + 1, _MAX_STEPS + 1):
+        gradient = [-math.log(2.0 * math.sin(a)) for a in theta]
+        move = move_by([1.0 / math.tan(a) for a in theta], gradient, met)
+        decrement = sum([g * m for g, m in zip(gradient, move)])
+        t = _inside(theta, move)
+        if t < 1.0 or decrement > 0.01:
+            rise = _rise(theta, move, t)
+            if rise < 0.0:
+                t *= decrement / (decrement - rise)
+            while t > 1e-12 and _rise(theta, move, t) < 0.0:
+                t *= 0.5
+        theta = [a + t * m for a, m in zip(theta, move)]
+        if t == 1.0 and decrement < 1e-12:
+            break
+    else:
+        raise MaxIterations(_failure(
+            system, _MAX_STEPS, "no convergence within %d Newton steps"
+            % _MAX_STEPS, theta=theta))
+
+    z = [cmath.rect(math.sin(theta[i + 1]) / math.sin(theta[i + 2]),
+                    theta[i]) for i in range(0, len(theta), 3)]
+    f = system._evaluate(z)
+    size = max(map(abs, f))
+    while not size < tol:
+        step += 1
+        if step > _MAX_STEPS:
+            raise MaxIterations(_failure(
+                system, _MAX_STEPS, "no convergence within %d Newton steps"
+                % _MAX_STEPS, z=z))
+        move = _eliminate(system._jacobian(z, f))
+        if move is None or not all(map(cmath.isfinite, move)):
+            raise Diverged(_failure(system, step, "Newton step is not "
+                                    "finite", z=z))
+        z2 = [w * cmath.exp(m) for w, m in zip(z, move)]
+        f = system._evaluate(z2)
+        if not max(map(abs, f)) < size:
+            raise Diverged(_failure(system, step, "the Newton step does not "
+                                    "reduce the residual", z=z))
+        z, size = z2, max(map(abs, f))
+    return ShapeVector(tuple(z))
 
 
 # ---- arc distance from one end ----

@@ -10,6 +10,7 @@ import pytest
 
 from cusplab import cli, errors
 from cusplab.bundle import (
+    _angle_step,
     _lobachevsky,
     CuspCrossSection,
     GluingSystem,
@@ -23,12 +24,14 @@ from cusplab.bundle import (
     tetrahedron_volume,
     total_volume,
 )
-from oracles import (bloch_wigner, canonical_word, column_derivative,
+from oracles import (angle_shift, angle_space, angle_step_basis,
+                     bloch_wigner, canonical_word, column_derivative,
                      completeness_monomial, developed_residual,
                      figure_eight_cusp, layered_triangulation_plane,
                      lobachevsky_spence, maximal_cusp_bfs,
                      maximal_cusp_pairwise, peripheral_basis_gcd,
-                     solve_shapes_developed, solve_shapes_lstsq)
+                     solve_shapes_basis, solve_shapes_developed,
+                     solve_shapes_lstsq)
 
 REGULAR = complex(0.5, math.sqrt(3.0) / 2.0)
 
@@ -88,6 +91,16 @@ def random_words(count, low, high, seed):
         if "R" in word and "L" in word:
             words.append(word)
     return words
+
+
+# the four word sets on which every word solves, with their sizes
+EVERY_WORD_SETS = [
+    (lambda: list(two_letter_words(9)), 1004),
+    (lambda: bundle_pool(), 48),
+    (lambda: random_words(200, 10, 20, seed=7), 200),
+    (lambda: random_words(120, 30, 30, seed=30), 120),
+]
+EVERY_WORD_IDS = ["length<=9", "bundle-pool", "random-10-20", "random-30"]
 
 
 def exponents(n, sign, terms):
@@ -367,12 +380,8 @@ class TestSolveShapes:
             shapes = solve_shapes(system)
             assert float(np.max(np.abs(system.residual(shapes)))) < 1e-12
 
-    @pytest.mark.parametrize("words, count", [
-        (lambda: list(two_letter_words(9)), 1004),
-        (bundle_pool, 48),
-        (lambda: random_words(200, 10, 20, seed=7), 200),
-        (lambda: random_words(120, 30, 30, seed=30), 120),
-    ], ids=["length<=9", "bundle-pool", "random-10-20", "random-30"])
+    @pytest.mark.parametrize("words, count", EVERY_WORD_SETS,
+                             ids=EVERY_WORD_IDS)
     def test_every_word_solves(self, words, count):
         # every layered triangulation of these bundles is geometric
         # (Gueritaud 2006), so every word has a complete structure
@@ -384,6 +393,68 @@ class TestSolveShapes:
             shapes = solve_shapes(system)
             assert max(map(abs, system.residual(shapes))) < 1e-12, word
             maximal_cusp(tri, shapes)
+
+    @pytest.mark.parametrize("words, count", EVERY_WORD_SETS,
+                             ids=EVERY_WORD_IDS)
+    def test_matches_the_basis_solver(self, words, count):
+        # the same quadratic program for every angle step, solved through
+        # the edge rows or over a basis of the angle structures
+        words = words()
+        assert len(words) == count
+        for word in words:
+            system = gluing_system(layered_triangulation(word))
+            got = solve_shapes(system)
+            want = solve_shapes_basis(system)
+            assert max(abs(z - w) for z, w in zip(got, want)) < 1e-10, word
+
+    @pytest.mark.parametrize("word", ["RRLLRRLL", "RRRLRLLRRLLLRLRRRLLR",
+                                      "RL" * 20 + "RRRRRLLLL"],
+                             ids=["RRLLRRLL", "length-20", "length-49"])
+    def test_step_matches_the_basis_step(self, word):
+        # at random angles between pi/9 and 3 pi/5, for the centring
+        # weights with a share of the edge defect still to remove and for
+        # the volume's cot weights
+        system = gluing_system(layered_triangulation(word))
+        space = angle_space(system)
+        rng = random.Random(word)
+        for _ in range(10):
+            theta = []
+            for _ in range(system.triangulation.num_tetrahedra):
+                parts = [rng.uniform(0.5, 1.5) for _ in range(3)]
+                theta += [math.pi * x / sum(parts) for x in parts]
+            share = rng.uniform(0.1, 1.0)
+            shift = [share * e for e in angle_shift(space, theta)]
+            defect = [sum(c * shift[3 * i + k] for i, k, c in row)
+                      for row in system.edge_rows[:-1]]
+            cases = (([1.0 / (a * a) for a in theta],
+                      [1.0 / a for a in theta], shift, defect),
+                     ([1.0 / math.tan(a) for a in theta],
+                      [-math.log(2.0 * math.sin(a)) for a in theta],
+                      [0.0] * len(theta), [0.0] * len(defect)))
+            for weights, values, shift, defect in cases:
+                got = _angle_step(system, 1, theta, weights, values, defect)
+                want = angle_step_basis(space, weights, values, shift)
+                size = max(1.0, max(map(abs, want)))
+                assert max(abs(g - w) for g, w in zip(got, want)) \
+                    < 1e-12 * size
+
+    @pytest.mark.parametrize("unit, power", [
+        ("R" * 99 + "L", 1), ("R" * 199 + "L", 1), ("R" * 299 + "L", 1),
+        ("RL", 50), ("RL", 100), ("RL", 150),
+        ("RRL", 33), ("RRL", 67), ("RRL", 100),
+    ], ids=["R^99L", "R^199L", "R^299L", "(RL)^50", "(RL)^100", "(RL)^150",
+            "(RRL)^33", "(RRL)^67", "(RRL)^100"])
+    def test_long_words_solve(self, unit, power):
+        # each angle step costs one sparse elimination and every residual
+        # row is summed exactly, so these reach the default tol; a power
+        # covers its unit power times over
+        system = gluing_system(layered_triangulation(unit * power))
+        shapes = solve_shapes(system)
+        assert max(map(abs, system.residual(shapes))) < 1e-12
+        if power > 1:
+            once = solve_shapes(gluing_system(layered_triangulation(unit)))
+            assert abs(total_volume(shapes) - power * total_volume(once)) \
+                < 1e-9 * power
 
     @staticmethod
     def _check_against(solver, words):
@@ -496,12 +567,11 @@ class TestSolveShapes:
                 return [[0j, 0j, 0j, -f[r]] for r in range(3)]
 
         class Stuck(GluingSystem):
-            @property
-            def _angle_space(self):
-                # no angle moves along the first basis column
-                offset, basis, dim = super()._angle_space
-                return offset, [tuple((j, x) for j, x in row if j)
-                                for row in basis], dim
+            def __init__(self, triangulation):
+                # an empty first edge row leaves E Q E^T a zero row and
+                # column, so the first angle step meets a zero pivot
+                super().__init__(triangulation)
+                self.edge_rows = ((),) + self.edge_rows[1:]
 
         tri = layered_triangulation("RRL")
         for stub, has in ((Singular, "shape"), (Stuck, "angles")):

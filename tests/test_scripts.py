@@ -50,7 +50,8 @@ def test_public_names_exist():
 
 
 # cover_lifting.py is left out: its cold cover searches take about 45 s
-@pytest.mark.parametrize("script", ["figure_eight_tour.py", "corpus_scan.py"])
+@pytest.mark.parametrize("script", ["figure_eight_tour.py", "corpus_scan.py",
+                                    "long_words.py"])
 def test_demo_runs(script):
     done = subprocess.run([sys.executable, os.path.join(ROOT, "demos", script)],
                           env=src_env(), capture_output=True, text=True,
@@ -104,16 +105,20 @@ def test_reports_keep_the_library_versions():
 
 
 def run_module(*argv):
-    """`python -m cusplab.cli ARGV` in a fresh interpreter."""
-    return subprocess.run([sys.executable, "-m", "cusplab.cli", *argv],
+    """`python -m cusplab ARGV` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "cusplab", *argv],
                           env=src_env(), capture_output=True, text=True,
                           timeout=60)
 
 
 def test_module_entry_point_runs_the_cli():
+    # the package's __main__ runs cli.main once, so runpy has no module
+    # run twice to warn about
     done = run_module("farey-dist", "0/1", "2/5")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "2\n"
+    assert "RuntimeWarning" not in done.stderr
     done = run_module("farey-dist", "0/1", "0/0")
     assert done.returncode == 2
     assert "0/0" in done.stderr
+    assert "RuntimeWarning" not in done.stderr
