@@ -10,21 +10,24 @@ maximum over angle structures, and measures the cusp: the translation
 lattice of the boundary torus, the length of the fiber boundary (the
 longitude), and the maximal horoball neighborhood.
 
-The lattice is read off its two named loops, with no search for a basis.
-lam is the fiber boundary: the walk round the fiber puncture that
-LayeredTriangulation.fiber_boundary_class names, summed side by side over
-the developed cusp triangles, so its sign follows their orientation.  mu
-is the completeness loop, which winds once around the fiber direction,
+The cusp is developed with no search: its 4n triangles stack in four
+columns, one per tetrahedron vertex (Gueritaud's layered structure), and
+one pass up the columns, as the letter tables say, places them all.  The
+2n + 1 sides the pass leaves unplaced carry the derivative checks, and
+the lattice is read off two named loops.  lam is the fiber boundary: the
+walk round the fiber puncture that fiber_boundary_class names, summed
+over the developed cusp triangles, so its sign follows their orientation.
+mu is column 3's closing, which winds once around the fiber direction,
 reduced modulo lam to the shortest vector of its class.
 
 The gluing equations are integer data fixed by the triangulation.  The
-edge rows are sparse integer rows over the log-parameters, and the
-completeness row is read off the word: the column of cusp triangles at
-vertex 3 climbs the layers once (_completeness_row says why).  So a
-residual is an exact sum (math.fsum) of log z and log(1 - z) terms and
-never develops the cusp.  The system of the default base corner is built
-once per triangulation and cached on it; gluing_system,
-cusp_cross_section and maximal_cusp share it, any other base its own.
+edge rows are sparse integer rows over the log-parameters, written by the
+same slot walk that names the edge classes, and the completeness row is
+read off the word: the column of cusp triangles at vertex 3 climbs the
+layers once (_completeness_row says why).  So a residual is an exact sum
+(math.fsum) of log z and log(1 - z) terms and never develops the cusp.
+The system is built once per triangulation and cached on it;
+gluing_system, cusp_cross_section and maximal_cusp share it.
 
 Every layered triangulation of these bundles is geometric (Gueritaud,
 Geom. Topol. 10 (2006)), and its complete structure is the maximum of
@@ -48,7 +51,6 @@ the edge born as tetrahedron i's top diagonal.
 
 import cmath
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -117,6 +119,48 @@ _PUNCTURE_WALK = {
 }
 
 
+# The development keeps the ends of cusp triangle (i, k) at flat positions
+# 16i + 4k + m, m != k.  A gluing sigma onto face r2 places (., sigma[k])
+# from (., k): the shared side's ends carry over, and end r2 is a + w (b -
+# a), (r2, a, b) in _CYC[sigma[k]] order and w the corner parameter at a.
+# A placement: the offsets (from a, from b, to a, to b, to r2), w's index.
+def _placement(k, sigma, r2):
+    k2 = sigma[k]
+    cy = _CYC[k2]
+    ti = cy.index(r2)
+    a, b = cy[(ti + 1) % 3], cy[(ti + 2) % 3]
+    back = {m2: m for m, m2 in sigma.items()}
+    return (4 * k + back[a], 4 * k + back[b], 4 * k2 + a, 4 * k2 + b,
+            4 * k2 + r2, _PAIR[k2, a])
+
+
+# Keyed by the next letter: the placement up each column k, across the top
+# face keeping vertex k, and the two cross links from column place[0] // 4
+# to place[2] // 4.  Column 2 enters off column 0 at the first L layer,
+# column 3 at the first R layer, and column 1 down off column 2 there.
+_COLUMN = {letter: [None] * 4 for letter in _STACK}
+_CROSS = {letter: [] for letter in _STACK}
+for _letter, _glue in _STACK.items():
+    for _r, _r2, _sigma in _glue:
+        for _k in _FACE[_r]:
+            _place = _placement(_k, _sigma, _r2)
+            if _sigma[_k] == _k:
+                _COLUMN[_letter][_k] = _place
+            else:
+                _CROSS[_letter].append(_place)
+_ENTER_2 = _placement(0, _STACK["L"][0][2], 0)
+_ENTER_3 = _placement(0, _STACK["R"][1][2], 0)
+_ENTER_1 = _placement(2, {m2: m for m, m2 in _STACK["R"][0][2].items()}, 2)
+
+# The twelve sides of a layer's cusp triangles, the side of (i, k) across
+# face r by the offsets of its ends, and for each edge {k, m} of each face
+# r the pair of sides (i, k) and (i, m) across r that meet on it.
+_SIDES = [(k, r) for k in range(4) for r in range(4) if r != k]
+_TOUCH = [(x, y) for x, (k, r) in enumerate(_SIDES)
+          for y, (m, r2) in enumerate(_SIDES) if r == r2 and k < m]
+_SIDES = [tuple(4 * k + m for m in _FACE[r] if m != k) for k, r in _SIDES]
+
+
 @dataclass(frozen=True)
 class LayeredTriangulation:
     """Ideal triangulation of a once-punctured-torus bundle.
@@ -144,16 +188,24 @@ class LayeredTriangulation:
 
     @cached_property
     def _system(self):
-        # the GluingSystem at the default base corner, built on first use
-        # and shared by gluing_system, cusp_cross_section and maximal_cusp
+        # the GluingSystem, built on first use and shared by
+        # gluing_system, cusp_cross_section and maximal_cusp
         return GluingSystem(self)
 
 
-def _advance(slots, letter, i):
-    # the fiber slots after layer i: its flip empties one slot, which takes
-    # W's edge, and W takes the newborn edge i
-    slots[_SLOT[letter][(2, 3)]] = slots[2]
-    slots[2] = i
+def _slot_walk(word):
+    # (i, the _SLOT table of layer i, the fiber slots at its bottom) per
+    # layer.  Layer i's flip moves W's edge to the slot it empties and puts
+    # the newborn edge i on W.  Two rounds fill the slots that the top of
+    # the last layer closes onto (a flip at layer 0 finds W empty at first).
+    n = len(word)
+    slots = [None, None, None]
+    for i, letter in enumerate(word * 3):
+        table = _SLOT[letter]
+        if i >= 2 * n:
+            yield i - 2 * n, table, slots
+        slots[table[(2, 3)]] = slots[2]
+        slots[2] = i % n
 
 
 def layered_triangulation(word):
@@ -177,18 +229,10 @@ def layered_triangulation(word):
             degrees[(i, r)] = wrap
             degrees[(j, r2)] = -wrap
 
-    # The slots at the bottom of layer 0 are the ones the stack closes
-    # onto at the top of the last layer: run round the word until every
-    # slot holds an edge, then record each layer's edges.
-    slots = [None, None, None]
-    while None in slots:
-        for i, letter in enumerate(word):
-            _advance(slots, letter, i)
     classes = [[(i, (0, 1))] for i in range(n)]
-    for i, letter in enumerate(word):
-        for edge, s in _SLOT[letter].items():
+    for i, table, slots in _slot_walk(word):
+        for edge, s in table.items():
             classes[slots[s]].append((i, edge))
-        _advance(slots, letter, i)
     edge_classes = tuple(tuple(sorted(members)) for members in classes)
 
     walk = tuple((0, r, m) for r, m in _PUNCTURE_WALK[word[0]])
@@ -234,24 +278,6 @@ def _shapes(shapes):
     return ShapeVector(tuple(shapes)).shapes
 
 
-def _corner(z, k, m):
-    p = _PAIR[k, m]
-    if p == 0:
-        return z
-    if p == 1:
-        return 1.0 / (1.0 - z)
-    return (z - 1.0) / z
-
-
-def _sparse_row(terms):
-    # (tetrahedron, parameter, coefficient) triples, repeats added up and
-    # zero coefficients dropped
-    row = {}
-    for i, k, c in terms:
-        row[(i, k)] = row.get((i, k), 0) + c
-    return tuple((i, k, c) for (i, k), c in sorted(row.items()) if c)
-
-
 def _completeness_row(word):
     """The completeness row of the word's layered triangulation.
 
@@ -266,9 +292,9 @@ def _completeness_row(word):
     face 2 to a bottom face with vertex 3 fixed, so (0, 3), ...,
     (n - 1, 3) stack up and close through the monodromy.  Developed up the
     column, each layer turns its entry side into its exit side {0, 1} by
-    the parameter of the corner they share, which in _develop's convention
-    is the side towards c over the side towards b at corner a of _CYC
-    order (a, b, c).  _STACK[word[i]] enters layer i across
+    the parameter of the corner they share, which in _placement's
+    convention is the side towards c over the side towards b at corner a
+    of _CYC order (a, b, c).  _STACK[word[i]] enters layer i across
 
     - face 0 for L: side {1, 2} meets {0, 1} at vertex 1, on edge {1, 3}
       of parameter 1/(1 - z_i), and the ratio is 1 - z_i;
@@ -300,122 +326,97 @@ class GluingSystem:
 
     Both kinds of row are fixed sparse integer data, built once.
     ``edge_rows`` holds one tuple of (tetrahedron i, parameter k,
-    coefficient) triples per edge class, k indexing log z_i, log 1/(1 -
-    z_i) and log (z_i - 1)/z_i in that order; so does the completeness
-    row, read off the word by _completeness_row.  Residuals take
-    principal logs: every parameter of an upper-half-plane shape has
-    argument in (0, pi), and the completeness residual, less i*pi*s, is
-    wrapped into (-pi, pi].
+    coefficient) triples per edge class, sorted, k indexing log z_i,
+    log 1/(1 - z_i) and log (z_i - 1)/z_i.  In the slot walk, tetrahedron
+    i meets its own class and its bottom diagonal's (k = 0) and twice the
+    slots under {0,2} (k = 1) and {0,3} (k = 2).  The completeness row is
+    read off the word by _completeness_row.  Residuals take principal
+    logs: every parameter of an upper-half-plane shape has argument in
+    (0, pi), and the completeness residual, less i*pi*s, is wrapped into
+    (-pi, pi].
 
-    ``base`` is the (tetrahedron, vertex) corner at the root of the cusp
-    development, which places the reference cut and the loop, winding
-    once round the fiber, that cusp_cross_section reads mu from.  The
-    system of the default base (0, 0) is cached on its triangulation and
-    returned by gluing_system; any other base builds its own each time.
+    _develop climbs the four columns of cusp triangles in one pass, and
+    _loops reads the 2n + 1 sides it leaves unplaced, the four column
+    closings and 2n - 3 cross links, whose loops generate the peripheral
+    group.  The system is cached on its triangulation and returned by
+    gluing_system.
     """
 
-    def __init__(self, triangulation, base=(0, 0)):
+    def __init__(self, triangulation):
         self.triangulation = triangulation
-        self.edge_rows = tuple(
-            _sparse_row((i, _PAIR[edge], 1) for i, edge in cls)
-            for cls in triangulation.edge_classes)
-        self._complete_row, self._sign = _completeness_row(
-            triangulation.word)
-        self._build_cusp_graph(base)
+        word = triangulation.word
+        n = len(word)
+        rows = [[] for _ in range(n)]
+        for i, table, slots in _slot_walk(word):
+            bottom = slots[table[(2, 3)]]
+            rows[i].append((i, 0, 1 + (bottom == i)))
+            if bottom != i:
+                rows[bottom].append((i, 0, 1))
+            rows[slots[table[(0, 2)]]].append((i, 1, 2))
+            rows[slots[table[(0, 3)]]].append((i, 2, 2))
+        self.edge_rows = tuple(map(tuple, rows))
+        self._complete_row, self._sign = _completeness_row(word)
+
+        # Column k enters at layer entry[k] and climbs round the monodromy
+        # wrap, where a link winds +1, so triangle (i, k) winds lift[k] +
+        # (i < entry[k]).  Column 1 is entered down off (first_r, 2).
+        first_l, first_r = (((word[1:] + word[0]).index(c) + 1) % n
+                            for c in "LR")
+        entry = (0, (first_r - 1) % n, first_l, first_r)
+        lift = (0, (first_l == 0) + (first_r < first_l) - (first_r == 0),
+                first_l == 0, first_r == 0)
+        # the tree links as (16 source layer, 16 target layer, 3 target
+        # layer, placement), in the order _develop takes them
+        self._plan = plan = []
+        for k, enter, source in ((0, None, 0), (2, _ENTER_2, first_l - 1),
+                                 (3, _ENTER_3, first_r - 1),
+                                 (1, _ENTER_1, first_r)):
+            i = entry[k]
+            if enter:
+                plan.append((16 * (source % n), 16 * i, 3 * i, enter))
+            for j in [*range(i + 1, n), *range(i)]:
+                plan.append((16 * i, 16 * j, 3 * j, _COLUMN[word[j]][k]))
+                i = j
+        # the sides the tree leaves unplaced as (16 lower layer, 16 upper
+        # layer, winding, placement): the column closings, then the cross
+        # links but the tree's, both at first_r and one at first_l
+        links = [(entry[k], _COLUMN[word[entry[k]]][k]) for k in range(4)]
+        links += [(j, place) for j, letter in enumerate(word)
+                  for place in _CROSS[letter] if j != first_r
+                  and (j, place) != (first_l, _ENTER_2)]
+        self._sides = []
+        for j, place in links:
+            i, k, k2 = (j - 1) % n, place[0] // 4, place[2] // 4
+            winding = (lift[k] + (i < entry[k]) + (j == 0)
+                       - lift[k2] - (j < entry[k2]))
+            self._sides.append((16 * i, 16 * j, winding, place))
 
     @property
     def num_equations(self):
         return len(self.edge_rows) + 1
 
-    def _build_cusp_graph(self, root):
-        # The cusp cross section is a torus tiled by one triangle per
-        # (tetrahedron, vertex).  Build a spanning tree of its dual graph;
-        # the loops closed by the remaining sides generate the peripheral
-        # group, each with an integer winding around the fiber direction.
-        t = self.triangulation
-        glu = t.gluings
-        parent = {root: None}
-        winding = {root: 0}
-        order = [root]
-        queue = deque([root])
-        seen_sides = set()
-        nontree = []
-        while queue:
-            node = queue.popleft()
-            i, k = node
-            for r in range(4):
-                if r == k:
-                    continue
-                if (i, k, r) in seen_sides:
-                    continue
-                j, r2, sigma = glu[(i, r)]
-                other = (j, sigma[k])
-                seen_sides.add((i, k, r))
-                seen_sides.add((j, sigma[k], r2))
-                if other not in winding:
-                    winding[other] = winding[node] + t.degrees[(i, r)]
-                    parent[other] = (node, r)
-                    order.append(other)
-                    queue.append(other)
-                else:
-                    deg = winding[node] + t.degrees[(i, r)] - winding[other]
-                    nontree.append(((i, k, r), (j, sigma[k], r2), deg))
-        if len(order) != 4 * t.num_tetrahedra:
-            raise NumericalError("word %r: cusp cross section is not "
-                                 "connected" % t.word)
-        self._order = tuple(order)
-        self._parent = parent
-        self._nontree = tuple(nontree)
-        # the completeness loop, which is also the lattice's mu, must
-        # wind exactly once around the fiber direction
-        once = [x for x in nontree if abs(x[2]) == 1]
-        if not once:
-            raise NumericalError("word %r: no peripheral loop winds once "
-                                 "around the fiber" % t.word)
-        self._complete = min(once, key=lambda x: x[0])
-
     def _develop(self, zs):
-        # Similarity development of the cusp torus in C, rooted at the
-        # reference corner.  Positions are indexed by the opposite vertex:
-        # pos[(i, k)][m] is the end of tetrahedron edge {k, m} at vertex k.
-        glu = self.triangulation.gluings
-        pos = {}
-        i0, k0 = self._order[0]
-        cy = _CYC[k0]
-        pos[(i0, k0)] = {cy[0]: 0j, cy[1]: 1 + 0j,
-                         cy[2]: _corner(zs[i0], k0, cy[0])}
-        for node in self._order[1:]:
-            prev, r = self._parent[node]
-            i, k = prev
-            j, r2, sigma = glu[(i, r)]
-            k2 = node[1]
-            p = pos[prev]
-            known = {}
-            for m in _FACE[r]:
-                if m != k:
-                    known[sigma[m]] = p[m]
-            cy = _CYC[k2]
-            missing = next(m for m in cy if m not in known)
-            ti = cy.index(missing)
-            a_idx = cy[(ti + 1) % 3]
-            b_idx = cy[(ti + 2) % 3]
-            w = _corner(zs[j], k2, a_idx)
-            known[missing] = known[a_idx] + w * (known[b_idx] - known[a_idx])
-            pos[node] = known
+        # The flat positions of one pass up the columns, the root (0, 0)
+        # with its ends 1, 2 and 3 at 0, 1 and z_0.
+        w = [x for z in zs for x in (z, 1.0 / (1.0 - z), (z - 1.0) / z)]
+        pos = [0j] * (16 * len(zs))
+        pos[2], pos[3] = 1 + 0j, w[0]
+        for s, d, q, (fa, fb, ta, tb, tx, p) in self._plan:
+            a, b = pos[s + fa], pos[s + fb]
+            pos[d + ta], pos[d + tb] = a, b
+            pos[d + tx] = a + w[q + p] * (b - a)
         return pos
 
-    def _side_holonomy(self, pos, side, other_side):
-        # Affine map rewriting the tree placement of the far triangle into
-        # the placement demanded by this side; complete structures make
-        # every such derivative equal to 1.
-        i, k, r = side
-        j, k2, r2 = other_side
-        sigma = self.triangulation.gluings[(i, r)][2]
-        m1, m2 = (m for m in _FACE[r] if m != k)
-        p = pos[(i, k)]
-        q = pos[(j, k2)]
-        rho = (p[m2] - p[m1]) / (q[sigma[m2]] - q[sigma[m1]])
-        return rho, p[m1] - rho * q[sigma[m1]]
+    def _loops(self, pos):
+        # (winding, derivative, translation) of each unplaced side: the
+        # map taking the upper triangle's placement to the one the lower
+        # demands, a translation when complete.  Entry 3 is mu's loop.
+        out = []
+        for s, d, winding, (fa, fb, ta, tb, _, _) in self._sides:
+            a = pos[s + fa]
+            rho = (pos[s + fb] - a) / (pos[d + tb] - pos[d + ta])
+            out.append((winding, rho, a - rho * pos[d + ta]))
+        return out
 
     @cached_property
     def _flat_rows(self):
@@ -479,23 +480,19 @@ class GluingSystem:
         return self._evaluate(_shapes(shapes))
 
     def holonomies(self, shapes):
-        """(winding, derivative, translation) for each generating loop."""
-        return self._holonomies(self._develop(_shapes(shapes)))
-
-    def _holonomies(self, pos):
-        out = []
-        for side, other_side, deg in self._nontree:
-            rho, tr = self._side_holonomy(pos, side, other_side)
-            out.append((deg, rho, tr))
-        return out
+        """(winding, derivative, translation) for each generating loop:
+        the four column closings, each winding once, then the cross links.
+        """
+        return self._loops(self._develop(_shapes(shapes)))
 
     def developed_area(self, shapes):
         """Total euclidean area of the developed cusp triangles."""
+        pos = self._develop(_shapes(shapes))
         total = 0.0
-        for node, p in self._develop(_shapes(shapes)).items():
-            cy = _CYC[node[1]]
-            u = p[cy[1]] - p[cy[0]]
-            w = p[cy[2]] - p[cy[0]]
+        for o in range(0, len(pos), 4):
+            a, b, c = (o + m for m in _CYC[o // 4 % 4])
+            u = pos[b] - pos[a]
+            w = pos[c] - pos[a]
             total += 0.5 * abs((u.conjugate() * w).imag)
         return total
 
@@ -665,8 +662,8 @@ def solve_shapes(system, tol=1e-12):
             rise = _rise(theta, move, t)
             if rise < 0.0:
                 t *= decrement / (decrement - rise)
-            while t > 1e-12 and _rise(theta, move, t) < 0.0:
-                t *= 0.5
+                while t > 1e-12 and _rise(theta, move, t) < 0.0:
+                    t *= 0.5
         theta = [a + t * m for a, m in zip(theta, move)]
         if t == 1.0 and decrement < 1e-12:
             break
@@ -793,14 +790,21 @@ def cusp_cross_section(triangulation, shapes, base=(0, 0)):
     the default base this is the cut at euclidean height one over the
     first tetrahedron placed at (infinity, 0, 1, z_0).  Raises NotSolved
     unless the shapes satisfy the gluing and completeness equations to
-    about 1e-8.  The default base uses the triangulation's cached
-    GluingSystem; any other base builds its own.
+    about 1e-8, and ValueError on a base that is not a corner.  Any other
+    base is a similarity: the default lattice over the base triangle's
+    first side (between its first two _CYC ends) in the default cut.
     """
+    section, pos = _cross_section(triangulation._system, _shapes(shapes))
     if base == (0, 0):
-        system = triangulation._system
-    else:
-        system = GluingSystem(triangulation, base=base)
-    return _cross_section(system, _shapes(shapes))[0]
+        return section
+    i, k = base
+    if not (0 <= i < triangulation.num_tetrahedra and 0 <= k < 4):
+        raise ValueError("base %r is not a corner of word %r"
+                         % (base, triangulation.word))
+    a, b = (pos[16 * i + 4 * k + m] for m in _CYC[k][:2])
+    mu, lam = (w / (b - a) for w in section.translations)
+    area = section.area / abs(b - a) ** 2
+    return CuspCrossSection((mu, lam), area, abs(lam), area / abs(lam))
 
 
 def _cross_section(system, zs):
@@ -812,7 +816,8 @@ def _cross_section(system, zs):
         raise NotSolved("word %r: shapes leave gluing residual %.3e"
                         % (word, residual))
     pos = system._develop(zs)
-    for _, rho, _ in system._holonomies(pos):
+    loops = system._loops(pos)
+    for _, rho, _ in loops:
         if abs(rho - 1.0) > 1e-6:
             raise NotSolved("word %r: peripheral holonomy has derivative "
                             "%r; the structure is incomplete" % (word, rho))
@@ -823,11 +828,10 @@ def _cross_section(system, zs):
     for i, r, m in system.triangulation.fiber_boundary_class:
         cy = _CYC[m]
         ti = cy.index(r)
-        p = pos[(i, m)]
-        lam += p[cy[(ti + 2) % 3]] - p[cy[(ti + 1) % 3]]
-    # mu is the completeness loop, turned to wind +1 around the fiber
-    side, other_side, deg = system._complete
-    mu = deg * system._side_holonomy(pos, side, other_side)[1]
+        o = 16 * i + 4 * m
+        lam += pos[o + cy[(ti + 2) % 3]] - pos[o + cy[(ti + 1) % 3]]
+    # mu is column 3's closing, which winds +1 around the fiber
+    mu = loops[3][2]
     area = abs((mu.conjugate() * lam).imag)
     if area <= 1e-12 * abs(mu) * abs(lam):
         raise NumericalError("word %r: peripheral translations are linearly "
@@ -861,8 +865,9 @@ def maximal_cusp(triangulation, shapes):
     across that face, and the one at m has h_m = lambda(k m') /
     (lambda(k m) lambda(m m')).  So h_k h_m = e^(-delta(k m)) is the
     diameter of the ball at m seen from k, with h_k and h_m read from the
-    developed cusp triangles: h_k = |pos[(i, k)][m] - pos[(i, k)][m']|
-    and h_m = |pos[(i, m)][k] - pos[(i, m)][m']|.
+    developed cusp triangles, whose ends sit at the flat positions 16i +
+    4k + m: h_k = |pos[16i + 4k + m] - pos[16i + 4k + m']| and h_m =
+    |pos[16i + 4m + k] - pos[16i + 4m + m']|.
 
     Why the edges suffice.  With every shape in the upper half plane the
     layered triangulation is the geometric one, and for once-punctured
@@ -877,7 +882,8 @@ def maximal_cusp(triangulation, shapes):
     Each edge {k, m} of a face r meets the face's third vertex m', so
     h_k is the side of cusp triangle (i, k) across face r, and h_m that
     of (i, m).  The twelve sides of a tetrahedron's four cusp triangles
-    are read once and multiplied face by face, three edges per face.
+    are read once (_SIDES) and multiplied face by face, three edges per
+    face (_TOUCH).
     """
     if isinstance(shapes, ShapeVector):
         zs = shapes.shapes
@@ -891,18 +897,11 @@ def maximal_cusp(triangulation, shapes):
                             % (triangulation.word, worst, zs[worst]))
         zs = _shapes(zs)
     reference, pos = _cross_section(triangulation._system, zs)
-    diameter = 0.0
-    for i in range(triangulation.num_tetrahedra):
-        # side[k][r]: the side of cusp triangle (i, k) across face r
-        side = []
-        for k in range(4):
-            p = pos[(i, k)]
-            a, b, c = _CYC[k]
-            side.append({a: abs(p[b] - p[c]), b: abs(p[c] - p[a]),
-                         c: abs(p[a] - p[b])})
-        for r, (a, b, c) in _FACE.items():
-            h_a, h_b, h_c = side[a][r], side[b][r], side[c][r]
-            diameter = max(diameter, h_a * h_b, h_a * h_c, h_b * h_c)
+    products = []
+    for o in range(0, len(pos), 16):
+        h = [abs(pos[o + u] - pos[o + v]) for u, v in _SIDES]
+        products += [h[x] * h[y] for x, y in _TOUCH]
+    diameter = max(products)
     h = math.sqrt(diameter)
     mu, lam = reference.translations
     mu, lam = mu / h, lam / h

@@ -28,33 +28,42 @@ The rotation corpus is cusplab.cli.corpus before it generated necklaces:
 every word of each length is canonicalised by all its rotations and those
 of its letter swap.  It shares nothing with the necklace generator.
 
+The rooted cusp graph is the cusp development before it climbed the four
+letter columns: a breadth-first search over the 4n cusp triangles from
+any root corner, through the triangulation's gluings and degrees, with a
+parent and winding per triangle and every non-tree side kept with its
+winding; each triangle is placed in dicts off its tree parent, and the
+lattice is read at the root's cut.  It shares the package's face, cycle
+and pair tables and nothing of the column tables or the flat positions.
+
 The gcd basis is the cusp lattice before it was read off its two named
 loops: integer row reduction on the windings of all non-tree loops of the
 cusp graph, then a floating-point Euclid over the translations of winding
-zero.  It shares the package's development and its loops, which the area
-tests check on their own.
+zero.  It runs on the rooted cusp graph's loops or the package's.
 
 The plane triangulation is layered_triangulation before its letter
 tables: every tetrahedron is placed in the plane, faces are matched as
 lattice triangles up to translation, the last layer is unwound by the
 inverse monodromy, and a union-find merges the 6n tetrahedron edges.  It
 shares the package's face and puncture-walk tables and nothing of the
-stacking or the edge slots.
+stacking or the edge slots.  The sparse edge rows are GluingSystem's
+edge rows before the slot walk wrote them: each edge class summed member
+by member, repeats added up.
 
 The developed residual and its Newton loop are the shape solve before the
 completeness row became a precomputed monomial: each residual develops the
 cusp torus and takes the principal log of the completeness ratio, and each
-Jacobian column is its own residual call.  They share the package's cusp
-development, which the lattice and area tests check on their own.
+Jacobian column is its own residual call.  They develop on the rooted
+cusp graph.
 
 The replayed monomial is the completeness row before it was read off the
-word: _develop replayed on signed monomials (-1)^s prod z^a (1 - z)^b
-along the cusp-graph tree, for the system's completeness loop or any other
-loop that closes a non-tree side.  It shares the package's cusp graph and
-nothing of the letter row, which it is checked against on integer
-exponents.  The column development is the loop the letter row is the
-derivative of, developed triangle by triangle up the stack; it shares the
-package's tables and corner parameters.
+word: the rooted cusp graph's development replayed on signed monomials
+(-1)^s prod z^a (1 - z)^b along its tree, for its completeness loop or
+any other loop that closes a non-tree side.  It shares nothing of the
+letter row, which it is checked against on integer exponents.  The
+column development is the loop the letter row is the derivative of,
+developed triangle by triangle up the stack; it shares the package's
+tables.
 
 The least-squares solve is the shape solve before it left numpy, and
 before the volume maximum replaced its start at z = i: the residual is one
@@ -102,6 +111,7 @@ package's geometry and tolerances, and nothing of its draw source.
 import cmath
 import itertools
 import math
+from collections import deque
 from fractions import Fraction
 from math import gcd
 
@@ -112,10 +122,9 @@ from scipy.sparse.csgraph import shortest_path
 from cusplab import geometry
 from cusplab.arcs import NormalArc, _neighbors
 from cusplab.bundle import (_CYC, _FACE, _MAX_STEPS, _PAIR, _PUNCTURE_WALK,
-                            CuspCrossSection, _corner, _eliminate, _failure,
-                            _inside, _rise,
-                            LayeredTriangulation, ShapeVector, _cross_section,
-                            cusp_cross_section)
+                            CuspCrossSection, _eliminate, _failure, _inside,
+                            _rise, LayeredTriangulation, ShapeVector,
+                            _cross_section, cusp_cross_section)
 from cusplab.cli import CONE_TOL, TANGENT_TOL
 from cusplab.errors import (BudgetExceeded, DegenerateShape, DepthUnstable,
                             Diverged, MaxIterations, NotAnArc,
@@ -657,7 +666,8 @@ def maximal_cusp_pairwise(triangulation, shapes):
 
     For each tetrahedron, each edge {k, m} (k < m) and each third vertex
     m', h_k h_m with h_k and h_m read afresh off the developed cusp
-    triangles (i, k) and (i, m): 24 side lengths per tetrahedron where
+    triangles (i, k) and (i, m), whose ends sit at the flat positions
+    16i + 4k + m: 24 side lengths per tetrahedron where
     cusplab.bundle.maximal_cusp reads 12.  The same products of the same
     side lengths, so the result must be equal to the last bit.
     """
@@ -668,14 +678,128 @@ def maximal_cusp_pairwise(triangulation, shapes):
         for k, m in itertools.combinations(range(4), 2):
             for m2 in range(4):
                 if m2 != k and m2 != m:
-                    h_k = abs(pos[(i, k)][m] - pos[(i, k)][m2])
-                    h_m = abs(pos[(i, m)][k] - pos[(i, m)][m2])
+                    o = 16 * i
+                    h_k = abs(pos[o + 4 * k + m] - pos[o + 4 * k + m2])
+                    h_m = abs(pos[o + 4 * m + k] - pos[o + 4 * m + m2])
                     diameter = max(diameter, h_k * h_m)
     h = math.sqrt(diameter)
     mu, lam = reference.translations
     mu, lam = mu / h, lam / h
     area = reference.area / diameter
     return CuspCrossSection((mu, lam), area, abs(lam), area / abs(lam))
+
+
+# ---- rooted breadth-first cusp graph ----
+
+def _corner(z, k, m):
+    # the corner parameter of shape z at vertex k towards m
+    p = _PAIR[k, m]
+    if p == 0:
+        return z
+    if p == 1:
+        return 1.0 / (1.0 - z)
+    return (z - 1.0) / z
+
+
+class RootedCuspGraph:
+    """The cusp graph searched breadth first from a root corner.
+
+    The cusp torus is tiled by one triangle per (tetrahedron, vertex).
+    ``order`` and ``parent`` are a breadth-first spanning tree of the dual
+    graph from ``root``, found through the triangulation's gluings and
+    degrees; ``nontree`` lists each remaining side once as (side, other
+    side, winding), a side being (tetrahedron, vertex, face), and
+    ``complete`` is the first of them to wind once round the fiber.
+    develop places the root triangle's _CYC ends at 0, 1 and its corner
+    parameter and every other triangle off its tree parent, in dicts
+    keyed by the opposite vertex.
+    """
+
+    def __init__(self, triangulation, root=(0, 0)):
+        self.triangulation = t = triangulation
+        glu = t.gluings
+        self.parent = {root: None}
+        winding = {root: 0}
+        self.order = [root]
+        queue = deque([root])
+        seen_sides = set()
+        self.nontree = []
+        while queue:
+            node = queue.popleft()
+            i, k = node
+            for r in range(4):
+                if r == k or (i, k, r) in seen_sides:
+                    continue
+                j, r2, sigma = glu[(i, r)]
+                other = (j, sigma[k])
+                seen_sides.add((i, k, r))
+                seen_sides.add((j, sigma[k], r2))
+                if other not in winding:
+                    winding[other] = winding[node] + t.degrees[(i, r)]
+                    self.parent[other] = (node, r)
+                    self.order.append(other)
+                    queue.append(other)
+                else:
+                    deg = winding[node] + t.degrees[(i, r)] - winding[other]
+                    self.nontree.append(((i, k, r), (j, sigma[k], r2), deg))
+        assert len(self.order) == 4 * t.num_tetrahedra
+        self.complete = min((x for x in self.nontree if abs(x[2]) == 1),
+                            key=lambda x: x[0])
+
+    def develop(self, zs):
+        glu = self.triangulation.gluings
+        i0, k0 = self.order[0]
+        cy = _CYC[k0]
+        pos = {(i0, k0): {cy[0]: 0j, cy[1]: 1 + 0j,
+                          cy[2]: _corner(zs[i0], k0, cy[0])}}
+        for node in self.order[1:]:
+            (i, k), r = self.parent[node]
+            j, _, sigma = glu[(i, r)]
+            k2 = node[1]
+            known = {sigma[m]: pos[(i, k)][m] for m in _FACE[r] if m != k}
+            cy = _CYC[k2]
+            ti = next(x for x in range(3) if cy[x] not in known)
+            a, b = cy[(ti + 1) % 3], cy[(ti + 2) % 3]
+            known[cy[ti]] = known[a] + _corner(zs[j], k2, a) * (
+                known[b] - known[a])
+            pos[node] = known
+        return pos
+
+    def side_holonomy(self, pos, side, other_side):
+        # the affine map rewriting the tree placement of the far triangle
+        # into the placement this side demands
+        i, k, r = side
+        j, k2, _ = other_side
+        sigma = self.triangulation.gluings[(i, r)][2]
+        m1, m2 = (m for m in _FACE[r] if m != k)
+        p, q = pos[(i, k)], pos[(j, k2)]
+        rho = (p[m2] - p[m1]) / (q[sigma[m2]] - q[sigma[m1]])
+        return rho, p[m1] - rho * q[sigma[m1]]
+
+    def holonomies(self, shapes):
+        """(winding, derivative, translation) for each non-tree loop."""
+        pos = self.develop(ShapeVector(tuple(shapes)).shapes)
+        return [(deg,) + self.side_holonomy(pos, side, other)
+                for side, other, deg in self.nontree]
+
+    def cross_section(self, shapes):
+        """The cusp lattice at the root's cut, as the package read it.
+
+        lam is the walk of fiber_boundary_class over the developed sides,
+        mu the completeness loop turned to wind +1, reduced modulo lam.
+        """
+        pos = self.develop(ShapeVector(tuple(shapes)).shapes)
+        lam = 0j
+        for i, r, m in self.triangulation.fiber_boundary_class:
+            cy = _CYC[m]
+            ti = cy.index(r)
+            p = pos[(i, m)]
+            lam += p[cy[(ti + 2) % 3]] - p[cy[(ti + 1) % 3]]
+        side, other, deg = self.complete
+        mu = deg * self.side_holonomy(pos, side, other)[1]
+        area = abs((mu.conjugate() * lam).imag)
+        mu -= round((mu / lam).real) * lam
+        return CuspCrossSection((mu, lam), area, abs(lam), area / abs(lam))
 
 
 # ---- peripheral basis by integer reduction and a float gcd ----
@@ -850,16 +974,39 @@ def layered_triangulation_plane(word):
     return LayeredTriangulation(word, gluings, degrees, edge_classes, walk)
 
 
+# ---- edge rows summed over the edge classes ----
+
+def sparse_edge_rows(triangulation):
+    """Edge rows of a triangulation, read off its edge classes.
+
+    Each class member (tetrahedron i, vertex pair) adds 1 to the
+    coefficient of its dihedral parameter _PAIR on tetrahedron i; repeats
+    add up, and each row lists its (i, parameter, coefficient) triples in
+    sorted order.  cusplab.bundle.GluingSystem.edge_rows, read off the slot
+    walk, must equal it tuple for tuple.
+    """
+    rows = []
+    for cls in triangulation.edge_classes:
+        row = {}
+        for i, edge in cls:
+            row[(i, _PAIR[edge])] = row.get((i, _PAIR[edge]), 0) + 1
+        rows.append(tuple((i, k, c) for (i, k), c in sorted(row.items())))
+    return tuple(rows)
+
+
 # ---- developed-ratio shape solve ----
 
-def developed_residual(system, shapes):
+def developed_residual(system, shapes, graph=None):
     """Gluing residuals of a GluingSystem, the completeness row developed.
 
     Edge rows sum the principal log-parameters around each edge class;
     the completeness row is the principal log of the derivative of the
-    system's completeness loop, read off a full development of the cusp
+    completeness loop of ``graph`` (by default the RootedCuspGraph of the
+    system's triangulation), read off a full development of the cusp
     torus.  cusplab.bundle.GluingSystem.residual is checked against it.
     """
+    if graph is None:
+        graph = RootedCuspGraph(system.triangulation)
     zs = np.array(ShapeVector(tuple(shapes)).shapes, dtype=complex)
     logs = (np.log(zs), -np.log(1.0 - zs), np.log((zs - 1.0) / zs))
     classes = system.triangulation.edge_classes
@@ -867,9 +1014,7 @@ def developed_residual(system, shapes):
     for e, cls in enumerate(classes):
         out[e] = sum(logs[_PAIR[edge]][i]
                      for i, edge in cls) - 2j * math.pi
-    pos = system._develop(zs)
-    rho, _ = system._side_holonomy(pos, system._complete[0],
-                                   system._complete[1])
+    rho, _ = graph.side_holonomy(graph.develop(zs), *graph.complete[:2])
     out[-1] = cmath.log(rho)
     return out
 
@@ -883,9 +1028,10 @@ def solve_shapes_developed(system, tol=1e-12):
     wherever its shapes are complete.
     """
     n = system.triangulation.num_tetrahedra
+    graph = RootedCuspGraph(system.triangulation)
     z = np.full(n, 1j, dtype=complex)
     floor = 1e-13
-    f = developed_residual(system, z)
+    f = developed_residual(system, z, graph)
     if float(np.max(np.abs(f))) < tol:
         return ShapeVector(tuple(z))
     size = float(np.linalg.norm(f))
@@ -895,7 +1041,7 @@ def solve_shapes_developed(system, tol=1e-12):
         for col in range(n):
             zp = z.copy()
             zp[col] += h
-            jac[:, col] = (developed_residual(system, zp) - f) / h
+            jac[:, col] = (developed_residual(system, zp, graph) - f) / h
         step = np.linalg.lstsq(jac, -f, rcond=None)[0]
         if not np.all(np.isfinite(step)):
             raise Diverged("Newton step is not finite")
@@ -906,7 +1052,7 @@ def solve_shapes_developed(system, tol=1e-12):
             if np.min(z2.imag) <= floor:
                 flattened = True
             else:
-                f2 = developed_residual(system, z2)
+                f2 = developed_residual(system, z2, graph)
                 if np.all(np.isfinite(f2)):
                     size2 = float(np.linalg.norm(f2))
                     if size2 < size or np.max(np.abs(f2)) < tol:
@@ -954,25 +1100,26 @@ def _mono_neg(x):
     return ((x[0] + 1) % 2, x[1])
 
 
-def completeness_monomial(system, loop=None):
+def completeness_monomial(graph, loop=None):
     """The derivative of a peripheral loop as a signed monomial (s, terms).
 
-    ``loop`` is one of the system's non-tree sides, by default its
-    completeness loop.  Replays _develop on monomials, along the tree
-    paths from the root to the two triangles of the loop's side only.
-    frame[node] = (a, b, c, mono): the side a -> b of the node's triangle
-    is mono times the root side, the side a -> c is w_a times that and
-    b -> c is w_a - 1 times it, where w_a is the corner parameter at a.
+    ``graph`` is a RootedCuspGraph and ``loop`` one of its non-tree
+    sides, by default its completeness loop.  Replays its develop on
+    monomials, along the tree paths from the root to the two triangles
+    of the loop's side only.  frame[node] = (a, b, c, mono): the side
+    a -> b of the node's triangle is mono times the root side, the side
+    a -> c is w_a times that and b -> c is w_a - 1 times it, where w_a is
+    the corner parameter at a.
     """
-    glu = system.triangulation.gluings
-    n = system.triangulation.num_tetrahedra
+    glu = graph.triangulation.gluings
+    n = graph.triangulation.num_tetrahedra
     one = (0, ())
-    root = system._order[0]
+    root = graph.order[0]
     cy = _CYC[root[1]]
     frame = {root: (cy[0], cy[1], cy[2], one)}
 
     def place(node):
-        prev, r = system._parent[node]
+        prev, r = graph.parent[node]
         sigma = glu[(prev[0], r)][2]
         shared = {sigma[m]: m for m in _FACE[r] if m != prev[1]}
         cy = _CYC[node[1]]
@@ -985,7 +1132,7 @@ def completeness_monomial(system, loop=None):
         up = node
         while up not in frame:
             path.append(up)
-            up = system._parent[up][0]
+            up = graph.parent[up][0]
         for later in reversed(path):
             place(later)
         a, b, c, mono = frame[node]
@@ -998,7 +1145,7 @@ def completeness_monomial(system, loop=None):
             v, start = _mono_mul(w_less_one, mono), b
         return v if m1 == start else _mono_neg(v)
 
-    (i, k, r), (j, k2, _), _ = system._complete if loop is None else loop
+    (i, k, r), (j, k2, _), _ = graph.complete if loop is None else loop
     sigma = glu[(i, r)][2]
     m1, m2 = (m for m in _FACE[r] if m != k)
     return _mono_div(side((i, k), m1, m2),
@@ -1041,7 +1188,7 @@ def _dense_columns(system):
     for r, row in enumerate(system.edge_rows):
         for i, k, c in row:
             edge[r, k * n + i] = c
-    sign, terms = completeness_monomial(system)
+    sign, terms = completeness_monomial(RootedCuspGraph(system.triangulation))
     complete = np.zeros(3 * n)
     for c, e in terms:
         complete[c] += e if c < n else -e

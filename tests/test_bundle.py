@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import itertools
 import json
 import math
@@ -8,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from cusplab import cli, errors
+from cusplab import bundle, cli, errors
 from cusplab.bundle import (
     _angle_step,
     _lobachevsky,
@@ -24,14 +23,15 @@ from cusplab.bundle import (
     tetrahedron_volume,
     total_volume,
 )
-from oracles import (angle_shift, angle_space, angle_step_basis,
-                     bloch_wigner, canonical_word, column_derivative,
-                     completeness_monomial, developed_residual,
-                     figure_eight_cusp, layered_triangulation_plane,
-                     lobachevsky_spence, maximal_cusp_bfs,
-                     maximal_cusp_pairwise, peripheral_basis_gcd,
-                     solve_shapes_basis, solve_shapes_developed,
-                     solve_shapes_lstsq)
+from oracles import (RootedCuspGraph, angle_shift, angle_space,
+                     angle_step_basis, bloch_wigner, canonical_word,
+                     column_derivative, completeness_monomial,
+                     developed_residual, figure_eight_cusp,
+                     layered_triangulation_plane, lobachevsky_spence,
+                     maximal_cusp_bfs, maximal_cusp_pairwise,
+                     peripheral_basis_gcd, solve_shapes_basis,
+                     solve_shapes_developed, solve_shapes_lstsq,
+                     sparse_edge_rows)
 
 REGULAR = complex(0.5, math.sqrt(3.0) / 2.0)
 
@@ -314,38 +314,48 @@ class TestGluingSystem:
         words = words()
         assert len(words) == count
         for word in words:
-            system = gluing_system(layered_triangulation(word))
+            tri = layered_triangulation(word)
+            system = gluing_system(tri)
+            graph = RootedCuspGraph(tri)
             n = len(word)
             letter = row_exponents(n, system._complete_row, system._sign)
             generators = [[0] * (2 * n) + [2]]
             generators += [row_exponents(n, edge) for edge in system.edge_rows]
-            generators += [exponents(n, *completeness_monomial(system, loop))
-                           for loop in system._nontree if loop[2] == 0]
-            replayed = exponents(n, *completeness_monomial(system))
-            power = -system._complete[2]
+            generators += [exponents(n, *completeness_monomial(graph, loop))
+                           for loop in graph.nontree if loop[2] == 0]
+            replayed = exponents(n, *completeness_monomial(graph))
+            power = -graph.complete[2]
             assert in_lattice(generators, [
                 a - power * b for a, b in zip(letter, replayed)]), word
 
-    def test_completeness_loop_must_wind_once(self):
-        # with every winding doubled no loop winds once around the fiber,
-        # so the completeness loop cannot serve as the lattice's mu
-        tri = layered_triangulation("RRL")
-        doubled = dataclasses.replace(
-            tri, degrees={f: 2 * d for f, d in tri.degrees.items()})
-        with pytest.raises(errors.NumericalError) as info:
-            GluingSystem(doubled)
-        assert "word 'RRL'" in str(info.value)
+    @pytest.mark.parametrize("words, count", [
+        (lambda: list(two_letter_words(9)), 1004),
+        (bundle_pool, 48),
+        (lambda: random_words(200, 10, 20, seed=7), 200),
+    ], ids=["length<=9", "bundle-pool", "random-10-20"])
+    def test_edge_rows_match_the_class_sums(self, words, count):
+        # the slot walk writes each edge row in the order, and with the
+        # coefficients, of the class sums, so every solve iterate is the
+        # one the class sums give
+        words = words()
+        assert len(words) == count
+        for word in words:
+            tri = layered_triangulation(word)
+            assert gluing_system(tri).edge_rows == sparse_edge_rows(tri), word
 
-    def test_disconnected_cusp_names_the_word(self):
-        # with every face glued to itself no cusp triangle has a neighbour
-        tri = layered_triangulation("RRL")
-        alone = dataclasses.replace(tri, gluings={
-            (i, r): (i, r, {m: m for m in range(4) if m != r})
-            for i, r in tri.gluings})
-        with pytest.raises(errors.NumericalError) as info:
-            GluingSystem(alone)
-        assert str(info.value).startswith("word 'RRL': ")
-        assert "not connected" in str(info.value)
+    def test_holonomies_wind_once_in_all(self):
+        # the 2n + 1 sides the column development leaves unplaced: the four
+        # column closings wind once round the fiber, so the windings have
+        # gcd 1, and each derivative is 1 at the complete structure
+        for word in ["RL", "LR", "RRL", "LRR", "RLLLL", "LRRRR", "RRLRL",
+                     "RRLLRLRL"]:
+            tri = layered_triangulation(word)
+            system = gluing_system(tri)
+            loops = system.holonomies(solve_shapes(system))
+            assert len(loops) == 2 * len(word) + 1, word
+            assert [w for w, _, _ in loops[:4]] == [1, 1, 1, 1], word
+            assert math.gcd(*[w for w, _, _ in loops]) == 1, word
+            assert max(abs(rho - 1.0) for _, rho, _ in loops) < 1e-12, word
 
     def test_one_system_per_triangulation(self):
         tri = layered_triangulation("RRLRL")
@@ -353,9 +363,10 @@ class TestGluingSystem:
         assert gluing_system(tri) is not gluing_system(
             layered_triangulation("RRLRL"))
 
-    def test_other_base_builds_its_own_system(self):
+    def test_other_base_is_a_similarity_of_the_default(self):
         # a non-default base moves the reference cut, which scales the
-        # lattice but keeps the modulus longitude^2 / area
+        # lattice but keeps the modulus longitude^2 / area; a base that is
+        # not a corner is refused
         tri = layered_triangulation("RRLRL")
         shapes = solve_shapes(gluing_system(tri))
         default = cusp_cross_section(tri, shapes)
@@ -364,6 +375,9 @@ class TestGluingSystem:
                    - default.longitude_length ** 2 / default.area) < 1e-8
         assert abs(moved.area - default.area) > 1e-6 * default.area
         assert cusp_cross_section(tri, shapes) == default
+        for base in [(5, 0), (0, 4), (-1, 0)]:
+            with pytest.raises(ValueError):
+                cusp_cross_section(tri, shapes, base=base)
 
 
 class TestSolveShapes:
@@ -455,6 +469,23 @@ class TestSolveShapes:
             once = solve_shapes(gluing_system(layered_triangulation(unit)))
             assert abs(total_volume(shapes) - power * total_volume(once)) \
                 < 1e-9 * power
+
+    def test_damped_steps_try_each_length_once(self, monkeypatch):
+        # a damped step reads the rise along its move once per step length
+        # it tries: no two consecutive calls share theta, move and t
+        rise = bundle._rise
+        calls = []
+
+        def counted(theta, step, t):
+            calls.append((tuple(theta), tuple(step), t))
+            return rise(theta, step, t)
+
+        monkeypatch.setattr(bundle, "_rise", counted)
+        for k in (2, 5, 9, 20, 50):
+            del calls[:]
+            solve_shapes(gluing_system(layered_triangulation("R" * k + "L")))
+            assert calls, k
+            assert all(a != b for a, b in zip(calls, calls[1:])), k
 
     @staticmethod
     def _check_against(solver, words):
@@ -686,40 +717,76 @@ class TestCuspCrossSection:
 
     # (word, base corner) pairs compared: every word of each set at base
     # (0, 0), and every corner of the words up to length 5
-    @pytest.mark.parametrize("words, corners, compared", [
+    CORNER_SETS = [
         (lambda: list(two_letter_words(8)), False, 494),
         (bundle_pool, False, 48),
         (lambda: list(two_letter_words(5)), True, 912),
-    ], ids=["length<=8", "bundle-pool", "corners-length<=5"])
-    def test_matches_the_gcd_basis(self, words, corners, compared):
-        # the two named loops against integer reduction over every
-        # non-tree loop and a float gcd: the same lattice, lam up to sign
-        # and mu up to a multiple of lam, which the gcd basis leaves
-        # unreduced
-        seen = 0
+    ]
+    CORNER_IDS = ["length<=8", "bundle-pool", "corners-length<=5"]
+
+    @staticmethod
+    def _corners(words, corners):
+        # (word, triangulation, shapes, base) for each compared pair
         for word in words():
             tri = layered_triangulation(word)
             shapes = solve_shapes(gluing_system(tri))
             bases = [(i, k) for i in range(len(word)) for k in range(4)] \
                 if corners else [(0, 0)]
             for base in bases:
-                got = cusp_cross_section(tri, shapes, base=base)
-                system = GluingSystem(tri, base=base)
-                mu, lam = peripheral_basis_gcd(system.holonomies(shapes))
-                area = abs((mu.conjugate() * lam).imag)
-                where = (word, base)
-                assert abs(got.area - area) < 1e-11 * area, where
-                assert abs(got.longitude_length - abs(lam)) \
-                    < 1e-11 * abs(lam), where
-                assert abs(got.height - area / abs(lam)) \
-                    < 1e-11 * area / abs(lam), where
-                got_mu, got_lam = got.translations
-                assert min(abs(got_lam - lam), abs(got_lam + lam)) \
-                    < 1e-11 * abs(lam), where
-                shift = round(((got_mu - mu) / lam).real)
-                assert abs(got_mu - mu - shift * lam) < 1e-11 * abs(mu), where
-                assert abs((got_mu / got_lam).real) <= 0.5 + 1e-12, where
-                seen += 1
+                yield word, tri, shapes, base
+
+    @staticmethod
+    def _same_lattice(got, mu, lam, where):
+        # got's lattice against (mu, lam): the same area, height and lam
+        # up to sign, mu up to a multiple of lam
+        area = abs((mu.conjugate() * lam).imag)
+        assert abs(got.area - area) < 1e-11 * area, where
+        assert abs(got.longitude_length - abs(lam)) < 1e-11 * abs(lam), where
+        assert abs(got.height - area / abs(lam)) \
+            < 1e-11 * area / abs(lam), where
+        got_mu, got_lam = got.translations
+        assert min(abs(got_lam - lam), abs(got_lam + lam)) \
+            < 1e-11 * abs(lam), where
+        shift = round(((got_mu - mu) / lam).real)
+        assert abs(got_mu - mu - shift * lam) < 1e-11 * abs(mu), where
+        assert abs((got_mu / got_lam).real) <= 0.5 + 1e-12, where
+
+    @pytest.mark.parametrize("words, corners, compared", CORNER_SETS,
+                             ids=CORNER_IDS)
+    def test_matches_the_gcd_basis(self, words, corners, compared):
+        # the two named loops against integer reduction over every
+        # non-tree loop of the cusp graph rooted at the base, and a float
+        # gcd: the same lattice, lam up to sign and mu up to a multiple
+        # of lam, which the gcd basis leaves unreduced
+        seen = 0
+        for word, tri, shapes, base in self._corners(words, corners):
+            got = cusp_cross_section(tri, shapes, base=base)
+            graph = RootedCuspGraph(tri, base)
+            mu, lam = peripheral_basis_gcd(graph.holonomies(shapes))
+            self._same_lattice(got, mu, lam, (word, base))
+            seen += 1
+        assert seen == compared
+
+    @pytest.mark.parametrize("words, corners, compared", CORNER_SETS,
+                             ids=CORNER_IDS)
+    def test_matches_the_rooted_development(self, words, corners, compared):
+        # the column development, divided by the base triangle's first
+        # side, against the breadth-first development rooted at the base:
+        # the same area, lam, mu modulo lam and height; at the default
+        # base the column loops give the gcd basis that lattice too
+        seen = 0
+        for word, tri, shapes, base in self._corners(words, corners):
+            got = cusp_cross_section(tri, shapes, base=base)
+            want = RootedCuspGraph(tri, base).cross_section(shapes)
+            self._same_lattice(got, *want.translations, (word, base))
+            lam = want.translations[1]
+            assert abs(got.translations[1] - lam) < 1e-11 * abs(lam), \
+                (word, base)
+            if base == (0, 0):
+                mu, lam = peripheral_basis_gcd(
+                    gluing_system(tri).holonomies(shapes))
+                self._same_lattice(got, mu, lam, word)
+            seen += 1
         assert seen == compared
 
     def test_height_is_area_over_longitude(self, solved_rl):
@@ -788,13 +855,15 @@ class TestMaximalCusp:
         assert "np." not in str(info.value)
 
     def test_one_development_per_call(self, monkeypatch):
-        # the reference section and the edge formula read one development
+        # the reference section and the edge formula read one development,
+        # 16 flat positions per tetrahedron
         develop = GluingSystem._develop
         calls = []
 
         def counted(system, zs):
-            calls.append(system)
-            return develop(system, zs)
+            pos = develop(system, zs)
+            calls.append((system, len(pos)))
+            return pos
 
         monkeypatch.setattr(GluingSystem, "_develop", counted)
         for word in ("RL", "RRLRL"):
@@ -802,7 +871,7 @@ class TestMaximalCusp:
             shapes = solve_shapes(gluing_system(tri))
             del calls[:]
             maximal_cusp(tri, shapes)
-            assert calls == [gluing_system(tri)], word
+            assert calls == [(gluing_system(tri), 16 * len(word))], word
 
     def test_edge_formula_matches_the_horoball_search(self):
         for word in cli.corpus(5):
