@@ -165,26 +165,53 @@ _SIDES = [tuple(4 * k + m for m in _FACE[r] if m != k) for k, r in _SIDES]
 class LayeredTriangulation:
     """Ideal triangulation of a once-punctured-torus bundle.
 
-    One tetrahedron per monodromy letter.  ``gluings`` maps a face handle
-    (tet, omitted vertex) to (other tet, other face, vertex bijection);
-    ``degrees`` records the winding of each gluing around the fiber
-    direction (+1 crossing the monodromy closure upward, -1 downward, 0
-    inside the stack).  ``edge_classes`` partitions the 6n tetrahedron
-    edges (tet, vertex pair) into the edges of the glued manifold, class i
-    being the edge born at layer i as tetrahedron i's top diagonal
-    (i, (0, 1)).  ``fiber_boundary_class`` lists the face corners of
-    tetrahedron 0 that a loop around the fiber puncture crosses, in cyclic
-    order: the peripheral class of the fiber boundary (the longitude).
+    One tetrahedron per monodromy letter.  ``edge_classes`` partitions
+    the 6n tetrahedron edges (tet, vertex pair) into the edges of the glued
+    manifold, class i being the edge born at layer i as tetrahedron i's top
+    diagonal (i, (0, 1)).  ``fiber_boundary_class`` lists the face corners
+    of tetrahedron 0 that a loop around the fiber puncture crosses, in
+    cyclic order: the peripheral class of the fiber boundary (the
+    longitude).  ``gluings`` and ``degrees`` are read off the word's
+    ``_STACK`` rows on first use, since the solver never needs them.
     """
     word: str
-    gluings: dict
-    degrees: dict
     edge_classes: tuple
     fiber_boundary_class: tuple
 
     @property
     def num_tetrahedra(self):
         return len(self.word)
+
+    def _stack_rows(self):
+        # (i, j, wrap, rows): layer i's top faces glue to layer j = i + 1
+        # by the rows of j's letter, wrapping once round the closure
+        n = len(self.word)
+        for i in range(n):
+            j = (i + 1) % n
+            yield i, j, 1 if j == 0 else 0, _STACK[self.word[j]]
+
+    @cached_property
+    def gluings(self):
+        """Face handle (tet, omitted vertex) to (other tet, other face,
+        vertex bijection), for every face of every tetrahedron."""
+        gluings = {}
+        for i, j, _, rows in self._stack_rows():
+            for r, r2, sigma in rows:
+                gluings[(i, r)] = (j, r2, dict(sigma))
+                gluings[(j, r2)] = (i, r, {m2: m1 for m1, m2 in sigma.items()})
+        return gluings
+
+    @cached_property
+    def degrees(self):
+        """Winding of each face gluing around the fiber direction: +1
+        crossing the monodromy closure upward, -1 downward, 0 inside the
+        stack."""
+        degrees = {}
+        for i, j, wrap, rows in self._stack_rows():
+            for r, r2, _ in rows:
+                degrees[(i, r)] = wrap
+                degrees[(j, r2)] = -wrap
+        return degrees
 
     @cached_property
     def _system(self):
@@ -217,26 +244,14 @@ def layered_triangulation(word):
     if not word_to_matrix(word).is_pseudo_anosov:
         raise NotPseudoAnosov("monodromy %r is not pseudo-Anosov" % word)
 
-    n = len(word)
-    gluings = {}
-    degrees = {}
-    for i in range(n):
-        j = (i + 1) % n
-        wrap = 1 if j == 0 else 0
-        for r, r2, sigma in _STACK[word[j]]:
-            gluings[(i, r)] = (j, r2, dict(sigma))
-            gluings[(j, r2)] = (i, r, {m2: m1 for m1, m2 in sigma.items()})
-            degrees[(i, r)] = wrap
-            degrees[(j, r2)] = -wrap
-
-    classes = [[(i, (0, 1))] for i in range(n)]
+    classes = [[(i, (0, 1))] for i in range(len(word))]
     for i, table, slots in _slot_walk(word):
         for edge, s in table.items():
             classes[slots[s]].append((i, edge))
     edge_classes = tuple(tuple(sorted(members)) for members in classes)
 
     walk = tuple((0, r, m) for r, m in _PUNCTURE_WALK[word[0]])
-    return LayeredTriangulation(word, gluings, degrees, edge_classes, walk)
+    return LayeredTriangulation(word, edge_classes, walk)
 
 
 # ---- shapes and gluing equations ----------------------------------------

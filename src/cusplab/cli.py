@@ -38,7 +38,9 @@ lemma-suite draws its samples from numpy's PCG64 ``Generator`` stream
 for ``--seed``, the one ``numpy.random.default_rng(seed)`` gives.  The
 stream is read from raw 64-bit words in blocks, bit for bit equal to one
 scalar ``integers`` or ``uniform`` call per draw, so reports stay
-byte-identical for the same numpy.
+byte-identical for the same numpy.  Each check is one loop with one pass
+per sample: doubles come from a C-level iterator over the words, and
+the draws and the ``geometry`` calls are made inline.
 """
 
 import argparse
@@ -49,6 +51,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass, asdict
+from itertools import chain, repeat
+from operator import mul, rshift
 
 from . import __version__, arcs, bounds, bundle, farey, geometry, surface
 from .errors import CuspLabError, NumericalError, OverlappingHoroballs
@@ -298,13 +302,14 @@ _BLOCK = 4096
 class _Draws:
     """numpy's Generator stream for one seed, read from raw words in blocks.
 
-    ``uniform`` and ``integers`` return exactly what the scalar calls
-    ``Generator.uniform(lo, hi)`` and ``Generator.integers(n)`` on
-    ``default_rng(seed)`` return, in the same order, without numpy's
-    per-call overhead.  Both sides run on the PCG64 bit generator:
+    ``unit``, ``uniform`` and ``integers`` return exactly what the scalar
+    calls ``Generator.random()``, ``Generator.uniform(lo, hi)`` and
+    ``Generator.integers(n)`` on ``default_rng(seed)`` return, in the same
+    order, without numpy's per-call overhead.  Both sides run on the PCG64
+    bit generator:
 
     - a double is ``(w >> 11) * 2**-53`` of the next 64-bit word ``w``,
-      and ``uniform`` returns ``lo + (hi - lo) * double``;
+      and ``uniform(lo, hi)`` is ``lo + (hi - lo) * unit()``;
     - ``integers(n)``, for 2 <= n <= 2^32, is Lemire's bounded method
       (Lemire, "Fast random integer generation in an interval", ACM
       TOMACS 2019) on 32-bit draws u: m = u * n, redrawn while
@@ -314,39 +319,33 @@ class _Draws:
       returns its low half and buffers the high half.  Doubles never
       touch this buffer (PCG64's ``has_uint32`` and ``uinteger``).
 
-    Words come from ``random_raw`` in blocks of ``_BLOCK``, so memory
-    stays flat at any sample count.  The bit generator runs ahead of the
-    words used, so nothing may read it afterwards.
+    The words are one endless ``itertools.chain`` of ``random_raw``
+    blocks of ``_BLOCK`` words, so memory stays flat at any sample count.
+    ``unit`` is the ``__next__`` of a ``map`` over that chain, so a double
+    costs no Python frame; ``integers`` reads the same chain.  The bit
+    generator runs ahead of the words used, and only this source holds it.
     """
 
-    __slots__ = ("_bits", "_next", "_half")
+    __slots__ = ("unit", "_next", "_half")
 
     def __init__(self, seed):
         import numpy as np
-        self._bits = np.random.PCG64(seed)
-        self._next = iter(()).__next__
+        blocks = map(np.random.PCG64(seed).random_raw, repeat(_BLOCK))
+        words = chain.from_iterable(map(np.ndarray.tolist, blocks))
+        self.unit = map(mul, map(rshift, words, repeat(11)),
+                        repeat(2.0 ** -53)).__next__
+        self._next = words.__next__
         self._half = None
 
-    def _word(self):
-        try:
-            return self._next()
-        except StopIteration:
-            self._next = iter(self._bits.random_raw(_BLOCK).tolist()).__next__
-            return self._next()
-
     def uniform(self, lo, hi):
-        try:
-            w = self._next()
-        except StopIteration:
-            w = self._word()
-        return lo + (hi - lo) * ((w >> 11) * 2.0 ** -53)
+        return lo + (hi - lo) * self.unit()
 
     def _uint32(self):
         half = self._half
         if half is not None:
             self._half = None
             return half
-        w = self._word()
+        w = self._next()
         self._half = w >> 32
         return w & 0xFFFFFFFF
 
@@ -360,60 +359,67 @@ class _Draws:
         return m >> 32
 
 
-def _random_tangent_lengths(draws):
-    # tangent_lengths of a random disjoint pair: occasionally put one
-    # ball at infinity, and redraw until tangent_lengths accepts the pair
-    # as disjoint
-    while True:
-        if draws.integers(6) == 0:
-            h1 = geometry.Horoball(math.inf, draws.uniform(0.1, 5.0))
-        else:
-            c1 = complex(draws.uniform(-5, 5), draws.uniform(-5, 5))
-            h1 = geometry.Horoball(c1, draws.uniform(0.05, 3.0))
-        c2 = complex(draws.uniform(-5, 5), draws.uniform(-5, 5))
-        h2 = geometry.Horoball(c2, draws.uniform(0.05, 3.0))
-        if h1.at_infinity or abs(h1.center - h2.center) > 1e-12:
-            try:
-                return geometry.tangent_lengths(h1, h2)
-            except OverlappingHoroballs:
-                pass
-
-
 def _tangent_check(config, draws):
     """Tangent-segment extremes over random disjoint pairs.
 
     The segment between touch points is shortest, and the horocyclic run
     longest, exactly at tangency; random pairs must stay on the right
     side of both constants and constructed tangent pairs must attain
-    them.
+    them.  Each sample is one pass of the loop: draws and the disjointness
+    test inline, with the ``geometry`` functions looked up once per call
+    (so a tracer that rebinds them still sees every call).
     """
+    unit, integers = draws.unit, draws.integers
+    Horoball, tangent_lengths = geometry.Horoball, geometry.tangent_lengths
+    inf = math.inf
     sqrt2 = math.sqrt(2.0)
-    worst_l1 = math.inf
+    l1_floor = geometry.TANGENT_MIN - TANGENT_TOL
+    l2_ceiling = sqrt2 + TANGENT_TOL
+    worst_l1 = inf
     worst_l2 = 0.0
     violations = 0
     for _ in range(config.samples):
-        l1, l2 = _random_tangent_lengths(draws)
-        worst_l1 = min(worst_l1, l1)
-        worst_l2 = max(worst_l2, l2)
-        if l1 < geometry.TANGENT_MIN - TANGENT_TOL:
+        # a random disjoint pair: occasionally one ball at infinity, and
+        # redrawn until tangent_lengths accepts the pair as disjoint; each
+        # draw spells uniform(lo, hi) out as lo + (hi - lo) * u, the same
+        # float operations on the same literals
+        while True:
+            if integers(6) == 0:
+                c1 = inf
+                h1 = Horoball(c1, 0.1 + (5.0 - 0.1) * unit())
+            else:
+                c1 = complex(-5 + (5 - -5) * unit(), -5 + (5 - -5) * unit())
+                h1 = Horoball(c1, 0.05 + (3.0 - 0.05) * unit())
+            c2 = complex(-5 + (5 - -5) * unit(), -5 + (5 - -5) * unit())
+            h2 = Horoball(c2, 0.05 + (3.0 - 0.05) * unit())
+            if c1 == inf or abs(c1 - c2) > 1e-12:
+                try:
+                    l1, l2 = tangent_lengths(h1, h2)
+                    break
+                except OverlappingHoroballs:
+                    pass
+        if l1 < worst_l1:
+            worst_l1 = l1
+        if l2 > worst_l2:
+            worst_l2 = l2
+        if l1 < l1_floor:
             violations += 1
-        if l2 > sqrt2 + TANGENT_TOL:
+        if l2 > l2_ceiling:
             violations += 1
 
     # tangency: |u - v|^2 = d1 d2, plus the half-plane normal form
     equality_error = 0.0
-    tangent_cases = [(geometry.Horoball(math.inf, 1.0),
-                      geometry.Horoball(0j, 1.0))]
+    tangent_cases = [(Horoball(inf, 1.0), Horoball(0j, 1.0))]
     for _ in range(50):
         d1 = draws.uniform(0.05, 3.0)
         d2 = draws.uniform(0.05, 3.0)
         shift = complex(draws.uniform(-5, 5), draws.uniform(-5, 5))
         # nudged apart so rounding cannot produce a tiny overlap
         gap = math.sqrt(d1 * d2) * (1.0 + 1e-12)
-        tangent_cases.append((geometry.Horoball(shift, d1),
-                              geometry.Horoball(shift + gap, d2)))
+        tangent_cases.append((Horoball(shift, d1),
+                              Horoball(shift + gap, d2)))
     for h1, h2 in tangent_cases:
-        l1, l2 = geometry.tangent_lengths(h1, h2)
+        l1, l2 = tangent_lengths(h1, h2)
         equality_error = max(equality_error,
                              abs(l1 - geometry.TANGENT_MIN),
                              abs(l2 - sqrt2))
@@ -433,20 +439,30 @@ def _tangent_check(config, draws):
 
 
 def _cone_check(config, draws):
-    """Exponential growth of expanded cusp areas on cone surfaces."""
+    """Exponential growth of expanded cusp areas on cone surfaces.
+
+    One pass of the loop per sample, drawing inline like _tangent_check.
+    """
+    unit = draws.unit
+    ConeCuspParams = geometry.ConeCuspParams
+    cone_cusp_area = geometry.cone_cusp_area
+    exp = math.exp
+    tau = 2.0 * math.pi
     violations = 0
     worst = math.inf
     for _ in range(config.cone_samples):
-        params = geometry.ConeCuspParams(
-            base_area=draws.uniform(0.1, 5.0),
-            cone_excess=draws.uniform(0.0, 2.0 * math.pi),
-            x_v=draws.uniform(0.0, 3.0))
-        x = draws.uniform(0.0, 4.0)
-        d = draws.uniform(0.0, 3.0)
-        small = geometry.cone_cusp_area(params, x)
-        grown = geometry.cone_cusp_area(params, x + d)
-        margin = grown - math.exp(d) * small
-        worst = min(worst, margin / grown)
+        # base_area, cone_excess and x_v, in that order
+        params = ConeCuspParams(0.1 + (5.0 - 0.1) * unit(),
+                                0.0 + (tau - 0.0) * unit(),
+                                0.0 + (3.0 - 0.0) * unit())
+        x = 0.0 + (4.0 - 0.0) * unit()
+        d = 0.0 + (3.0 - 0.0) * unit()
+        small = cone_cusp_area(params, x)
+        grown = cone_cusp_area(params, x + d)
+        margin = grown - exp(d) * small
+        relative = margin / grown
+        if relative < worst:
+            worst = relative
         if margin < -CONE_TOL * grown:
             violations += 1
     return {"name": "cone-growth",

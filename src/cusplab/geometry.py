@@ -14,7 +14,7 @@ horizontal plane when the center is infinity, recorded by its cut height in
 the same field.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import exp, inf, log, pi, sinh, sqrt
 
 from .errors import (
@@ -51,22 +51,32 @@ TANGENT_MIN = log(3.0 + 2.0 * sqrt(2.0))
 # density of the optimal disk packing of the euclidean plane
 PACKING = 2.0 * sqrt(3.0) / pi
 
+_new_tuple = tuple.__new__
 
-@dataclass(frozen=True)
-class Horoball:
+
+def _checked_make(cls, iterable):
+    # namedtuple's _make, and _replace through it, would skip __new__
+    return cls(*iterable)
+
+
+class Horoball(namedtuple("Horoball", "center diameter")):
     """A horoball: ideal center and euclidean diameter.
 
     center is a finite point of the boundary plane as a complex number, or
     math.inf for the horoball above a horizontal plane; diameter is the
     euclidean height of the top for finite centers and the cut height for
     the center at infinity.
-    """
-    center: complex
-    diameter: float
 
-    def __post_init__(self):
-        if not self.diameter > 0:
+    The record is tuple-backed: an immutable (center, diameter) pair,
+    validated once when it is built, that unpacks as ``u, d = ball``.
+    """
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, center, diameter):
+        if not diameter > 0:
             raise ValueError("horoball diameter must be positive")
+        return _new_tuple(cls, (center, diameter))
 
     @property
     def at_infinity(self):
@@ -79,19 +89,31 @@ def horoball_distance(h1, h2):
     Zero exactly at tangency and negative when the interiors overlap.  For
     finite centers u, v with diameters d1, d2 the connecting geodesic meets
     the boundaries a length ln(|u - v|^2 / (d1 d2)) apart; against the
-    horoball at cut height h the vertical geodesic gives ln(h / d).
+    horoball at cut height h the vertical geodesic gives ln(h / d).  Where
+    that quotient underflows to 0 or overflows, the logarithms are taken
+    apart, 2 ln|u - v| - ln d1 - ln d2 and ln h - ln d, so extreme
+    diameters give a finite distance; every other pair keeps the direct
+    quotient's bits.
     """
-    inf1, inf2 = h1.at_infinity, h2.at_infinity
-    if inf1 and inf2:
-        raise CoincidentCenters("both horoballs are centered at infinity")
-    if inf1:
-        return log(h1.diameter / h2.diameter)
-    if inf2:
-        return log(h2.diameter / h1.diameter)
-    gap = abs(complex(h1.center) - complex(h2.center))
+    u, d1 = h1
+    v, d2 = h2
+    if u == inf or v == inf:
+        if u == v:
+            raise CoincidentCenters("both horoballs are centered at infinity")
+        h, d = (d1, d2) if u == inf else (d2, d1)
+        q = h / d
+        if 0.0 < q < inf:
+            return log(q)
+        return log(h) - log(d)
+    gap = abs(u - v)
     if gap == 0:
-        raise CoincidentCenters("horoballs share the center %r" % (h1.center,))
-    return log(gap * gap / (h1.diameter * h2.diameter))
+        raise CoincidentCenters("horoballs share the center %r" % (u,))
+    den = d1 * d2
+    if den:
+        q = gap * gap / den
+        if 0.0 < q < inf:
+            return log(q)
+    return 2.0 * log(gap) - log(d1) - log(d2)
 
 
 def tangent_lengths(h1, h2):
@@ -106,7 +128,8 @@ def tangent_lengths(h1, h2):
         l1 = ln((1 + r + c) / r),   l2 = c = sqrt(1 + 2 r).
 
     Both are monotone in delta, so l1 >= ln(3 + 2 sqrt(2)) and l2 <= sqrt(2)
-    with equality exactly at tangency.
+    with equality exactly at tangency.  Far apart, where r underflows or the
+    quotient overflows, l1 = delta + ln(2 (1 + r + c)), since 1/r = 2 e^delta.
     """
     delta = horoball_distance(h1, h2)
     if delta < 0:
@@ -114,28 +137,33 @@ def tangent_lengths(h1, h2):
                                    % delta)
     r = 0.5 * exp(-delta)
     c = sqrt(1.0 + 2.0 * r)
-    return log((1.0 + r + c) / r), c
+    if r:
+        q = (1.0 + r + c) / r
+        if q < inf:
+            return log(q), c
+    return delta + log(2.0 * (1.0 + r + c)), c
 
 
-@dataclass(frozen=True)
-class ConeCuspParams:
+class ConeCuspParams(namedtuple("ConeCuspParams",
+                                "base_area cone_excess x_v")):
     """Growth data for a cusp neighborhood on a cone surface.
 
     base_area is the area of the embedded horoball quotient, cone_excess the
     total cone angle excess theta - 2 pi (zero on a smooth surface), and x_v
-    the distance from the quotient boundary to the cone point.
+    the distance from the quotient boundary to the cone point.  Like
+    Horoball, an immutable tuple-backed record validated when it is built.
     """
-    base_area: float
-    cone_excess: float = 0.0
-    x_v: float = 0.0
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
-        if not self.base_area > 0:
+    def __new__(cls, base_area, cone_excess=0.0, x_v=0.0):
+        if not base_area > 0:
             raise NonPositiveArea("base_area must be positive")
-        if self.cone_excess < 0:
+        if cone_excess < 0:
             raise ValueError("cone_excess is an angle excess, >= 0")
-        if self.x_v < 0:
+        if x_v < 0:
             raise NegativeDistance("x_v is a distance, >= 0")
+        return _new_tuple(cls, (base_area, cone_excess, x_v))
 
 
 def cone_cusp_area(params, x):
@@ -147,9 +175,10 @@ def cone_cusp_area(params, x):
     """
     if x < 0:
         raise NegativeDistance("expansion distance must be >= 0")
-    area = exp(x) * params.base_area
-    if x >= params.x_v and params.cone_excess:
-        area += 2.0 * params.cone_excess * sinh(0.5 * (x - params.x_v)) ** 2
+    base_area, cone_excess, x_v = params
+    area = exp(x) * base_area
+    if x >= x_v and cone_excess:
+        area += 2.0 * cone_excess * sinh(0.5 * (x - x_v)) ** 2
     return area
 
 

@@ -128,7 +128,8 @@ from cusplab.bundle import (_CYC, _FACE, _MAX_STEPS, _PAIR, _PUNCTURE_WALK,
 from cusplab.cli import CONE_TOL, TANGENT_TOL
 from cusplab.errors import (BudgetExceeded, DegenerateShape, DepthUnstable,
                             Diverged, MaxIterations, NotAnArc,
-                            NotPseudoAnosov, NumericalError, Unreachable)
+                            NotPseudoAnosov, NumericalError,
+                            OverlappingHoroballs, Unreachable)
 from cusplab.farey import (Slope, _distance_pq, _positive_frame, act,
                            distance, word_to_matrix)
 
@@ -971,7 +972,11 @@ def layered_triangulation_plane(word):
                          for _, members in sorted(classes.items()))
 
     walk = tuple((0, r, m) for r, m in _PUNCTURE_WALK[word[0]])
-    return LayeredTriangulation(word, gluings, degrees, edge_classes, walk)
+    tri = LayeredTriangulation(word, edge_classes, walk)
+    # the plane's own gluings and degrees, in place of the letter tables'
+    # (cached properties keep their value in the instance dict)
+    tri.__dict__.update(gluings=gluings, degrees=degrees)
+    return tri
 
 
 # ---- edge rows summed over the edge classes ----
@@ -1683,8 +1688,10 @@ def corpus_rotations(max_len):
 
 # ---- lemma checks with one Generator call per draw ----
 
-def _random_disjoint_pair(rng):
-    # occasionally put one ball at infinity; redraw until disjoint
+def _random_tangent_lengths(rng):
+    # tangent_lengths of a random disjoint pair: occasionally put one ball
+    # at infinity, and redraw while tangent_lengths refuses the pair as
+    # overlapping, so the geometry calls are the CLI's, one per attempt
     while True:
         if rng.integers(6) == 0:
             h1 = geometry.Horoball(math.inf, float(rng.uniform(0.1, 5.0)))
@@ -1694,8 +1701,10 @@ def _random_disjoint_pair(rng):
         c2 = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
         h2 = geometry.Horoball(c2, float(rng.uniform(0.05, 3.0)))
         if h1.at_infinity or abs(h1.center - h2.center) > 1e-12:
-            if geometry.horoball_distance(h1, h2) >= 0.0:
-                return h1, h2
+            try:
+                return geometry.tangent_lengths(h1, h2)
+            except OverlappingHoroballs:
+                pass
 
 
 def _tangent_check(config, rng):
@@ -1704,7 +1713,7 @@ def _tangent_check(config, rng):
     worst_l2 = 0.0
     violations = 0
     for _ in range(config.samples):
-        l1, l2 = geometry.tangent_lengths(*_random_disjoint_pair(rng))
+        l1, l2 = _random_tangent_lengths(rng)
         worst_l1 = min(worst_l1, l1)
         worst_l2 = max(worst_l2, l2)
         if l1 < geometry.TANGENT_MIN - TANGENT_TOL:

@@ -8,11 +8,12 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from cusplab import bundle, cli, errors, farey, surface
+from cusplab import bundle, cli, errors, farey, geometry, surface
 from oracles import canonical_word, corpus_rotations, lemma_checks_scalar
 
 SQRT3 = math.sqrt(3.0)
@@ -314,24 +315,28 @@ class TestLemmaSuite:
         assert docs[0] == docs[2]
 
 
-def draws_at(state):
-    """A draw source resumed from a PCG64 state and its buffered half."""
-    draws = cli._Draws(0)
-    draws._bits.state = state
-    draws._half = state["uinteger"] if state["has_uint32"] else None
+def draws_at(seed, u):
+    """seed's draw source one double in, with the half-word u buffered."""
+    draws = cli._Draws(seed)
+    draws.unit()
+    draws._half = u
     return draws
 
 
 def assert_same_stream(rng, draws, steps, seed):
-    # a mixed sequence: the lemma draws, other bounds and uniform ranges
+    # a mixed sequence: the lemma draws, other bounds, unit doubles and
+    # uniform ranges
     pick = np.random.default_rng(1000 + seed)
     bounds = [6, 6, 6, 2, 3, 7, 1000, 2 ** 31 + 5, 2 ** 32 - 1, 2 ** 32]
     ranges = [(-5, 5), (0.1, 5.0), (0.05, 3.0), (0.0, 2.0 * math.pi),
               (0.0, 4.0), (-1e-3, 1e9)]
     for step in range(steps):
-        if pick.random() < 0.3:
+        kind = pick.random()
+        if kind < 0.3:
             n = bounds[pick.integers(len(bounds))]
             want, got = int(rng.integers(n)), draws.integers(n)
+        elif kind < 0.45:
+            want, got = float(rng.random()), draws.unit()
         else:
             lo, hi = ranges[pick.integers(len(ranges))]
             want, got = float(rng.uniform(lo, hi)), draws.uniform(lo, hi)
@@ -361,7 +366,7 @@ class TestDraws:
                     state = rng.bit_generator.state
                     state["has_uint32"], state["uinteger"] = 1, u
                     rng.bit_generator.state = state
-                    draws = draws_at(state)
+                    draws = draws_at(seed, u)
                     assert draws.integers(n) == int(rng.integers(n))
                     assert_same_stream(rng, draws, 200, seed)
         assert forced == 4 * 4
@@ -415,6 +420,46 @@ class TestLemmaStream:
     def test_zero_samples_exits_2(self, capsys):
         assert cli.run(["lemma-suite", "--samples", "0"]) == 2
         assert "samples must be positive" in capsys.readouterr().err
+
+    def test_geometry_calls_match_the_scalar_oracle(self, monkeypatch,
+                                                    capsys):
+        # rebind the geometry functions on their module, as the per-layer
+        # tracer does: the checks bind them locally on each call, so every
+        # call still goes through the wrappers, and the same stream gives
+        # the same arguments, results and errors in the same order
+        calls = []
+
+        def recorded(name, fn):
+            def wrapper(*args):
+                try:
+                    out = fn(*args)
+                except errors.CuspLabError as exc:
+                    calls.append((name, args, type(exc).__name__))
+                    raise
+                calls.append((name, args, out))
+                return out
+            return wrapper
+
+        for name in ("tangent_lengths", "horoball_distance",
+                     "cone_cusp_area"):
+            monkeypatch.setattr(geometry, name,
+                                recorded(name, getattr(geometry, name)))
+        code, _ = lemma_report(["--samples", "2000",
+                                "--cone-samples", "300"], capsys)
+        assert code == 0
+        got = calls[:]
+        del calls[:]
+        lemma_checks_scalar(cli.RunConfig("lemma-suite", samples=2000,
+                                          cone_samples=300))
+        assert got == calls
+        counts = Counter((name, isinstance(out, str))
+                         for name, _, out in got)
+        refused = counts[("tangent_lengths", True)]
+        assert counts[("tangent_lengths", False)] == 2000 + 51
+        assert 0 < refused < 2000
+        assert counts[("horoball_distance", False)] == 2000 + 51 + refused
+        assert counts[("cone_cusp_area", False)] == 2 * 300
+        assert len(got) == 2 * (2000 + 51 + refused) + 2 * 300
 
 
 class TestDispatch:

@@ -51,6 +51,84 @@ class TestConstants:
         assert abs(PACKING - 2 * sqrt(3) / pi) < 1e-15
 
 
+class TestRecords:
+    """Horoball and ConeCuspParams are immutable tuple-backed records."""
+
+    def test_fields_keywords_and_defaults(self):
+        h = Horoball(center=1 + 2j, diameter=0.5)
+        assert (h.center, h.diameter) == (1 + 2j, 0.5)
+        assert h == Horoball(1 + 2j, 0.5)
+        u, d = h
+        assert (u, d) == (1 + 2j, 0.5)
+        p = ConeCuspParams(base_area=2.0)
+        assert (p.base_area, p.cone_excess, p.x_v) == (2.0, 0.0, 0.0)
+        p = ConeCuspParams(2.0, x_v=1.5)
+        assert (p.base_area, p.cone_excess, p.x_v) == (2.0, 0.0, 1.5)
+        assert ConeCuspParams(3.0, 1.0, 0.5) == \
+            ConeCuspParams(base_area=3.0, cone_excess=1.0, x_v=0.5)
+
+    def test_assignment_raises(self):
+        h = Horoball(0j, 1.0)
+        p = ConeCuspParams(1.0)
+        for record, name in [(h, "center"), (h, "diameter"),
+                             (p, "base_area"), (p, "cone_excess"),
+                             (p, "x_v")]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 2.0)
+        with pytest.raises(AttributeError):
+            h.extra = 1
+        assert h == Horoball(0j, 1.0)
+
+    def test_equal_records_hash_equal(self):
+        assert Horoball(inf, 2.0) == Horoball(inf, 2.0)
+        assert hash(Horoball(1j, 0.3)) == hash(Horoball(1j, 0.3))
+        assert Horoball(1j, 0.3) != Horoball(1j, 0.4)
+        assert len({Horoball(1j, 0.3), Horoball(1j, 0.3)}) == 1
+        assert hash(ConeCuspParams(1.0, 2.0)) == hash(ConeCuspParams(1.0, 2.0))
+        assert ConeCuspParams(1.0, 2.0) != ConeCuspParams(1.0, 2.5)
+
+    def test_repr(self):
+        assert repr(Horoball(1j, 0.5)) == "Horoball(center=1j, diameter=0.5)"
+        assert repr(Horoball(inf, 2.0)) == \
+            "Horoball(center=inf, diameter=2.0)"
+        assert repr(ConeCuspParams(2.0, x_v=1.0)) == \
+            "ConeCuspParams(base_area=2.0, cone_excess=0.0, x_v=1.0)"
+
+    def test_validation_errors_and_messages(self):
+        nan = float("nan")
+        for diameter in (0.0, -1.0, nan):
+            with pytest.raises(ValueError,
+                               match="horoball diameter must be positive"):
+                Horoball(0j, diameter)
+        with pytest.raises(ValueError, match="horoball diameter"):
+            Horoball(center=inf, diameter=nan)
+        for area in (0.0, -2.0, nan):
+            with pytest.raises(errors.NonPositiveArea,
+                               match="base_area must be positive"):
+                ConeCuspParams(area)
+        with pytest.raises(ValueError,
+                           match="cone_excess is an angle excess, >= 0"):
+            ConeCuspParams(1.0, cone_excess=-0.1)
+        with pytest.raises(errors.NegativeDistance,
+                           match="x_v is a distance, >= 0"):
+            ConeCuspParams(1.0, x_v=-1.0)
+
+    def test_replace_and_make_validate(self):
+        h = Horoball(1j, 0.5)
+        assert h._replace(diameter=2.0) == Horoball(1j, 2.0)
+        assert Horoball._make((inf, 3.0)) == Horoball(inf, 3.0)
+        with pytest.raises(ValueError, match="horoball diameter"):
+            h._replace(diameter=0.0)
+        with pytest.raises(ValueError, match="horoball diameter"):
+            Horoball._make((1j, -1.0))
+        p = ConeCuspParams(1.0)
+        assert p._replace(x_v=2.0) == ConeCuspParams(1.0, 0.0, 2.0)
+        with pytest.raises(errors.NegativeDistance):
+            p._replace(x_v=-2.0)
+        with pytest.raises(errors.NonPositiveArea):
+            ConeCuspParams._make((0.0, 0.0, 0.0))
+
+
 class TestHoroball:
 
     def test_validation(self):
@@ -102,6 +180,34 @@ class TestHoroball:
             horoball_distance(Horoball(1j, 1.0), Horoball(1j, 2.0))
         with pytest.raises(errors.CoincidentCenters):
             horoball_distance(Horoball(inf, 1.0), Horoball(inf, 2.0))
+
+    def test_underflowing_diameter_product(self):
+        # d1 d2 = 1e-400 underflows to 0; the logs taken apart stay finite
+        got = horoball_distance(Horoball(0j, 1e-200), Horoball(10 + 0j, 1e-200))
+        assert got == pytest.approx(2 * log(10) + 400 * log(10), rel=1e-15)
+
+    def test_overflowing_quotient(self):
+        # |u - v|^2 / (d1 d2) = 1e320 and h / d = 1e310 overflow to inf
+        got = horoball_distance(Horoball(0j, 1e-150), Horoball(1e10 + 0j, 1e-150))
+        assert got == pytest.approx(320 * log(10), rel=1e-15)
+        got = horoball_distance(Horoball(inf, 1e300), Horoball(0j, 1e-10))
+        assert got == pytest.approx(310 * log(10), rel=1e-15)
+        assert horoball_distance(Horoball(0j, 1e-10), Horoball(inf, 1e300)) \
+            == got
+        # and h / d = 1e-330 underflows to 0, far inside the other ball
+        got = horoball_distance(Horoball(inf, 1e-300), Horoball(0j, 1e30))
+        assert got == pytest.approx(-330 * log(10), rel=1e-15)
+
+    def test_in_range_pairs_keep_the_direct_quotient(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            h1, h2 = random_disjoint_pair(rng)
+            (u, d1), (v, d2) = h1, h2
+            if u == inf:
+                want = log(d1 / d2)
+            else:
+                want = log(abs(u - v) ** 2 / (d1 * d2))
+            assert horoball_distance(h1, h2) == want
 
 
 class TestTangentLengths:
@@ -156,6 +262,27 @@ class TestTangentLengths:
     def test_overlap_rejected(self):
         with pytest.raises(errors.OverlappingHoroballs):
             tangent_lengths(Horoball(0j, 2.0), Horoball(1 + 0j, 2.0))
+
+    def test_far_apart_pair(self):
+        # delta = 310 ln 10: r = e^-delta / 2 is subnormal and (1 + r + c)/r
+        # overflows, so l1 = delta + ln(2 (1 + r + c)) = delta + ln 4
+        delta = 310 * log(10)
+        l1, l2 = tangent_lengths(Horoball(inf, 1e300), Horoball(0j, 1e-10))
+        assert l1 == pytest.approx(delta + log(4.0), rel=1e-15)
+        assert l2 == 1.0
+        # r = 0 outright
+        l1, l2 = tangent_lengths(Horoball(0j, 1e-200),
+                                 Horoball(1e100 + 0j, 1e-200))
+        assert l1 == pytest.approx(600 * log(10) + log(4.0), rel=1e-15)
+        assert l2 == 1.0
+
+    def test_sampled_pairs_keep_the_direct_quotient(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            h1, h2 = random_disjoint_pair(rng)
+            r = 0.5 * exp(-horoball_distance(h1, h2))
+            c = sqrt(1.0 + 2.0 * r)
+            assert tangent_lengths(h1, h2) == (log((1.0 + r + c) / r), c)
 
 
 class TestConeCuspArea:
