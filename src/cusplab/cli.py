@@ -322,8 +322,10 @@ class _Draws:
     The words are one endless ``itertools.chain`` of ``random_raw``
     blocks of ``_BLOCK`` words, so memory stays flat at any sample count.
     ``unit`` is the ``__next__`` of a ``map`` over that chain, so a double
-    costs no Python frame; ``integers`` reads the same chain.  The bit
-    generator runs ahead of the words used, and only this source holds it.
+    costs no Python frame; ``integers`` reads the same chain and takes its
+    32-bit draws inline, so it costs one frame however often Lemire's
+    method redraws.  The bit generator runs ahead of the words used, and
+    only this source holds it.
     """
 
     __slots__ = ("unit", "_next", "_half")
@@ -340,23 +342,21 @@ class _Draws:
     def uniform(self, lo, hi):
         return lo + (hi - lo) * self.unit()
 
-    def _uint32(self):
-        half = self._half
-        if half is not None:
-            self._half = None
-            return half
-        w = self._next()
-        self._half = w >> 32
-        return w & 0xFFFFFFFF
-
     def integers(self, n):
-        m = self._uint32() * n
-        # the threshold is below n, so most draws need not compute it
-        if (m & 0xFFFFFFFF) < n:
-            threshold = (2 ** 32 - n) % n
-            while (m & 0xFFFFFFFF) < threshold:
-                m = self._uint32() * n
-        return m >> 32
+        # one pass per 32-bit draw u, taken inline so a draw is one frame
+        while True:
+            half = self._half
+            if half is None:
+                w = self._next()
+                self._half = w >> 32
+                m = (w & 0xFFFFFFFF) * n
+            else:
+                self._half = None
+                m = half * n
+            low = m & 0xFFFFFFFF
+            # the threshold is below n, so most draws need not compute it
+            if low >= n or low >= (2 ** 32 - n) % n:
+                return m >> 32
 
 
 def _tangent_check(config, draws):
@@ -365,12 +365,14 @@ def _tangent_check(config, draws):
     The segment between touch points is shortest, and the horocyclic run
     longest, exactly at tangency; random pairs must stay on the right
     side of both constants and constructed tangent pairs must attain
-    them.  Each sample is one pass of the loop: draws and the disjointness
-    test inline, with the ``geometry`` functions looked up once per call
-    (so a tracer that rebinds them still sees every call).
+    them.  Each sample is one pass of the loop: draws, the diameter check
+    and the disjointness test inline, with the ``geometry`` functions
+    looked up once per call (so a tracer that rebinds them still sees
+    every call).
     """
     unit, integers = draws.unit, draws.integers
     Horoball, tangent_lengths = geometry.Horoball, geometry.tangent_lengths
+    new = tuple.__new__
     inf = math.inf
     sqrt2 = math.sqrt(2.0)
     l1_floor = geometry.TANGENT_MIN - TANGENT_TOL
@@ -386,15 +388,20 @@ def _tangent_check(config, draws):
         while True:
             if integers(6) == 0:
                 c1 = inf
-                h1 = Horoball(c1, 0.1 + (5.0 - 0.1) * unit())
+                d1 = 0.1 + (5.0 - 0.1) * unit()
             else:
                 c1 = complex(-5 + (5 - -5) * unit(), -5 + (5 - -5) * unit())
-                h1 = Horoball(c1, 0.05 + (3.0 - 0.05) * unit())
+                d1 = 0.05 + (3.0 - 0.05) * unit()
             c2 = complex(-5 + (5 - -5) * unit(), -5 + (5 - -5) * unit())
-            h2 = Horoball(c2, 0.05 + (3.0 - 0.05) * unit())
+            d2 = 0.05 + (3.0 - 0.05) * unit()
+            # Horoball.__new__'s check, inline: the records below are
+            # built by tuple.__new__, which skips that Python frame
+            if not (d1 > 0 and d2 > 0):
+                raise ValueError("horoball diameter must be positive")
             if c1 == inf or abs(c1 - c2) > 1e-12:
                 try:
-                    l1, l2 = tangent_lengths(h1, h2)
+                    l1, l2 = tangent_lengths(new(Horoball, (c1, d1)),
+                                             new(Horoball, (c2, d2)))
                     break
                 except OverlappingHoroballs:
                     pass

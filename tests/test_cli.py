@@ -452,6 +452,13 @@ class TestLemmaStream:
         lemma_checks_scalar(cli.RunConfig("lemma-suite", samples=2000,
                                           cone_samples=300))
         assert got == calls
+        # tuple equality alone would accept plain tuples
+        for name, args, _ in got:
+            if name == "cone_cusp_area":
+                assert type(args[0]) is geometry.ConeCuspParams
+                assert type(args[1]) is float
+            else:
+                assert [type(a) for a in args] == [geometry.Horoball] * 2
         counts = Counter((name, isinstance(out, str))
                          for name, _, out in got)
         refused = counts[("tangent_lengths", True)]
@@ -460,6 +467,30 @@ class TestLemmaStream:
         assert counts[("horoball_distance", False)] == 2000 + 51 + refused
         assert counts[("cone_cusp_area", False)] == 2 * 300
         assert len(got) == 2 * (2000 + 51 + refused) + 2 * 300
+
+    @pytest.mark.parametrize("u, k", [(-1.0, 0), (-1.0, 1), (math.nan, 1)])
+    def test_sampled_diameters_are_checked_inline(self, u, k):
+        # the sampled horoballs skip Horoball.__new__, so the loop itself
+        # refuses a diameter that is not positive, with the record's
+        # message, within the first attempt's six doubles; k = 0 puts the
+        # first ball at infinity
+        class StubDraws:
+            left = 6
+
+            def unit(self):
+                self.left -= 1
+                assert self.left >= 0, "drew past the first attempt"
+                return u
+
+            def integers(self, n):
+                return k
+
+        config = cli.RunConfig("lemma-suite", samples=1, cone_samples=1)
+        with pytest.raises(ValueError) as want:
+            geometry.Horoball(0j, 0.05 + (3.0 - 0.05) * u)
+        with pytest.raises(ValueError) as got:
+            cli._tangent_check(config, StubDraws())
+        assert str(got.value) == str(want.value)
 
 
 class TestDispatch:
