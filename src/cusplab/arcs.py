@@ -22,9 +22,17 @@ B: Q-R, C: R-S, D: S-P.  Read from the Q end, the crossings of the old
 diagonal list first the strands cutting off Q, then the strands into the
 opposite vertex, then the strands cutting off S, on both sides at once; the
 positional overlap of the two block decompositions classifies every crossing
-strand, and `_flip_coords` rewrites each class.  The same table through the
-reverse flip undoes it, which is how arcs found after a flip sequence are
-expressed back in base coordinates.
+strand, and `_flip_coords` rewrites each class.
+
+Every coordinate map is a sequence of segments, each a few flips followed
+by an edge renaming and a relabeling of triangles, and one loop,
+`_transport`, carries coordinates through any such sequence.  A reverse
+step is the one-flip segment that flips the new diagonal back and renames
+and relabels the result onto the triangulation before the flip; chains of
+reverse steps express the arcs found after a flip sequence back in base
+coordinates.  A twist letter is its flip word closed onto the base, and
+the inverse of a mapping class undoes each segment's closing and then
+follows the reverse chain of its flips.
 
 Distances are bidirectional breadth-first searches in the arc complex
 restricted to arcs whose coordinate sum fits a budget: each round grows the
@@ -131,6 +139,38 @@ def _flip_coords(record, w, c, par):
     return w2, c2, par2
 
 
+@dataclass(frozen=True, slots=True)
+class _Segment:
+    """Flips, then an edge renaming and a relabeling, as one coordinate map.
+
+    Coordinates on the triangulation the flips start from go through
+    `records` in order; the edge labels of the result are renamed by
+    `ren`, which leaves the labels it does not name alone, and its corners
+    are moved by `relab`.  A twist letter closes its flips onto the base,
+    and a reverse step undoes one flip.  Segments compare by value, so
+    mapping classes do too.
+    """
+    records: tuple
+    ren: dict
+    relab: Relabeling
+
+    def __hash__(self):
+        return hash((tuple(r.edge for r in self.records),
+                     tuple(sorted(self.ren.items())), self.relab))
+
+
+def _transport(w, c, par, segments):
+    """Sparse coordinates (w, c, par) carried through segments in order."""
+    for seg in segments:
+        for rec in seg.records:
+            w, c, par = _flip_coords(rec, w, c, par)
+        ren, relab = seg.ren, seg.relab
+        w = {ren.get(k, k): v for k, v in w.items()}
+        par = {ren.get(k, k): v for k, v in par.items()}
+        c = {relab.corner_image(t, k): v for (t, k), v in c.items()}
+    return w, c, par
+
+
 @lru_cache(maxsize=_FLIP_CACHE_SIZE)
 def _flip_cached(tri, e):
     """tri.flip(e), memoized; searches revisit the same flips constantly."""
@@ -139,50 +179,31 @@ def _flip_cached(tri, e):
 
 @lru_cache(maxsize=_FLIP_CACHE_SIZE)
 def _reverse_step(tri, e):
-    """Data undoing the flip of e in tri: (reverse record, relabeling, e).
+    """The one-flip segment undoing the flip of e in tri.
 
-    Keyed on the triangulation before the flip, since a flip record holds
-    dicts and cannot be hashed; the flip itself is deterministic.
+    Flipping the new diagonal back gives tri with its two triangles
+    trading places and a fresh label where e was; the segment renames that
+    label to e and relabels the triangles back.  Keyed on the triangulation
+    before the flip, since a flip record holds dicts and cannot be hashed;
+    the flip itself is deterministic.
     """
     flipped, record = _flip_cached(tri, e)
     _, rec2 = _flip_cached(flipped, record.new_edge)
-    return rec2, record.inverse_relabeling(flipped.num_triangles), e
-
-
-def _replay(base, flips):
-    """Apply a flip word; returns ([base, T1, ..., Tn], records)."""
-    tris = [base]
-    records = []
-    for e in flips:
-        nxt, rec = _flip_cached(tris[-1], e)
-        tris.append(nxt)
-        records.append(rec)
-    return tris, records
+    return _Segment((rec2,), {rec2.new_edge: e},
+                    record.inverse_relabeling(flipped.num_triangles))
 
 
 def _reverse_chain(base, flips):
     """(end triangulation, reverse steps back to base) of a flip word.
 
-    The steps form a linked list (step, rest) with the last flip first,
-    the order in which `_to_base` undoes them.
+    The steps run last flip first, the order in which `_transport` must
+    undo them to carry coordinates on the end triangulation to the base.
     """
-    tri, chain = base, None
+    tri, chain = base, ()
     for e in flips:
-        chain = (_reverse_step(tri, e), chain)
+        chain = (_reverse_step(tri, e),) + chain
         tri, _ = _flip_cached(tri, e)
     return tri, chain
-
-
-def _to_base(w, c, par, chain):
-    """Coordinates at the end of a reverse chain, rewritten on its base."""
-    while chain is not None:
-        (rec2, rho, old_edge), chain = chain
-        w, c, par = _flip_coords(rec2, w, c, par)
-        w = {(old_edge if k == rec2.new_edge else k): v for k, v in w.items()}
-        par = {(old_edge if k == rec2.new_edge else k): v
-               for k, v in par.items()}
-        c = {rho.corner_image(t, k): v for (t, k), v in c.items()}
-    return w, c, par
 
 
 # ---- strand tracing ----
@@ -475,7 +496,7 @@ def arcs_of(base, flips=()):
         tail, head = tri.edge_punctures(g)
         if not (tail == tri.preferred == head):
             continue
-        w, c, par = _to_base({}, {}, {g: 1}, chain)
+        w, c, par = _transport({}, {}, {g: 1}, chain)
         out.append(NormalArc._make(base, w, c, par))
     return out
 
@@ -483,23 +504,24 @@ def arcs_of(base, flips=()):
 # ---- reduction to an edge, intersections, neighbors, distance ----
 
 def _reduce(a):
-    """Flip until `a` lies along an edge; returns (flip word, edge).
+    """Flip until `a` lies along an edge; returns (flip records, edge).
 
     Greedy choice of the flip minimizing the transported crossing total,
     tolerating plateaus but never revisiting a state, so the walk either
-    reaches an edge or raises BudgetExceeded honestly.
+    reaches an edge or raises BudgetExceeded honestly.  The flips go
+    through `_flip_cached`, so a reverse chain of the word finds them.
     """
     if a.along is not None:
         return (), a.along
     w, c, par = a._dicts()
     tri = a.base
-    flips = []
+    records = []
     cap = 6 * sum(w.values()) + 24
     seen = set()
     while not par:
-        if len(flips) >= cap:
+        if len(records) >= cap:
             raise BudgetExceeded("reduction to an edge still running after "
-                                 "%d flips" % len(flips))
+                                 "%d flips" % len(records))
         seen.add((tuple(sorted(w.items())), tuple(sorted(c.items()))))
         total = sum(w.values())
         best = None
@@ -507,7 +529,7 @@ def _reduce(a):
             (t, _), (u, _) = tri.edges[e]
             if t == u:
                 continue
-            nxt, rec = tri.flip(e)
+            nxt, rec = _flip_cached(tri, e)
             w2, c2, par2 = _flip_coords(rec, w, c, par)
             total2 = sum(w2.values())
             if total2 > total:
@@ -515,15 +537,15 @@ def _reduce(a):
             key2 = (tuple(sorted(w2.items())), tuple(sorted(c2.items())))
             if total2 == total and key2 in seen:
                 continue
-            cand = (total2, e, nxt, w2, c2, par2)
+            cand = (total2, e, nxt, rec, w2, c2, par2)
             if best is None or cand[:2] < best[:2]:
                 best = cand
         if best is None:
             raise BudgetExceeded("no weight-reducing flip from %r" % (a,))
-        _, e, tri, w, c, par = best
-        flips.append(e)
+        _, _, tri, rec, w, c, par = best
+        records.append(rec)
     (e_star,) = par
-    return tuple(flips), e_star
+    return tuple(records), e_star
 
 
 def intersection_number(a, b):
@@ -540,8 +562,7 @@ def intersection_number(a, b):
         raise BaseMismatch("arcs live on different triangulations")
     if a == b:
         return 0
-    flips, e_star = _reduce(a)
-    _, records = _replay(a.base, flips)
+    records, e_star = _reduce(a)
     w, c, par = b._dicts()
     for rec in records:
         w, c, par = _flip_coords(rec, w, c, par)
@@ -585,15 +606,15 @@ def _neighbors(a, budget):
     Each search state keeps the raw base-coordinate key of all its edges,
     so a flip only has to pull back the one fresh diagonal: the flipped copy
     of an edge e runs along the new edge, and one step back that is a single
-    crossing of e, so its base coords are _to_base({e: 1}, {}, {}, chain)
+    crossing of e, so its base coords are _transport({e: 1}, {}, {}, chain)
     over the state's chain of reverse steps.  Results, the flips and reverse
     steps they use and the arcs they build are held in bounded LRU caches,
     since distance searches ask for the same neighbourhoods again and again.
     """
-    flips, e_star = _reduce(a)
+    records, e_star = _reduce(a)
     base = a.base
-    tri0, chain0 = _reverse_chain(base, flips)
-    keys0 = {g: _raw_key(*_to_base({}, {}, {g: 1}, chain0))
+    tri0, chain0 = _reverse_chain(base, [rec.edge for rec in records])
+    keys0 = {g: _raw_key(*_transport({}, {}, {g: 1}, chain0))
              for g in tri0.edge_labels}
     seen = {frozenset(keys0.values())}
     queue = deque([(tri0, keys0, chain0)])
@@ -617,7 +638,7 @@ def _neighbors(a, budget):
             (t, _), (u, _) = tri.edges[g]
             if t == u:
                 continue
-            fkey = _raw_key(*_to_base({g: 1}, {}, {}, chain))
+            fkey = _raw_key(*_transport({g: 1}, {}, {}, chain))
             if _key_size(fkey) > budget:
                 continue
             skey = frozenset(v for h, v in keys.items() if h != g) | {fkey}
@@ -628,7 +649,7 @@ def _neighbors(a, budget):
             ckeys = dict(keys)
             del ckeys[g]
             ckeys[rec.new_edge] = fkey
-            queue.append((nxt, ckeys, (_reverse_step(tri, g), chain)))
+            queue.append((nxt, ckeys, (_reverse_step(tri, g),) + chain))
     return tuple(sorted(out, key=NormalArc._sort_key))
 
 
@@ -691,82 +712,32 @@ def distance(a, b, radius_cap=None, budget=64):
 
 # ---- mapping classes ----
 
-@dataclass(frozen=True)
-class _Segment:
-    """One flip word closed up by an isomorphism back onto the base."""
-    flips: tuple
-    emap: tuple          # (final label, base label) pairs, sorted
-    relab: Relabeling
-    fixes_p: bool
+def _rename_edges(tri, ren):
+    """tri with edge labels renamed by `ren`, built once from its slot table."""
+    t0, k0 = tri.punctures[tri.preferred][0]
+    return IdealTriangulation(
+        tri._glued, name=tri.name, preferred=(t0, k0),
+        edge_of_slot=tuple(ren.get(x, x) for x in tri._edge_of_slot))
 
 
-def _rename_edges(tri, mapping):
-    """Relabel edges by a bijection, via temporaries to dodge collisions."""
-    items = [(o, n) for o, n in sorted(mapping.items()) if o != n]
-    spare = max(max(tri.edge_labels, default=0),
-                max(mapping.values(), default=0)) + 1
-    for i, (old, _) in enumerate(items):
-        tri = tri.relabel_edge(old, spare + i)
-    for i, (_, new) in enumerate(items):
-        tri = tri.relabel_edge(spare + i, new)
-    return tri
+def _close_segment(base, flips, ren):
+    """The segment of a flip word closed onto the base by an edge renaming.
 
-
-def _close_segment(base, flips, emap):
-    """Validate a flip word plus edge renaming as a self-map of the base."""
-    tris, _ = _replay(base, flips)
-    ren = dict(emap)
-    final = tris[-1]
-    if sorted(ren) != sorted(final.edge_labels) or \
-            sorted(ren.values()) != sorted(base.edge_labels):
-        raise ValueError("edge map must be a bijection onto the base labels")
-    renamed = _rename_edges(final, ren)
-    cands = find_relabelings(renamed, base, match_labels=True)
+    Its relabeling is the first that carries the renamed end triangulation
+    onto the base, edge labels and preferred puncture alike.
+    """
+    tri, records = base, []
+    for e in flips:
+        tri, rec = _flip_cached(tri, e)
+        records.append(rec)
+    cands = find_relabelings(_rename_edges(tri, ren), base,
+                             match_labels=True, match_preferred=True)
     if not cands:
         raise ValueError("flip word does not close up onto the base")
-    keeping = [r for r in cands
-               if r.apply(renamed).preferred == base.preferred]
-    relab = (keeping or cands)[0]
-    return _Segment(flips=tuple(flips), emap=tuple(sorted(ren.items())),
-                    relab=relab, fixes_p=bool(keeping))
+    return _Segment(tuple(records), ren, cands[0])
 
 
-def _segment_transport(base, seg, w, c, par):
-    _, records = _replay(base, seg.flips)
-    for rec in records:
-        w, c, par = _flip_coords(rec, w, c, par)
-    ren = dict(seg.emap)
-    w = {ren.get(k, k): v for k, v in w.items()}
-    par = {ren.get(k, k): v for k, v in par.items()}
-    c = {seg.relab.corner_image(t, k): v for (t, k), v in c.items()}
-    return w, c, par
-
-
-def _invert_segment(base, seg):
-    """The inverse segment, unwinding the flips from the far end.
-
-    `nu` tracks the inverse-path label currently matching each live
-    forward-path label; undoing a forward flip must flip the edge its new
-    diagonal is identified with, and revives the edge the flip destroyed.
-    """
-    tri = base
-    recs = []
-    for e in seg.flips:
-        tri, r = tri.flip(e)
-        recs.append(r)
-    nu = dict(seg.emap)
-    cur = base
-    flips = []
-    for r in reversed(recs):
-        target = nu.pop(r.new_edge)
-        cur, rec2 = cur.flip(target)
-        flips.append(target)
-        nu[r.edge] = rec2.new_edge
-    emap = {g: b for b, g in nu.items()}
-    return _close_segment(base, tuple(flips), emap)
-
-
-# flip word and closing edge map realizing each standard torus twist; each
+# flip word and closing edge renaming realizing each standard torus twist; each
 # segment acts on slopes exactly as the matching Farey matrix
 _LETTER_DATA = {
     "R": ((2,), ((0, 2), (1, 1), (3, 0))),
@@ -776,8 +747,8 @@ _LETTER_DATA = {
 
 @lru_cache(maxsize=None)
 def _letter_segment(letter):
-    flips, emap = _LETTER_DATA[letter]
-    return _close_segment(_TORUS, flips, dict(emap))
+    flips, ren = _LETTER_DATA[letter]
+    return _close_segment(_TORUS, flips, dict(ren))
 
 
 @dataclass(frozen=True)
@@ -803,9 +774,22 @@ class MappingClass:
                             self.fixes_p and other.fixes_p)
 
     def inverse(self):
-        segs = tuple(_invert_segment(self.base, s)
-                     for s in reversed(self.segments))
-        return MappingClass(self.base, segs, "(" + self.word + ")^-1",
+        """The class undoing this one, segment by segment from the last.
+
+        A segment's closing is undone by its inverse renaming and
+        relabeling, and its flips by their reverse chain from the
+        triangulation they start at.  The walk tracks that triangulation,
+        so the segments of an inverse invert again.
+        """
+        segs = []
+        tri = self.base
+        for seg in self.segments:
+            end, chain = _reverse_chain(tri, [rec.edge for rec in seg.records])
+            undo = _Segment((), {g: e for e, g in seg.ren.items()},
+                            seg.relab.inverse())
+            segs[:0] = (undo,) + chain
+            tri = seg.relab.apply(_rename_edges(end, seg.ren))
+        return MappingClass(self.base, tuple(segs), "(" + self.word + ")^-1",
                             self.fixes_p)
 
     def __repr__(self):
@@ -830,19 +814,23 @@ def mapping_class(base, word):
 
 
 def iso_mapping_class(base, relab, word="iso"):
-    """The mapping class of a combinatorial automorphism of the base."""
+    """The mapping class of a combinatorial automorphism of the base.
+
+    Each edge is renamed to the base label at its image; the automorphism
+    carries glued slots to glued slots, so that renaming restores the
+    base's labels.
+    """
+    n = base.num_triangles
+    if (sorted(relab.perm) != list(range(n)) or len(relab.rot) != n
+            or not set(relab.rot) <= {0, 1, 2}):
+        raise BaseMismatch("relabeling is not a permutation of the %d base "
+                           "triangles with rotations in 0..2" % n)
     image = relab.apply(base)
     if image._glued != base._glued:
         raise BaseMismatch("relabeling is not an automorphism of the base")
-    emap = {}
-    for e, ((t, s), _) in image.edges.items():
-        emap[e] = base.edge_label(t, s)
-    renamed = _rename_edges(image, emap)
-    if renamed._edge_of_slot != base._edge_of_slot:
-        raise BaseMismatch("relabeling does not respect the edge labels")
-    seg = _Segment(flips=(), emap=tuple(sorted(emap.items())), relab=relab,
-                   fixes_p=(image.preferred == base.preferred))
-    return MappingClass(base, (seg,), word, seg.fixes_p)
+    ren = {e: base.edge_label(t, s) for e, ((t, s), _) in image.edges.items()}
+    return MappingClass(base, (_Segment((), ren, relab),), word,
+                        image.preferred == base.preferred)
 
 
 def apply_mcg(phi, a):
@@ -852,9 +840,7 @@ def apply_mcg(phi, a):
     if not phi.fixes_p:
         raise PunctureMoved("the mapping class moves the preferred puncture, "
                             "so images leave A(F, p)")
-    w, c, par = a._dicts()
-    for seg in phi.segments:
-        w, c, par = _segment_transport(phi.base, seg, w, c, par)
+    w, c, par = _transport(*a._dicts(), phi.segments)
     return NormalArc._make(phi.base, w, c, par)
 
 

@@ -14,9 +14,10 @@ identifications is accepted when the glued surface is orientable: the
 offending triangles are reflected and the data rebuilt in the convention
 above.  Genuinely non-orientable data is rejected.
 
-Punctures are the orbits of triangle corners under the gluings; every vertex
-of every triangle is a puncture (the triangulations are ideal).  One puncture
-is always marked as preferred; the arc machinery keeps endpoints there.
+Punctures are the orbits of triangle corners under the gluings, each walked
+once by `puncture_walk`; every vertex of every triangle is a puncture (the
+triangulations are ideal).  One puncture is always marked as preferred; the
+arc machinery keeps endpoints there.
 
 Edges carry stable integer labels.  A freshly built triangulation numbers its
 edges 0 .. E-1 by their smallest slot in lexicographic order, the convention
@@ -55,26 +56,27 @@ def _shared(value):
     return _SHARED.setdefault(value, value)
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+def _pieces(glued):
+    """The number of connected pieces that a slot table glues up.
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        self.parent[self.find(x)] = self.find(y)
-
-    def classes(self):
-        groups = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), []).append(x)
-        return [sorted(g) for g in groups.values()]
+    One walk over the table: each piece is found from its smallest
+    triangle, and every triangle reached is marked through its three slots.
+    """
+    reached = [False] * (len(glued) // 3)
+    pieces = 0
+    for start, done in enumerate(reached):
+        if done:
+            continue
+        pieces += 1
+        reached[start] = True
+        stack = [start]
+        while stack:
+            t = stack.pop()
+            for u, _ in glued[3 * t:3 * t + 3]:
+                if not reached[u]:
+                    reached[u] = True
+                    stack.append(u)
+    return pieces
 
 
 class IdealTriangulation:
@@ -121,12 +123,9 @@ class IdealTriangulation:
                                     % (t, a, u, b))
 
     def _check_connected(self):
-        uf = _UnionFind(range(self.num_triangles))
-        for idx, (u, _) in enumerate(self._glued):
-            uf.union(idx // 3, u)
-        if len(uf.classes()) > 1:
-            raise Disconnected("gluing data describes %d components"
-                               % len(uf.classes()))
+        pieces = _pieces(self._glued)
+        if pieces > 1:
+            raise Disconnected("gluing data describes %d components" % pieces)
 
     def _build_edges(self, edge_of_slot):
         if edge_of_slot is None:
@@ -155,18 +154,19 @@ class IdealTriangulation:
                           for e, slots in sorted(by_label.items())}
 
     def _build_punctures(self):
-        corners = [_shared((t, k))
-                   for t in range(self.num_triangles) for k in range(3)]
-        uf = _UnionFind(corners)
-        for (t, a), (u, b) in self.edges.values():
-            uf.union((t, a), (u, (b + 1) % 3))
-            uf.union((t, (a + 1) % 3), (u, b))
-        self.punctures = tuple(sorted(tuple(c) for c in
-                                      (map(tuple, g) for g in uf.classes())))
+        # walking from each corner not yet placed, in (t, k) order, finds
+        # the orbits in the order of their smallest corners
+        punctures = []
         self._corner_puncture = {}
-        for i, orbit in enumerate(self.punctures):
-            for c in orbit:
-                self._corner_puncture[c] = i
+        for t in range(self.num_triangles):
+            for k in range(3):
+                if (t, k) in self._corner_puncture:
+                    continue
+                orbit = tuple(sorted(map(_shared, self.puncture_walk((t, k)))))
+                for c in orbit:
+                    self._corner_puncture[c] = len(punctures)
+                punctures.append(orbit)
+        self.punctures = tuple(punctures)
 
     def _set_preferred(self, preferred):
         if preferred is None:
@@ -715,31 +715,27 @@ def build_cover(base, perms, name=None, preferred=None):
     if degree < 1:
         raise BaseMismatch("cover degree must be at least 1")
 
-    glued = {}
+    glued = [None] * (3 * base.num_triangles * degree)
     for e, ((t, a), (u, b)) in base.edges.items():
         sigma = table[e]
         for i in range(degree):
             ct = t * degree + i
             cu = u * degree + sigma[i]
-            glued[(ct, a)] = (cu, b)
-            glued[(cu, b)] = (ct, a)
+            glued[3 * ct + a] = (cu, b)
+            glued[3 * cu + b] = (ct, a)
 
     # connectivity must be judged on the assembled cover: permutations that
     # generate a transitive group can still leave the cover disconnected
-    uf = _UnionFind(range(base.num_triangles * degree))
-    for (ct, _), (cu, _) in glued.items():
-        uf.union(ct, cu)
-    if len(uf.classes()) > 1:
+    pieces = _pieces(glued)
+    if pieces > 1:
         raise Intransitive("gluing permutations leave the cover in %d pieces"
-                           % len(uf.classes()))
+                           % pieces)
 
-    order = [(w, s) for w in range(base.num_triangles * degree) for s in range(3)]
     if preferred is None:
         t0, k0 = base.punctures[base.preferred][0]
         preferred = (t0 * degree + 0, k0)
     total = IdealTriangulation(
-        tuple(glued[s] for s in order),
-        name=name or "%s_cover%d" % (base.name, degree),
+        glued, name=name or "%s_cover%d" % (base.name, degree),
         preferred=preferred)
     return CoverMap(base=base, total=total, degree=degree, perms=table)
 

@@ -102,6 +102,11 @@ both ends: one breadth-first search from the source over the package's
 capped neighbour lists, level by level in sorted order.  It shares the
 neighbour lists and nothing of the bidirectional search.
 
+The union-find punctures and pieces are the triangulation's punctures
+and connectivity before the corner walk: every edge merges the two pairs
+of corners it identifies, and every gluing merges its two triangles.
+They share nothing with cusplab.surface but the slot and edge tables.
+
 The scalar lemma checks are lemma-suite before its draws were read from
 raw PCG64 words: every draw is its own ``Generator.integers`` or
 ``Generator.uniform`` call on ``default_rng(seed)``.  They share the
@@ -1649,6 +1654,50 @@ def arc_walk(tri, w, c):
             point, slot = nseg[2], nseg[3]
         else:
             point, slot = nseg[0], nseg[1]
+
+
+# ---- punctures and pieces by union-find ----
+
+class _UnionFind:
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x, y):
+        self.parent[self.find(x)] = self.find(y)
+
+    def classes(self):
+        groups = {}
+        for x in self.parent:
+            groups.setdefault(self.find(x), []).append(x)
+        return [sorted(g) for g in groups.values()]
+
+
+def pieces_union_find(glued):
+    """The number of connected pieces of a slot table, by merging the two
+    triangles of every gluing."""
+    uf = _UnionFind(range(len(glued) // 3))
+    for idx, (u, _) in enumerate(glued):
+        uf.union(idx // 3, u)
+    return len(uf.classes())
+
+
+def punctures_union_find(tri):
+    """The puncture orbits of a triangulation, sorted, by merging the two
+    pairs of corners that every edge identifies."""
+    uf = _UnionFind((t, k) for t in range(tri.num_triangles)
+                    for k in range(3))
+    for (t, a), (u, b) in tri.edges.values():
+        uf.union((t, a), (u, (b + 1) % 3))
+        uf.union((t, (a + 1) % 3), (u, b))
+    return tuple(sorted(tuple(g) for g in uf.classes()))
 
 
 # ---- corpus by canonicalising every word ----

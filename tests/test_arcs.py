@@ -462,10 +462,88 @@ class TestMappingClasses:
         with pytest.raises(errors.BaseMismatch):
             mapping_class(twice_punctured_torus(), "R")
 
+    WORDS = ["".join(w) for n in range(1, 5) for w in product("RL", repeat=n)]
+
+    def test_inverse_undoes_every_short_word(self):
+        T = once_punctured_torus()
+        slopes = farey.slopes_in_box(5)
+        assert len(self.WORDS) == 30
+        for word in self.WORDS:
+            phi = mapping_class(T, word)
+            inv = phi.inverse()
+            back = word_to_matrix(word).inverse()
+            for s in slopes:
+                a = slope_arc(T, s)
+                image = apply_mcg(inv, a)
+                assert arc_slope(image) == act(back, s), (word, s)
+                assert apply_mcg(phi, image) == a, (word, s)
+                assert apply_mcg(inv, apply_mcg(phi, a)) == a, (word, s)
+
+    def test_inverse_of_products_with_inverses(self):
+        # the segments of an inverse start off the base, so inverting them
+        # again must track the triangulation each one starts at
+        T = once_punctured_torus()
+        R, L = mapping_class(T, "R"), mapping_class(T, "L")
+        mixed = R * L.inverse() * R.inverse().inverse()
+        m = word_to_matrix("R") * word_to_matrix("L").inverse() \
+            * word_to_matrix("R")
+        for s in farey.slopes_in_box(4):
+            a = slope_arc(T, s)
+            image = apply_mcg(mixed, a)
+            assert arc_slope(image) == act(m, s), s
+            assert apply_mcg(mixed.inverse(), image) == a, s
+            assert apply_mcg(mixed.inverse().inverse(), a) == image, s
+
+    def test_equality_and_hash_are_by_value(self):
+        T = once_punctured_torus()
+        R, L = mapping_class(T, "R"), mapping_class(T, "L")
+        rl = mapping_class(T, "RL")
+        assert rl == R * L and hash(rl) == hash(R * L)
+        assert rl != mapping_class(T, "LR")
+        inv = rl.inverse()
+        assert inv == (R * L).inverse() and hash(inv) == hash((R * L).inverse())
+        assert inv != rl
+        # rebuilt flips and reverse steps are new objects with equal values
+        arcs._flip_cached.cache_clear()
+        arcs._reverse_step.cache_clear()
+        again = rl.inverse()
+        assert again.segments[1] is not inv.segments[1]
+        assert again == inv and hash(again) == hash(inv)
+
+    def test_automorphism_inverses_on_the_degree_three_covers(
+            self, degree_three_covers):
+        T = once_punctured_torus()
+        slopes = [s for s in farey.slopes_in_box(2)
+                  if slope_arc(T, s).coord_sum == 1]
+        assert len(slopes) == 6
+        checked = 0
+        for cover in degree_three_covers:
+            total = cover.total
+            lifts = [lift for s in slopes
+                     for lift in lift_arc(cover, slope_arc(T, s))]
+            for relab in find_relabelings(total, total, match_labels=False):
+                phi = iso_mapping_class(total, relab)
+                inv = phi.inverse()
+                for a in lifts:
+                    assert apply_mcg(inv, apply_mcg(phi, a)) == a
+                    assert apply_mcg(phi, apply_mcg(inv, a)) == a
+                    checked += 1
+        assert checked == 3888
+
     def test_iso_mapping_class_requires_an_automorphism(self):
         T = once_punctured_torus()
         with pytest.raises(errors.BaseMismatch):
             iso_mapping_class(T, Relabeling((0, 1), (1, 0)))
+
+    @pytest.mark.parametrize("relab", [
+        Relabeling((0,), (0,)),             # too few triangles
+        Relabeling((0, 0), (0, 0)),         # not a permutation
+        Relabeling((0, 1, 2), (0, 0, 0)),   # too many triangles
+        Relabeling((0, 1), (0, 3)),         # rotation out of range
+    ])
+    def test_iso_mapping_class_checks_the_relabeling(self, relab):
+        with pytest.raises(errors.BaseMismatch, match="permutation"):
+            iso_mapping_class(once_punctured_torus(), relab)
 
     def test_deck_swap_moves_the_puncture(self):
         # the hyperelliptic square cover has two punctures; a deck-like

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cusplab import errors
+from cusplab import errors, surface
 from cusplab.surface import (
     IdealTriangulation,
     Relabeling,
@@ -12,6 +12,7 @@ from cusplab.surface import (
     cover_to_text,
     once_punctured_torus,
 )
+from oracles import pieces_union_find, punctures_union_find
 
 
 def twice_punctured_torus():
@@ -105,8 +106,20 @@ class TestValidation:
     def test_disconnected(self):
         pairs = [((0, 0), (1, 1)), ((0, 1), (1, 2)), ((0, 2), (1, 0)),
                  ((2, 0), (3, 1)), ((2, 1), (3, 2)), ((2, 2), (3, 0))]
-        with pytest.raises(errors.Disconnected):
+        with pytest.raises(errors.Disconnected, match="describes 2 components"):
             IdealTriangulation.from_gluings(pairs)
+
+    @pytest.mark.parametrize("copies", [2, 3, 5])
+    def test_disconnected_names_the_piece_count(self, copies):
+        # disjoint copies of the torus table, counted by the oracle too
+        torus = once_punctured_torus()
+        glued = [(u + 2 * i, b) for i in range(copies)
+                 for t in range(2) for u, b in
+                 (torus.glued_slot(t, s) for s in range(3))]
+        assert pieces_union_find(glued) == copies
+        with pytest.raises(errors.Disconnected,
+                           match="describes %d components" % copies):
+            IdealTriangulation(glued)
 
     def test_nonorientable_rejected(self):
         pairs = [((0, 0), (1, 1)), ((0, 1), (1, 2)), ((0, 2), (1, 0))]
@@ -352,12 +365,14 @@ class TestCovers:
 
     def test_intransitive(self):
         base = once_punctured_torus()
-        with pytest.raises(errors.Intransitive):
+        with pytest.raises(errors.Intransitive, match="in 2 pieces"):
             build_cover(base, [(0, 1), (0, 1), (0, 1)])
         # the same 3-cycle on every edge generates a transitive group but
         # still tears the cover into three pieces
-        with pytest.raises(errors.Intransitive):
+        with pytest.raises(errors.Intransitive, match="in 3 pieces"):
             build_cover(base, [(1, 2, 0), (1, 2, 0), (1, 2, 0)])
+        with pytest.raises(errors.Intransitive, match="in 4 pieces"):
+            build_cover(base, [(0, 1, 2, 3)] * 3)
 
     def test_base_mismatch(self):
         base = once_punctured_torus()
@@ -383,3 +398,41 @@ class TestCovers:
         t0, k0 = base.punctures[base.preferred][0]
         lifted = (cover.lift_id(t0, 0), k0)
         assert cover.total.puncture_of(lifted) == cover.total.preferred
+
+
+class TestPuncturesAgainstUnionFind:
+    """The corner walk and the slot-table walk against the union-find."""
+
+    @staticmethod
+    def check(tri):
+        want = punctures_union_find(tri)
+        assert tri.punctures == want
+        for i, orbit in enumerate(want):
+            for corner in orbit:
+                assert tri.puncture_of(corner) == i
+        assert surface._pieces(tri._glued) == pieces_union_find(tri._glued) == 1
+
+    def test_small_surfaces(self):
+        for tri in (once_punctured_torus(), twice_punctured_torus(),
+                    thrice_punctured_sphere()):
+            self.check(tri)
+
+    def test_degree_three_covers(self, degree_three_covers):
+        assert len(degree_three_covers) == 108
+        for cover in degree_three_covers:
+            self.check(cover.total)
+
+    def test_flip_walk_on_the_criterion_09_cover(self):
+        tri = build_cover(once_punctured_torus(),
+                          {0: (0, 1, 2), 1: (0, 2, 1), 2: (1, 0, 2)}).total
+        rng = np.random.default_rng(2009)
+        self.check(tri)
+        flips = 0
+        while flips < 200:
+            e = tri.edge_labels[int(rng.integers(tri.num_edges))]
+            try:
+                tri, _ = tri.flip(e)
+            except errors.NotFlippable:
+                continue
+            self.check(tri)
+            flips += 1
