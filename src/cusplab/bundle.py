@@ -32,8 +32,9 @@ gluing_system, cusp_cross_section and maximal_cusp share it.
 Every layered triangulation of these bundles is geometric (Gueritaud,
 Geom. Topol. 10 (2006)), and its complete structure is the maximum of
 volume over angle structures (Casson-Rivin).  solve_shapes finds that
-maximum by Newton's method on the angles, stepping through the edge
-rows, and polishes the shapes by Newton steps on the gluing equations.
+maximum by Newton's method on the angles, each step an LDL^T solve in
+birth order over the edge rows, and polishes the shapes by Newton steps
+on the gluing equations; maximal_cusp takes one product per edge class.
 The systems are small and sparse, one tetrahedron per letter, so this
 module runs in plain floating-point arithmetic and imports no numpy.
 
@@ -151,14 +152,6 @@ for _letter, _glue in _STACK.items():
 _ENTER_2 = _placement(0, _STACK["L"][0][2], 0)
 _ENTER_3 = _placement(0, _STACK["R"][1][2], 0)
 _ENTER_1 = _placement(2, {m2: m for m, m2 in _STACK["R"][0][2].items()}, 2)
-
-# The twelve sides of a layer's cusp triangles, the side of (i, k) across
-# face r by the offsets of its ends, and for each edge {k, m} of each face
-# r the pair of sides (i, k) and (i, m) across r that meet on it.
-_SIDES = [(k, r) for k in range(4) for r in range(4) if r != k]
-_TOUCH = [(x, y) for x, (k, r) in enumerate(_SIDES)
-          for y, (m, r2) in enumerate(_SIDES) if r == r2 and k < m]
-_SIDES = [tuple(4 * k + m for m in _FACE[r] if m != k) for k, r in _SIDES]
 
 
 @dataclass(frozen=True)
@@ -357,6 +350,8 @@ class GluingSystem:
     gluing_system.
     """
 
+    _solved = ((), None)    # the shapes solve_shapes last returned, residual
+
     def __init__(self, triangulation):
         self.triangulation = triangulation
         word = triangulation.word
@@ -471,9 +466,9 @@ class GluingSystem:
 
     @cached_property
     def _angle_plan(self):
-        # per tetrahedron, (e, a1 - a2, a0 - a2, a0 - a1) for each edge row
-        # e but the last that meets it (at most 4), a_k its coefficient on
-        # angle k, and (e, f, products of the differences) for e <= f
+        # per tetrahedron, (e, a1 - a2, a0 - a2, a0 - a1, their squares)
+        # for each edge row e but the last meeting it (at most 4), a_k its
+        # coefficient on angle k, and (e, f, their products) for e < f
         rows = [{} for _ in range(self.triangulation.num_tetrahedra)]
         for e, row in enumerate(self.edge_rows[:-1]):
             for i, k, c in row:
@@ -482,9 +477,11 @@ class GluingSystem:
         for meet in rows:
             terms = [(e, a1 - a2, a0 - a2, a0 - a1)
                      for e, (a0, a1, a2) in meet.items()]
-            plan.append((terms, [(e, f, c0 * d0, c1 * d1, c2 * d2)
-                                 for e, c0, c1, c2 in terms
-                                 for f, d0, d1, d2 in terms if e <= f]))
+            plan.append(([(e, c0, c1, c2, c0 * c0, c1 * c1, c2 * c2)
+                          for e, c0, c1, c2 in terms],
+                         [(e, f, c0 * d0, c1 * d1, c2 * d2)
+                          for e, c0, c1, c2 in terms
+                          for f, d0, d1, d2 in terms if e < f]))
         return plan
 
     def residual(self, shapes):
@@ -564,51 +561,84 @@ def _eliminate(rows):
     return x
 
 
-def _angle_step(system, step, theta, weights, values, defect):
-    # The angle step d of solve_shapes for W = diag(weights), v = values
-    # and the defect to take off E.  Per tetrahedron, with u_k = w_k / D
-    # and dx = (x1 - x2, x0 - x2, x0 - x1), a.Q.x = sum u_k da_k dx_k and
-    # Q x = (u1 dx1 + u2 dx2, u0 dx0 - u2 dx2, -u0 dx0 - u1 dx1).
-    rows = [[0.0] * len(defect) + [x] for x in defect]
-    parts = []      # the rows, u and dv of each tetrahedron
-    for i, (terms, pairs) in enumerate(system._angle_plan):
-        w0, w1, w2 = weights[3 * i:3 * i + 3]
-        v0, v1, v2 = values[3 * i:3 * i + 3]
+def _ldl(diag, upper, rhs):
+    # Solve a positive definite system, its diagonal and its rows above
+    # the diagonal as dicts, by LDL^T in row order, in place: row e's
+    # multipliers update the later rows it meets.  None at a pivot <= 0.
+    for e, row in enumerate(upper):
+        d, b = diag[e], rhs[e]
+        if not d > 0.0:
+            return None
+        for f, a in row.items():
+            x = a / d
+            rhs[f] -= x * b
+            diag[f] -= x * a
+            later = upper[f]
+            for g, c in row.items():
+                if g > f:
+                    later[g] = later.get(g, 0.0) - x * c
+    for e in range(len(diag) - 1, -1, -1):
+        rhs[e] = (rhs[e] - sum([a * rhs[f] for f, a in upper[e].items()])) \
+            / diag[e]
+    return rhs
+
+
+def _angle_step(system, step, theta, defect=None):
+    # The angle step d of solve_shapes from theta: towards the analytic
+    # centre, taking ``defect`` off E, or with no defect a volume step.
+    # Returns d, the Newton decrement v.d, and the step length 1 or 99% of
+    # the way to the first angle to reach 0.  Per tetrahedron, with u_k =
+    # w_k / D and dx = (x1 - x2, x0 - x2, x0 - x1), a.Q.x = sum u_k da_k
+    # dx_k and Q x = (u1 dx1 + u2 dx2, u0 dx0 - u2 dx2, -u0 dx0 - u1 dx1).
+    m = len(system.edge_rows) - 1
+    rhs = [0.0] * m if defect is None else list(defect)
+    diag = [0.0] * m
+    upper = [{} for _ in range(m)]      # E Q E^T above the diagonal
+    parts = []
+    it = iter(theta)
+    for (terms, pairs), a0, a1, a2 in zip(system._angle_plan, it, it, it):
+        if defect is None:
+            s0, s1, s2 = math.sin(a0), math.sin(a1), math.sin(a2)
+            w0, w1, w2 = (math.cos(a0) / s0, math.cos(a1) / s1,
+                          math.cos(a2) / s2)
+            v0, v1, v2 = (-math.log(2.0 * s0), -math.log(2.0 * s1),
+                          -math.log(2.0 * s2))
+        else:
+            v0, v1, v2 = 1.0 / a0, 1.0 / a1, 1.0 / a2
+            w0, w1, w2 = v0 * v0, v1 * v1, v2 * v2
         d = w0 * w1 + w0 * w2 + w1 * w2
         u0, u1, u2 = w0 / d, w1 / d, w2 / d
         y0, y1, y2 = v1 - v2, v0 - v2, v0 - v1
-        parts.append((terms, u0, u1, u2, y0, y1, y2))
+        parts.append((terms, u0, u1, u2, y0, y1, y2, a0, a1, a2, v0, v1, v2))
         s0, s1, s2 = u0 * y0, u1 * y1, u2 * y2
-        for e, c0, c1, c2 in terms:
-            rows[e][-1] += c0 * s0 + c1 * s1 + c2 * s2
+        for e, c0, c1, c2, q0, q1, q2 in terms:
+            rhs[e] += c0 * s0 + c1 * s1 + c2 * s2
+            diag[e] += u0 * q0 + u1 * q1 + u2 * q2
         for e, f, g0, g1, g2 in pairs:
-            x = u0 * g0 + u1 * g1 + u2 * g2
-            rows[e][f] += x
-            if e != f:
-                rows[f][e] += x
-    lam = _eliminate(rows)
+            row = upper[e]
+            row[f] = row.get(f, 0.0) + u0 * g0 + u1 * g1 + u2 * g2
+    lam = _ldl(diag, upper, rhs)
     if lam is None:
         raise Diverged(_failure(system, step, "Newton step is not finite",
                                 theta=theta))
-    out = []
-    for terms, u0, u1, u2, y0, y1, y2 in parts:
-        for e, c0, c1, c2 in terms:
-            y0, y1, y2 = y0 - lam[e] * c0, y1 - lam[e] * c1, y2 - lam[e] * c2
-        out += (u1 * y1 + u2 * y2, u0 * y0 - u2 * y2, -u0 * y0 - u1 * y1)
-    return out
+    out, decrement, room = [], 0.0, math.inf
+    for terms, u0, u1, u2, y0, y1, y2, a0, a1, a2, v0, v1, v2 in parts:
+        for e, c0, c1, c2, _, _, _ in terms:
+            x = lam[e]
+            y0, y1, y2 = y0 - x * c0, y1 - x * c1, y2 - x * c2
+        m0, m1, m2 = u1 * y1 + u2 * y2, u0 * y0 - u2 * y2, -u0 * y0 - u1 * y1
+        decrement += v0 * m0 + v1 * m1 + v2 * m2
+        for a, x in ((a0, m0), (a1, m1), (a2, m2)):
+            if x < 0.0 and -a / x < room:
+                room = -a / x
+        out += (m0, m1, m2)
+    return out, decrement, min(1.0, 0.99 * room)
 
 
 def _rise(theta, step, t):
     # the derivative of the volume along step, at theta + t * step
     return sum([-math.log(2.0 * math.sin(a + t * s)) * s
                 for a, s in zip(theta, step)])
-
-
-def _inside(theta, step):
-    # the step length 1, or 99% of the way to the first angle to reach 0
-    room = min([-a / s for a, s in zip(theta, step) if s < 0.0],
-               default=math.inf)
-    return min(1.0, 0.99 * room)
 
 
 _MAX_STEPS = 50
@@ -630,33 +660,37 @@ def solve_shapes(system, tol=1e-12):
     E^T lam), (E Q E^T) lam = E Q v + defect, with Q = P (P^T W P)^-1 P^T
     = (1/D) [[w1 + w2, -w2, -w1], [-w2, w0 + w2, -w0], [-w1, -w0, w0 +
     w1]] per tetrahedron, P = [[1, 0], [0, 1], [-1, -1]], D = w0 w1 +
-    w0 w2 + w1 w2 > 0.  From pi/3, steps toward the analytic centre of
-    -sum log theta (W = 1/theta^2, v = 1/theta) take off what is left of
-    the start's defect until a full step meets the edge rows, each
-    stopping 1% short of the nearest angle 0; an angle below 1e-13 means
-    there is no inside.  Newton steps on the volume follow (v = -log(2
-    sin theta), W = cot theta, D = 1, no defect).  Near the boundary, or
-    far from the maximum (Newton decrement over 0.01), a step is cut by a
-    secant on the derivative along it, then halved until the volume
-    still rises at its end.  After a full step with decrement below
-    1e-12 the shapes z = (sin beta / sin gamma) e^(i alpha) lie within
-    about 1e-12 of the root, and Newton steps in log z with an analytic
-    Jacobian, on the completeness row and E, bring the residual (rows
-    summed by math.fsum) under ``tol``: none or one, in practice.
+    w0 w2 + w1 w2 > 0.  E Q E^T is positive definite, so it is factored
+    as LDL^T with no pivoting, its rows in birth order (edge class i is
+    born at layer i), where it fills in only linearly: a step costs O(n).
+    From pi/3, steps toward the analytic centre of -sum log theta (W =
+    1/theta^2, v = 1/theta) take off what is left of the start's defect
+    until a full step meets the edge rows, each stopping 1% short of the
+    nearest angle 0; an angle below 1e-13 means there is no inside.
+    Newton steps on the volume follow (v = -log(2 sin theta), W = cot
+    theta, D = 1, no defect).  Near the boundary, or far from the maximum
+    (Newton decrement over 0.01), a step is cut by a secant on the
+    derivative along it, then halved until the volume still rises at its
+    end.  After a full step with decrement below 1e-12 the shapes z =
+    (sin beta / sin gamma) e^(i alpha) lie within about 1e-12 of the
+    root, and Newton steps in log z with an analytic Jacobian, on the
+    completeness row and E, bring the residual (rows summed by
+    math.fsum) under ``tol``: none or one, in practice, each a dense
+    elimination with partial pivoting.  The shapes and their residual
+    are left on the system for cusp_cross_section to reuse.
 
     Raises DegenerateShape when no angle structure has all angles
-    positive, Diverged on a zero pivot or a shape step that does not
-    reduce the residual, and MaxIterations past 50 Newton steps in all,
-    naming the word, the step and the worst tetrahedron (angles or shape).
+    positive, Diverged on an angle pivot that is not positive, a zero
+    shape pivot or a shape step that does not reduce the residual, and
+    MaxIterations past 50 Newton steps in all, naming the word, the step
+    and the worst tetrahedron (angles or shape).
     """
     theta = [math.pi / 3.0] * (3 * system.triangulation.num_tetrahedra)
     # what is left of the start's excess on every edge row but the last
     defect = [sum([c * theta[3 * i + k] for i, k, c in row]) - 2.0 * math.pi
               for row in system.edge_rows[:-1]]
     for step in range(1, _MAX_STEPS + 1):
-        move = _angle_step(system, step, theta, [1.0 / (a * a) for a in theta],
-                           [1.0 / a for a in theta], defect)
-        t = _inside(theta, move)
+        move, _, t = _angle_step(system, step, theta, defect)
         theta = [a + t * m for a, m in zip(theta, move)]
         defect = [(1.0 - t) * e for e in defect]
         if t == 1.0 or min(theta) < 1e-13:
@@ -667,12 +701,7 @@ def solve_shapes(system, tol=1e-12):
             theta=theta))
 
     for step in range(step + 1, _MAX_STEPS + 1):
-        gradient = [-math.log(2.0 * math.sin(a)) for a in theta]
-        move = _angle_step(system, step, theta,
-                           [1.0 / math.tan(a) for a in theta], gradient,
-                           defect)
-        decrement = sum([g * m for g, m in zip(gradient, move)])
-        t = _inside(theta, move)
+        move, decrement, t = _angle_step(system, step, theta)
         if t < 1.0 or decrement > 0.01:
             rise = _rise(theta, move, t)
             if rise < 0.0:
@@ -707,7 +736,9 @@ def solve_shapes(system, tol=1e-12):
             raise Diverged(_failure(system, step, "the Newton step does not "
                                     "reduce the residual", z=z))
         z, size = z2, max(map(abs, f))
-    return ShapeVector(tuple(z))
+    shapes = ShapeVector(tuple(z))
+    system._solved = (shapes.shapes, size)
+    return shapes
 
 
 # ---- volume --------------------------------------------------------------
@@ -826,7 +857,9 @@ def _cross_section(system, zs):
     # cusp_cross_section and the development it was read from, which
     # maximal_cusp reuses for the edge formula; zs are validated shapes
     word = system.triangulation.word
-    residual = max(map(abs, system._evaluate(zs)))
+    solved, residual = system._solved
+    if solved != zs:
+        residual = max(map(abs, system._evaluate(zs)))
     if residual > 1e-8:
         raise NotSolved("word %r: shapes leave gluing residual %.3e"
                         % (word, residual))
@@ -894,11 +927,11 @@ def maximal_cusp(triangulation, shapes):
     the largest isometric sphere spans.  So the largest ball over all
     horoball pairs is the largest over the edges.
 
-    Each edge {k, m} of a face r meets the face's third vertex m', so
-    h_k is the side of cusp triangle (i, k) across face r, and h_m that
-    of (i, m).  The twelve sides of a tetrahedron's four cusp triangles
-    are read once (_SIDES) and multiplied face by face, three edges per
-    face (_TOUCH).
+    One product per edge class.  h_k h_m = e^(-delta) depends only on
+    the edge, so D is the largest of n products: class i is born as
+    tetrahedron i's top diagonal {0, 1}, whose h_0 and h_1 across face 2
+    = {0, 1, 3} are |pos[16i + 1] - pos[16i + 3]| and |pos[16i + 4] -
+    pos[16i + 7]|.
     """
     if isinstance(shapes, ShapeVector):
         zs = shapes.shapes
@@ -912,11 +945,8 @@ def maximal_cusp(triangulation, shapes):
                             % (triangulation.word, worst, zs[worst]))
         zs = _shapes(zs)
     reference, pos = _cross_section(triangulation._system, zs)
-    products = []
-    for o in range(0, len(pos), 16):
-        h = [abs(pos[o + u] - pos[o + v]) for u, v in _SIDES]
-        products += [h[x] * h[y] for x, y in _TOUCH]
-    diameter = max(products)
+    diameter = max([abs(pos[o + 1] - pos[o + 3]) * abs(pos[o + 4] - pos[o + 7])
+                    for o in range(0, len(pos), 16)])
     h = math.sqrt(diameter)
     mu, lam = reference.translations
     mu, lam = mu / h, lam / h

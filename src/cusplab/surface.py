@@ -303,17 +303,6 @@ class IdealTriangulation:
             preferred=new_pref, edge_of_slot=tuple(labels[s] for s in order))
         return new_tri, record
 
-    def relabel_edge(self, old, new):
-        """The same triangulation with edge `old` relabelled `new`."""
-        if old not in self.edges:
-            raise NonInvolution("no edge labelled %r" % (old,))
-        if new != old and new in self.edges:
-            raise NonInvolution("label %r already in use" % (new,))
-        table = tuple(new if x == old else x for x in self._edge_of_slot)
-        t0, k0 = self.punctures[self.preferred][0]
-        return IdealTriangulation(self._glued, name=self.name,
-                                  preferred=(t0, k0), edge_of_slot=table)
-
     # ---- orientation reversal and canonical form ----
 
     def mirrored(self):
@@ -600,10 +589,26 @@ class Relabeling:
 
     Vertex k of triangle t becomes vertex (k + rot[t]) % 3 of triangle
     perm[t]; slots transform the same way since slot s is anchored at
-    vertex s.
+    vertex s.  Raises BaseMismatch unless perm is a permutation of
+    range(len(perm)) and rot has as many entries, each in 0..2; apply and
+    is_automorphism raise it on a triangulation of another size.
     """
     perm: tuple
     rot: tuple
+
+    def __post_init__(self):
+        n = len(self.perm)
+        if (sorted(self.perm) != list(range(n)) or len(self.rot) != n
+                or not set(self.rot) <= {0, 1, 2}):
+            raise BaseMismatch("relabeling %r is not a permutation of its "
+                               "%d triangles with rotations in 0..2"
+                               % ((self.perm, self.rot), n))
+
+    def _check_size(self, tri):
+        if len(self.perm) != tri.num_triangles:
+            raise BaseMismatch("relabeling of %d triangles on a "
+                               "triangulation of %d"
+                               % (len(self.perm), tri.num_triangles))
 
     def slot_image(self, t, s):
         return (self.perm[t], (s + self.rot[t]) % 3)
@@ -628,6 +633,7 @@ class Relabeling:
         return Relabeling(perm, rot)
 
     def apply(self, tri):
+        self._check_size(tri)
         glued = {}
         labels = {}
         for t in range(tri.num_triangles):
@@ -643,6 +649,7 @@ class Relabeling:
             edge_of_slot=tuple(labels[s] for s in order))
 
     def is_automorphism(self, tri):
+        self._check_size(tri)
         for t in range(tri.num_triangles):
             for s in range(3):
                 if (tri.glued_slot(*self.slot_image(t, s))

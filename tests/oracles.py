@@ -19,10 +19,18 @@ strip of Farey triangles that the positive word of the monodromy lays
 down, one Farey distance per vertex and power.  It shares the package's
 positive frame and Farey distance, and nothing of the min-plus matrix.
 
-The pairwise edge formula is maximal_cusp before it read each cusp
-triangle's sides once: for every edge and every third vertex it reads the
-two sides afresh.  It shares the package's reference cut and development,
-so it checks the face-by-face bookkeeping, to the last bit.
+The edge products are maximal_cusp before it took one product per edge
+class: the twelve sides of each tetrahedron's cusp triangles multiplied
+face by face, 12n products grouped by edge class, whose largest gives the
+area.  The pairwise edge formula is older still: for every edge and every
+third vertex it reads the two sides afresh.  Both share the package's
+reference cut and development; the pairwise formula checks the
+face-by-face bookkeeping to the last bit, and the products check that
+one product per class loses no more than rounding.
+
+The birth-order fill is a symbolic elimination of the sparsity pattern
+of the angle step's E Q E^T, rows in birth order; the package's LDL^T
+must add exactly its fill.
 
 The rotation corpus is cusplab.cli.corpus before it generated necklaces:
 every word of each length is canonicalised by all its rotations and those
@@ -127,8 +135,8 @@ from scipy.sparse.csgraph import shortest_path
 from cusplab import geometry
 from cusplab.arcs import NormalArc, _neighbors
 from cusplab.bundle import (_CYC, _FACE, _MAX_STEPS, _PAIR, _PUNCTURE_WALK,
-                            CuspCrossSection, _eliminate, _failure, _inside,
-                            _rise, LayeredTriangulation, ShapeVector,
+                            CuspCrossSection, _eliminate, _failure, _rise,
+                            LayeredTriangulation, ShapeVector,
                             _cross_section, cusp_cross_section)
 from cusplab.cli import CONE_TOL, TANGENT_TOL
 from cusplab.errors import (BudgetExceeded, DegenerateShape, DepthUnstable,
@@ -674,8 +682,8 @@ def maximal_cusp_pairwise(triangulation, shapes):
     m', h_k h_m with h_k and h_m read afresh off the developed cusp
     triangles (i, k) and (i, m), whose ends sit at the flat positions
     16i + 4k + m: 24 side lengths per tetrahedron where
-    cusplab.bundle.maximal_cusp reads 12.  The same products of the same
-    side lengths, so the result must be equal to the last bit.
+    maximal_cusp_products reads 12.  The same products of the same side
+    lengths, so the two must be equal to the last bit.
     """
     reference, pos = _cross_section(triangulation._system,
                                     ShapeVector(tuple(shapes)).shapes)
@@ -688,6 +696,55 @@ def maximal_cusp_pairwise(triangulation, shapes):
                     h_k = abs(pos[o + 4 * k + m] - pos[o + 4 * k + m2])
                     h_m = abs(pos[o + 4 * m + k] - pos[o + 4 * m + m2])
                     diameter = max(diameter, h_k * h_m)
+    h = math.sqrt(diameter)
+    mu, lam = reference.translations
+    mu, lam = mu / h, lam / h
+    area = reference.area / diameter
+    return CuspCrossSection((mu, lam), area, abs(lam), area / abs(lam))
+
+
+# The twelve sides of a layer's cusp triangles, the side of (i, k) across
+# face r by the offsets of its ends, and for each edge {k, m} of each face
+# r the pair of sides (i, k) and (i, m) across r that meet on it, with
+# the edge.
+_SIDE_NAMES = [(k, r) for k in range(4) for r in range(4) if r != k]
+_TOUCH = [(x, y, (k, m)) for x, (k, r) in enumerate(_SIDE_NAMES)
+          for y, (m, r2) in enumerate(_SIDE_NAMES) if r == r2 and k < m]
+_SIDES = [tuple(4 * k + m for m in _FACE[r] if m != k)
+          for k, r in _SIDE_NAMES]
+
+
+def edge_products(triangulation, shapes):
+    """Every product h_k h_m of the edge formula, by edge class.
+
+    The twelve sides of each tetrahedron's four cusp triangles are read
+    once (_SIDES) and multiplied face by face, three edges per face
+    (_TOUCH): 12n products, two for each of the 6n tetrahedron edges,
+    one per face on it.  Returns the reference cross section and, per
+    edge class, the list of its products, all equal to e^(-delta) of its
+    edge up to rounding.
+    """
+    reference, pos = _cross_section(triangulation._system,
+                                    ShapeVector(tuple(shapes)).shapes)
+    cls = {member: c for c, members in enumerate(triangulation.edge_classes)
+           for member in members}
+    products = [[] for _ in triangulation.edge_classes]
+    for i, o in enumerate(range(0, len(pos), 16)):
+        h = [abs(pos[o + u] - pos[o + v]) for u, v in _SIDES]
+        for x, y, edge in _TOUCH:
+            products[cls[i, edge]].append(h[x] * h[y])
+    return reference, products
+
+
+def maximal_cusp_products(triangulation, shapes):
+    """Maximal cusp by the largest of all 12n edge products.
+
+    cusplab.bundle.maximal_cusp takes one product per edge class; the
+    products of a class agree up to rounding, so the two areas agree to
+    about 1e-12 relative.
+    """
+    reference, products = edge_products(triangulation, shapes)
+    diameter = max(map(max, products))
     h = math.sqrt(diameter)
     mu, lam = reference.translations
     mu, lam = mu / h, lam / h
@@ -1002,6 +1059,33 @@ def sparse_edge_rows(triangulation):
             row[(i, _PAIR[edge])] = row.get((i, _PAIR[edge]), 0) + 1
         rows.append(tuple((i, k, c) for (i, k), c in sorted(row.items())))
     return tuple(rows)
+
+
+def birth_order_fill(system):
+    """The fill of E Q E^T's LDL^T factorisation in birth order.
+
+    E is the edge rows but the last, and entry (e, f) of E Q E^T is
+    structurally nonzero when rows e and f meet a tetrahedron on which
+    neither is constant (Q kills the constant vector (1, 1, 1)).
+    Eliminating row e in order 0, 1, ... joins every pair of the later
+    rows it meets.  Returns (the entries above the diagonal, the entries
+    the elimination adds), the second being the fill.
+    """
+    m = len(system.edge_rows) - 1
+    meets = [{} for _ in range(system.triangulation.num_tetrahedra)]
+    for e, row in enumerate(system.edge_rows[:-1]):
+        for i, k, c in row:
+            meets[i].setdefault(e, [0, 0, 0])[k] += c
+    later = [set() for _ in range(m)]
+    for meet in meets:
+        rows = sorted(e for e, a in meet.items() if len(set(a)) > 1)
+        for x, e in enumerate(rows):
+            later[e].update(rows[x + 1:])
+    entries = sum(map(len, later))
+    for e in range(m):
+        for f in later[e]:
+            later[f].update(g for g in later[e] if g > f)
+    return entries, sum(map(len, later)) - entries
 
 
 # ---- developed-ratio shape solve ----
@@ -1352,6 +1436,13 @@ def angle_step_basis(space, weights, values, shift):
         return None
     return [sum([x * dy[j] for j, x in row]) - e
             for row, e in zip(basis, shift)]
+
+
+def _inside(theta, step):
+    # the step length 1, or 99% of the way to the first angle to reach 0
+    room = min([-a / s for a, s in zip(theta, step) if s < 0.0],
+               default=math.inf)
+    return min(1.0, 0.99 * room)
 
 
 def solve_shapes_basis(system, tol=1e-12):

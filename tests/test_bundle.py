@@ -24,12 +24,14 @@ from cusplab.bundle import (
     total_volume,
 )
 from oracles import (RootedCuspGraph, angle_shift, angle_space,
-                     angle_step_basis, bloch_wigner, canonical_word,
-                     column_derivative, completeness_monomial,
-                     developed_residual, figure_eight_cusp,
+                     angle_step_basis, birth_order_fill, bloch_wigner,
+                     canonical_word, column_derivative,
+                     completeness_monomial, developed_residual,
+                     edge_products, figure_eight_cusp,
                      layered_triangulation_plane, lobachevsky_spence,
                      maximal_cusp_bfs, maximal_cusp_pairwise,
-                     peripheral_basis_gcd, solve_shapes_basis,
+                     maximal_cusp_products, peripheral_basis_gcd,
+                     solve_shapes_basis,
                      solve_shapes_developed, solve_shapes_lstsq,
                      sparse_edge_rows)
 
@@ -444,13 +446,42 @@ class TestSolveShapes:
                       [1.0 / a for a in theta], shift, defect),
                      ([1.0 / math.tan(a) for a in theta],
                       [-math.log(2.0 * math.sin(a)) for a in theta],
-                      [0.0] * len(theta), [0.0] * len(defect)))
+                      [0.0] * len(theta), None))
             for weights, values, shift, defect in cases:
-                got = _angle_step(system, 1, theta, weights, values, defect)
+                got, _, _ = _angle_step(system, 1, theta, defect)
                 want = angle_step_basis(space, weights, values, shift)
                 size = max(1.0, max(map(abs, want)))
                 assert max(abs(g - w) for g, w in zip(got, want)) \
                     < 1e-12 * size
+
+    @pytest.mark.parametrize("word, per_letter", [
+        ("R" * 99 + "L", 2.0), ("R" * 299 + "L", 2.0), ("RL" * 50, 2.0),
+        ("RL" * 150, 2.0), ("RRL" * 33, 2.5), ("RRL" * 100, 2.5),
+    ], ids=["R^99L", "R^299L", "(RL)^50", "(RL)^150", "(RRL)^33",
+            "(RRL)^100"])
+    def test_birth_order_fill_is_linear(self, monkeypatch, word,
+                                        per_letter):
+        # the angle step's LDL^T adds exactly the entries that a symbolic
+        # birth-order elimination of E Q E^T's pattern adds, and they grow
+        # linearly; R^kL fills about n, (RL)^k 2n and (RRL)^k 2.3n
+        system = gluing_system(layered_triangulation(word))
+        ldl, counts = bundle._ldl, []
+
+        def counted(diag, upper, rhs):
+            before = sum(map(len, upper))
+            x = ldl(diag, upper, rhs)
+            counts.append((before, sum(map(len, upper)) - before))
+            return x
+
+        monkeypatch.setattr(bundle, "_ldl", counted)
+        theta = [math.pi / 3.0] * (3 * len(word))
+        defect = [sum(c * theta[3 * i + k] for i, k, c in row) - 2 * math.pi
+                  for row in system.edge_rows[:-1]]
+        _angle_step(system, 1, theta, defect)
+        _angle_step(system, 2, theta)
+        entries, fill = birth_order_fill(system)
+        assert counts == [(entries, fill)] * 2
+        assert fill <= per_letter * len(word)
 
     @pytest.mark.parametrize("unit, power", [
         ("R" * 99 + "L", 1), ("R" * 199 + "L", 1), ("R" * 299 + "L", 1),
@@ -565,7 +596,9 @@ class TestSolveShapes:
     def test_iteration_cap_names_word_step_and_tetrahedron(self):
         # a residual that shrinks on every call but never reaches tol,
         # under an identity Newton system: every step scales the shapes
-        # by the same real factor, so the worst tetrahedron stays put
+        # by the same real factor, so the worst tetrahedron stays put up
+        # to rounding.  RRL's three shapes share Im z = sqrt(7)/2, so the
+        # named one is any of them whose scaled shape is the smallest
         class Shrinking(GluingSystem):
             calls = 0
 
@@ -579,12 +612,16 @@ class TestSolveShapes:
 
         tri = layered_triangulation("RRL")
         shapes = solve_shapes(gluing_system(tri))
-        worst = min(range(3), key=lambda i: shapes[i].imag)
         with pytest.raises(errors.MaxIterations) as info:
             solve_shapes(Shrinking(tri))
         message = str(info.value)
         assert "word 'RRL', Newton step 50:" in message
-        assert "worst tetrahedron %d has shape " % worst in message
+        named = message.split("worst tetrahedron ")[1].split(" has shape ")
+        worst, shape = int(named[0]), complex(named[1])
+        assert abs(cmath.phase(shape) - cmath.phase(shapes[worst])) < 1e-12
+        scale = shape.imag / shapes[worst].imag
+        assert all(shape.imag <= z.imag * scale * (1.0 + 1e-12)
+                   for z in shapes)
 
     def test_singular_step_is_a_divergence(self):
         # a zero pivot is a step that is not finite, reported like the
@@ -890,20 +927,43 @@ class TestMaximalCusp:
         (lambda: random_words(200, 10, 20, seed=7), 200),
     ], ids=["length<=9", "bundle-pool", "random-10-20"])
     def test_matches_the_pairwise_edge_formula(self, words, solved):
-        # the same side lengths multiplied in the same pairs: equal to
-        # the last bit
+        # the two oracles multiply the same side lengths in the same
+        # pairs: equal to the last bit.  maximal_cusp takes one product
+        # per edge class, equal to the largest of its class up to rounding
         seen = 0
         for word in words():
             tri = layered_triangulation(word)
             shapes = solve_shapes(gluing_system(tri))
             got = maximal_cusp(tri, shapes)
             want = maximal_cusp_pairwise(tri, shapes)
-            assert got.area == want.area, word
-            assert got.longitude_length == want.longitude_length, word
-            assert got.height == want.height, word
-            assert got.translations == want.translations, word
+            assert maximal_cusp_products(tri, shapes) == want, word
+            assert abs(got.area / want.area - 1.0) < 1e-12, word
+            assert abs(got.longitude_length / want.longitude_length
+                       - 1.0) < 1e-12, word
+            assert abs(got.height / want.height - 1.0) < 1e-12, word
+            for g, w in zip(got.translations, want.translations):
+                assert abs(g / w - 1.0) < 1e-12, word
             seen += 1
         assert seen == solved
+
+    @pytest.mark.parametrize("words, count", EVERY_WORD_SETS,
+                             ids=EVERY_WORD_IDS)
+    def test_one_product_per_edge_class(self, words, count):
+        # h_k h_m = e^(-delta) depends only on the edge, so the 12n
+        # products agree within each class, and the largest over the n
+        # classes is the largest of all of them
+        words = words()
+        assert len(words) == count
+        for word in words:
+            tri = layered_triangulation(word)
+            shapes = solve_shapes(gluing_system(tri))
+            _, products = edge_products(tri, shapes)
+            assert sum(map(len, products)) == 12 * len(word), word
+            for same in products:
+                assert max(same) / min(same) - 1.0 < 1e-10, word
+            got = maximal_cusp(tri, shapes).area
+            want = maximal_cusp_products(tri, shapes).area
+            assert abs(got / want - 1.0) < 1e-12, word
 
     def test_rotation_and_swap_invariance(self):
         # every word of length <= 6: a rotation relabels the same

@@ -15,6 +15,22 @@ from cusplab.surface import (
 from oracles import pieces_union_find, punctures_union_find
 
 
+def relabel_edge(tri, old, new):
+    """The same triangulation with edge `old` relabelled `new`.
+
+    A double flip gives the original surface back with its restored edge
+    under a fresh label; this renames it, to compare with the original.
+    """
+    if old not in tri.edges:
+        raise errors.NonInvolution("no edge labelled %r" % (old,))
+    if new != old and new in tri.edges:
+        raise errors.NonInvolution("label %r already in use" % (new,))
+    table = tuple(new if x == old else x for x in tri._edge_of_slot)
+    return IdealTriangulation(tri._glued, name=tri.name,
+                              preferred=tri.punctures[tri.preferred][0],
+                              edge_of_slot=table)
+
+
 def twice_punctured_torus():
     """Square torus with a second puncture at the centre of the square.
 
@@ -227,14 +243,14 @@ class TestFlips:
 
     def test_relabel_edge(self):
         s = once_punctured_torus()
-        t = s.relabel_edge(2, 9)
+        t = relabel_edge(s, 2, 9)
         assert t.edge_labels == (0, 1, 9)
         assert t.edge_slots(9) == s.edge_slots(2)
-        assert t.relabel_edge(9, 2) == s
+        assert relabel_edge(t, 9, 2) == s
         with pytest.raises(errors.NonInvolution):
-            s.relabel_edge(7, 8)
+            relabel_edge(s, 7, 8)
         with pytest.raises(errors.NonInvolution):
-            s.relabel_edge(0, 1)
+            relabel_edge(s, 0, 1)
 
     def test_double_flip_is_relabelled_identity(self):
         for s in (once_punctured_torus(), twice_punctured_torus()):
@@ -242,7 +258,7 @@ class TestFlips:
                 t1, rec1 = s.flip(e)
                 t2, rec2 = t1.flip(rec1.new_edge)
                 back = rec1.inverse_relabeling(s.num_triangles).apply(t2)
-                assert back.relabel_edge(rec2.new_edge, e) == s
+                assert relabel_edge(back, rec2.new_edge, e) == s
 
     def test_random_flip_walk_and_unwind(self):
         rng = np.random.default_rng(7)
@@ -264,7 +280,7 @@ class TestFlips:
             prev, rec = stack.pop()
             cur, rec2 = cur.flip(rec.new_edge)
             cur = rec.inverse_relabeling(cur.num_triangles).apply(cur)
-            cur = cur.relabel_edge(rec2.new_edge, rec.edge)
+            cur = relabel_edge(cur, rec2.new_edge, rec.edge)
             assert cur == prev
 
 
@@ -309,6 +325,28 @@ class TestRelabeling:
     def test_non_automorphism(self):
         s = once_punctured_torus()
         assert not Relabeling(perm=(1, 0), rot=(0, 0)).is_automorphism(s)
+
+    @pytest.mark.parametrize("perm, rot", [
+        ((0, 0), (0, 0)),       # not a permutation
+        ((1, 2), (0, 0)),       # not a permutation of range(2)
+        ((0, 1), (0, 3)),       # rotation out of range
+        ((0, 1), (0,)),         # too few rotations
+    ])
+    def test_rejects_a_bad_relabeling(self, perm, rot):
+        with pytest.raises(errors.BaseMismatch, match="permutation"):
+            Relabeling(perm, rot)
+
+    @pytest.mark.parametrize("perm, rot", [
+        ((0,), (0,)),           # too few triangles for the torus
+        ((0, 1, 2), (0, 0, 0)),  # too many
+    ])
+    def test_rejects_a_triangulation_of_another_size(self, perm, rot):
+        s = once_punctured_torus()
+        r = Relabeling(perm, rot)
+        with pytest.raises(errors.BaseMismatch, match="triangulation of 2"):
+            r.apply(s)
+        with pytest.raises(errors.BaseMismatch, match="triangulation of 2"):
+            r.is_automorphism(s)
 
 
 class TestCanonicalForm:
