@@ -100,8 +100,10 @@ def verify_fibered(word, n_max=4, tol=1e-12):
     shapes = bundle.solve_shapes(bundle.gluing_system(tri), tol=tol)
     cusp = bundle.maximal_cusp(tri, shapes)
 
-    d_psi_n = farey.translation_distances(mono, n_max)
-    stable = float(farey.stable_translation_distance(mono))
+    # d(psi^n) and tau read the same Farey distance matrix
+    _, t = farey._distance_matrix(mono)
+    d_psi_n = farey._power_distances(t, n_max)
+    stable = float(farey._stable_distance(t))
 
     margins = {}
     flags = []

@@ -158,17 +158,14 @@ _ENTER_1 = _placement(2, {m2: m for m, m2 in _STACK["R"][0][2].items()}, 2)
 class LayeredTriangulation:
     """Ideal triangulation of a once-punctured-torus bundle.
 
-    One tetrahedron per monodromy letter.  ``edge_classes`` partitions
-    the 6n tetrahedron edges (tet, vertex pair) into the edges of the glued
-    manifold, class i being the edge born at layer i as tetrahedron i's top
-    diagonal (i, (0, 1)).  ``fiber_boundary_class`` lists the face corners
-    of tetrahedron 0 that a loop around the fiber puncture crosses, in
-    cyclic order: the peripheral class of the fiber boundary (the
-    longitude).  ``gluings`` and ``degrees`` are read off the word's
-    ``_STACK`` rows on first use, since the solver never needs them.
+    One tetrahedron per monodromy letter.  ``fiber_boundary_class`` lists
+    the face corners of tetrahedron 0 that a loop around the fiber
+    puncture crosses, in cyclic order: the peripheral class of the fiber
+    boundary (the longitude).  ``edge_classes`` is read off the slot walk,
+    and ``gluings`` and ``degrees`` off the word's ``_STACK`` rows, on
+    first use, since the solver and the cusp never need them.
     """
     word: str
-    edge_classes: tuple
     fiber_boundary_class: tuple
 
     @property
@@ -182,6 +179,17 @@ class LayeredTriangulation:
         for i in range(n):
             j = (i + 1) % n
             yield i, j, 1 if j == 0 else 0, _STACK[self.word[j]]
+
+    @cached_property
+    def edge_classes(self):
+        """The 6n tetrahedron edges (tet, vertex pair) partitioned into the
+        edges of the glued manifold, class i being the edge born at layer i
+        as tetrahedron i's top diagonal (i, (0, 1))."""
+        classes = [[(i, (0, 1))] for i in range(len(self.word))]
+        for i, table, slots in _slot_walk(self.word):
+            for edge, s in table.items():
+                classes[slots[s]].append((i, edge))
+        return tuple(tuple(sorted(members)) for members in classes)
 
     @cached_property
     def gluings(self):
@@ -236,15 +244,8 @@ def layered_triangulation(word):
     """
     if not word_to_matrix(word).is_pseudo_anosov:
         raise NotPseudoAnosov("monodromy %r is not pseudo-Anosov" % word)
-
-    classes = [[(i, (0, 1))] for i in range(len(word))]
-    for i, table, slots in _slot_walk(word):
-        for edge, s in table.items():
-            classes[slots[s]].append((i, edge))
-    edge_classes = tuple(tuple(sorted(members)) for members in classes)
-
     walk = tuple((0, r, m) for r, m in _PUNCTURE_WALK[word[0]])
-    return LayeredTriangulation(word, edge_classes, walk)
+    return LayeredTriangulation(word, walk)
 
 
 # ---- shapes and gluing equations ----------------------------------------
@@ -671,9 +672,12 @@ def solve_shapes(system, tol=1e-12):
     theta, D = 1, no defect).  Near the boundary, or far from the maximum
     (Newton decrement over 0.01), a step is cut by a secant on the
     derivative along it, then halved until the volume still rises at its
-    end.  After a full step with decrement below 1e-12 the shapes z =
-    (sin beta / sin gamma) e^(i alpha) lie within about 1e-12 of the
-    root, and Newton steps in log z with an analytic Jacobian, on the
+    end.  The steps stop after a full step with decrement below 1e-12, or
+    with a decrement not below a quarter of the full step's before it
+    when that one was below 1e-6: on long words the decrement reaches a
+    floor of rounding noise near 1e-7 and no longer falls quadratically.
+    The shapes z = (sin beta / sin gamma) e^(i alpha) then lie close to
+    the root, and Newton steps in log z with an analytic Jacobian, on the
     completeness row and E, bring the residual (rows summed by
     math.fsum) under ``tol``: none or one, in practice, each a dense
     elimination with partial pivoting.  The shapes and their residual
@@ -700,6 +704,7 @@ def solve_shapes(system, tol=1e-12):
             system, step, "no angle structure has every angle positive",
             theta=theta))
 
+    last = math.inf     # the decrement of the step before, if it was full
     for step in range(step + 1, _MAX_STEPS + 1):
         move, decrement, t = _angle_step(system, step, theta)
         if t < 1.0 or decrement > 0.01:
@@ -709,8 +714,13 @@ def solve_shapes(system, tol=1e-12):
                 while t > 1e-12 and _rise(theta, move, t) < 0.0:
                     t *= 0.5
         theta = [a + t * m for a, m in zip(theta, move)]
-        if t == 1.0 and decrement < 1e-12:
+        if t < 1.0:
+            last = math.inf
+        elif decrement < 1e-12 or (last < 1e-6
+                                   and not decrement < 0.25 * last):
             break
+        else:
+            last = decrement
     else:
         raise MaxIterations(_failure(
             system, _MAX_STEPS, "no convergence within %d Newton steps"
@@ -961,7 +971,7 @@ def bundle_report(word, tol=1e-12):
     t = layered_triangulation(word)
     system = gluing_system(t)
     solved = solve_shapes(system, tol=tol)
-    residual = max(map(abs, system.residual(solved)))
+    _, residual = system._solved
     cusp = maximal_cusp(t, solved)
     return {
         "word": word,

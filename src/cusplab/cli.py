@@ -44,13 +44,11 @@ the draws and the ``geometry`` calls are made inline.
 """
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import mul, rshift
 
@@ -105,7 +103,9 @@ class RunConfig:
             raise ValueError("--seed must be non-negative, got %d" % self.seed)
 
     def to_json(self):
-        return asdict(self)
+        # every field is a scalar, so a shallow copy of the instance dict
+        # is what asdict would return, without its deep copy
+        return dict(vars(self))
 
 
 @functools.lru_cache(maxsize=1)
@@ -232,24 +232,30 @@ def _cmd_bundle_report(args, config):
 
 
 def _thm14_csv(config, reports):
-    buf = io.StringIO()
-    buf.write("# cusplab verify-thm14 schema %d\n" % SCHEMA)
-    buf.write("# versions: %s" % _json_text(_versions()))
-    buf.write("# config: %s" % _json_text(config.to_json()))
-    writer = csv.writer(buf, lineterminator="\n")
+    # Every report of a scan has the same margin names, which depend only
+    # on n_max, so one format writes a row.  No field holds a comma, a
+    # quote or a line break (words are over R and L, the rest are numbers
+    # and fixed names), so the rows are those a csv writer would give,
+    # with no quoting.
+    powers = range(1, config.n_max + 1)
+    names = sorted(reports[0].margins) if reports else []
     header = ["word", "area", "longitude", "height"]
-    header += ["d%d" % n for n in range(1, config.n_max + 1)]
+    header += ["d%d" % n for n in powers]
     header += ["stable_upper", "margins", "flags"]
-    writer.writerow(header)
+    row = ",".join(["%s", "%r", "%r", "%r"] + ["%s"] * len(powers)
+                   + ["%r", ";".join([k + "=%r" for k in names]), "%s"]) \
+        + "\n"
+    lines = ["# cusplab verify-thm14 schema %d\n" % SCHEMA,
+             "# versions: %s" % _json_text(_versions()),
+             "# config: %s" % _json_text(config.to_json()),
+             ",".join(header) + "\n"]
     for rep in reports:
-        margins = ";".join("%s=%r" % (k, rep.margins[k])
-                           for k in sorted(rep.margins))
-        row = [rep.word, repr(rep.cusp_area), repr(rep.longitude),
-               repr(rep.height)]
-        row += [str(rep.d_psi_n[n]) for n in range(1, config.n_max + 1)]
-        row += [repr(rep.stable_upper), margins, ";".join(rep.flags)]
-        writer.writerow(row)
-    return buf.getvalue()
+        lines.append(row % (rep.word, rep.cusp_area, rep.longitude,
+                            rep.height, *[rep.d_psi_n[n] for n in powers],
+                            rep.stable_upper,
+                            *[rep.margins[k] for k in names],
+                            ";".join(rep.flags)))
+    return "".join(lines)
 
 
 def _cmd_verify_thm14(config):

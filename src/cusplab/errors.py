@@ -18,7 +18,12 @@ class NonInvolution(CuspLabError):
 
 
 class Disconnected(CuspLabError):
-    """The glued surface (or cover) is not connected."""
+    """The glued surface (or cover) is not connected; ``pieces`` counts
+    its connected components."""
+
+    def __init__(self, pieces):
+        super().__init__("gluing data describes %d components" % pieces)
+        self.pieces = pieces
 
 
 class NonOrientable(CuspLabError):

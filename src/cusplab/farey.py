@@ -321,7 +321,12 @@ def translation_distances(m, n_max):
 
         d(s, N^n s) = d(s, N^n r_b) + d(r_b, s) >= d(r_b, N^n r_b).
     """
-    _, ((t00, t01), (t10, t11)) = _distance_matrix(m)
+    return _power_distances(_distance_matrix(m)[1], n_max)
+
+
+def _power_distances(t, n_max):
+    # translation_distances from the distance matrix T of _distance_matrix
+    (t00, t01), (t10, t11) = t
     p00, p01, p10, p11 = t00, t01, t10, t11
     out = {}
     for n in range(1, n_max + 1):
@@ -357,8 +362,14 @@ def stable_translation_distance(m):
     cycle mean (Cuninghame-Green, "Minimax algebra", 1979), and the
     simple cycles on two nodes are the two loops and the one 2-cycle.
     """
-    _, ((t00, t01), (t10, t11)) = _distance_matrix(m)
-    return min(Fraction(t00), Fraction(t11), Fraction(t01 + t10, 2))
+    return _stable_distance(_distance_matrix(m)[1])
+
+
+def _stable_distance(t):
+    # stable_translation_distance from the distance matrix T, the minimum
+    # taken over twice the cycle means, all integers
+    (t00, t01), (t10, t11) = t
+    return Fraction(min(2 * t00, 2 * t11, t01 + t10), 2)
 
 
 def stable_upper(m, N):

@@ -125,7 +125,7 @@ class IdealTriangulation:
     def _check_connected(self):
         pieces = _pieces(self._glued)
         if pieces > 1:
-            raise Disconnected("gluing data describes %d components" % pieces)
+            raise Disconnected(pieces)
 
     def _build_edges(self, edge_of_slot):
         if edge_of_slot is None:
@@ -731,19 +731,19 @@ def build_cover(base, perms, name=None, preferred=None):
             glued[3 * ct + a] = (cu, b)
             glued[3 * cu + b] = (ct, a)
 
-    # connectivity must be judged on the assembled cover: permutations that
-    # generate a transitive group can still leave the cover disconnected
-    pieces = _pieces(glued)
-    if pieces > 1:
-        raise Intransitive("gluing permutations leave the cover in %d pieces"
-                           % pieces)
-
     if preferred is None:
         t0, k0 = base.punctures[base.preferred][0]
         preferred = (t0 * degree + 0, k0)
-    total = IdealTriangulation(
-        glued, name=name or "%s_cover%d" % (base.name, degree),
-        preferred=preferred)
+    # connectivity must be judged on the assembled cover, as the
+    # triangulation's own check does: permutations that generate a
+    # transitive group can still leave the cover disconnected
+    try:
+        total = IdealTriangulation(
+            glued, name=name or "%s_cover%d" % (base.name, degree),
+            preferred=preferred)
+    except Disconnected as exc:
+        raise Intransitive("gluing permutations leave the cover in %d pieces"
+                           % exc.pieces) from exc
     return CoverMap(base=base, total=total, degree=degree, perms=table)
 
 

@@ -119,9 +119,21 @@ The scalar lemma checks are lemma-suite before its draws were read from
 raw PCG64 words: every draw is its own ``Generator.integers`` or
 ``Generator.uniform`` call on ``default_rng(seed)``.  They share the
 package's geometry and tolerances, and nothing of its draw source.
+
+The slot-walk edge classes are layered_triangulation's edge classes
+before they became a property read on first use: built for every
+triangulation from the package's slot walk.  The plane triangulation
+checks them independently.
+
+The csv-writer report is the verify-thm14 CSV before one format wrote
+each row: every row goes through ``csv.writer``, its margins sorted
+report by report.  It shares the package's provenance lines and nothing
+of its row format.
 """
 
 import cmath
+import csv
+import io
 import itertools
 import math
 from collections import deque
@@ -137,8 +149,9 @@ from cusplab.arcs import NormalArc, _neighbors
 from cusplab.bundle import (_CYC, _FACE, _MAX_STEPS, _PAIR, _PUNCTURE_WALK,
                             CuspCrossSection, _eliminate, _failure, _rise,
                             LayeredTriangulation, ShapeVector,
-                            _cross_section, cusp_cross_section)
-from cusplab.cli import CONE_TOL, TANGENT_TOL
+                            _cross_section, _slot_walk, cusp_cross_section)
+from cusplab.cli import (CONE_TOL, SCHEMA, TANGENT_TOL, _json_text,
+                         _versions)
 from cusplab.errors import (BudgetExceeded, DegenerateShape, DepthUnstable,
                             Diverged, MaxIterations, NotAnArc,
                             NotPseudoAnosov, NumericalError,
@@ -1034,11 +1047,29 @@ def layered_triangulation_plane(word):
                          for _, members in sorted(classes.items()))
 
     walk = tuple((0, r, m) for r, m in _PUNCTURE_WALK[word[0]])
-    tri = LayeredTriangulation(word, edge_classes, walk)
-    # the plane's own gluings and degrees, in place of the letter tables'
-    # (cached properties keep their value in the instance dict)
-    tri.__dict__.update(gluings=gluings, degrees=degrees)
+    tri = LayeredTriangulation(word, walk)
+    # the plane's own edge classes, gluings and degrees, in place of the
+    # slot walk's and the letter tables' (cached properties keep their
+    # value in the instance dict)
+    tri.__dict__.update(edge_classes=edge_classes, gluings=gluings,
+                        degrees=degrees)
     return tri
+
+
+# ---- edge classes from the slot walk, built eagerly ----
+
+def slot_walk_edge_classes(word):
+    """The edge classes of a word's layered triangulation, from the walk.
+
+    Class i starts with the edge born at layer i, tetrahedron i's top
+    diagonal (i, (0, 1)); every other edge of layer i joins the class of
+    the fiber slot it lies on.
+    """
+    classes = [[(i, (0, 1))] for i in range(len(word))]
+    for i, table, slots in _slot_walk(word):
+        for edge, s in table.items():
+            classes[slots[s]].append((i, edge))
+    return tuple(tuple(sorted(members)) for members in classes)
 
 
 # ---- edge rows summed over the edge classes ----
@@ -1922,3 +1953,31 @@ def lemma_checks_scalar(config):
     """
     rng = np.random.default_rng(config.seed)
     return [_tangent_check(config, rng), _cone_check(config, rng)]
+
+
+# ---- verify-thm14 report through the csv writer ----
+
+def thm14_csv(config, reports):
+    """The verify-thm14 CSV of a RunConfig and its CuspReports.
+
+    Every row goes through ``csv.writer``, each margin list sorted per
+    report.
+    """
+    buf = io.StringIO()
+    buf.write("# cusplab verify-thm14 schema %d\n" % SCHEMA)
+    buf.write("# versions: %s" % _json_text(_versions()))
+    buf.write("# config: %s" % _json_text(config.to_json()))
+    writer = csv.writer(buf, lineterminator="\n")
+    header = ["word", "area", "longitude", "height"]
+    header += ["d%d" % n for n in range(1, config.n_max + 1)]
+    header += ["stable_upper", "margins", "flags"]
+    writer.writerow(header)
+    for rep in reports:
+        margins = ";".join("%s=%r" % (k, rep.margins[k])
+                           for k in sorted(rep.margins))
+        row = [rep.word, repr(rep.cusp_area), repr(rep.longitude),
+               repr(rep.height)]
+        row += [str(rep.d_psi_n[n]) for n in range(1, config.n_max + 1)]
+        row += [repr(rep.stable_upper), margins, ";".join(rep.flags)]
+        writer.writerow(row)
+    return buf.getvalue()

@@ -1,9 +1,11 @@
+import itertools
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
-from cusplab import errors
+from cusplab import bundle, errors, farey
 from cusplab.arcs import slope_arc
 from cusplab.bounds import (
     CuspReport,
@@ -114,6 +116,40 @@ class TestVerifyFibered:
     def test_bad_word_propagates(self):
         with pytest.raises(errors.NotPseudoAnosov):
             verify_fibered("RR", n_max=1)
+
+    def test_distances_match_the_public_functions(self):
+        # d(psi^n) and tau come off one distance matrix per word; tau is
+        # also the least of the three cycle means taken as fractions
+        count = 0
+        for n in range(2, 11):
+            for letters in itertools.product("RL", repeat=n):
+                word = "".join(letters)
+                if "R" not in word or "L" not in word:
+                    continue
+                m = farey.word_to_matrix(word)
+                report = verify_fibered(word, n_max=8)
+                assert report.d_psi_n == farey.translation_distances(m, 8)
+                tau = farey.stable_translation_distance(m)
+                (t00, t01), (t10, t11) = farey._distance_matrix(m)[1]
+                assert tau == min(Fraction(t00), Fraction(t11),
+                                  Fraction(t01 + t10, 2)), word
+                assert report.stable_upper == float(tau), word
+                count += 1
+        assert count == 2026
+
+    def test_builds_no_edge_classes(self, monkeypatch):
+        # the triangulation of a scanned word never reads its edge classes
+        built = []
+        layered = bundle.layered_triangulation
+
+        def captured(word):
+            built.append(layered(word))
+            return built[-1]
+
+        monkeypatch.setattr(bundle, "layered_triangulation", captured)
+        verify_fibered("RRLRL", n_max=3)
+        assert len(built) == 1
+        assert "edge_classes" not in vars(built[0])
 
 
 class TestVerifyLifting:

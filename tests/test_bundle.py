@@ -31,7 +31,7 @@ from oracles import (RootedCuspGraph, angle_shift, angle_space,
                      layered_triangulation_plane, lobachevsky_spence,
                      maximal_cusp_bfs, maximal_cusp_pairwise,
                      maximal_cusp_products, peripheral_basis_gcd,
-                     solve_shapes_basis,
+                     slot_walk_edge_classes, solve_shapes_basis,
                      solve_shapes_developed, solve_shapes_lstsq,
                      sparse_edge_rows)
 
@@ -197,6 +197,21 @@ class TestLayeredTriangulation:
             assert got.gluings == want.gluings, word
             assert got.degrees == want.degrees, word
             assert sorted(got.edge_classes) == sorted(want.edge_classes), word
+
+    def test_edge_classes_match_the_slot_walk_oracle(self):
+        words = cli.corpus(9) + ["R" * 99 + "L", "RL" * 50, "RRL" * 33]
+        assert len(words) == 75
+        for word in words:
+            assert layered_triangulation(word).edge_classes \
+                == slot_walk_edge_classes(word), word
+
+    def test_edge_classes_are_read_on_first_use(self):
+        # the solve and the cusp never read them
+        tri = layered_triangulation("RRLRL")
+        maximal_cusp(tri, solve_shapes(gluing_system(tri)))
+        assert "edge_classes" not in vars(tri)
+        assert tri.edge_classes is tri.edge_classes
+        assert "edge_classes" in vars(tri)
 
     def test_gluings_form_a_fixed_point_free_involution(self):
         tri = layered_triangulation("RRLRL")
@@ -500,6 +515,39 @@ class TestSolveShapes:
             once = solve_shapes(gluing_system(layered_triangulation(unit)))
             assert abs(total_volume(shapes) - power * total_volume(once)) \
                 < 1e-9 * power
+
+    @staticmethod
+    def count_steps(monkeypatch, words):
+        # (angle steps, shape polish steps) that solving the words takes
+        counts = [0, 0]
+        angle_step, eliminate = bundle._angle_step, bundle._eliminate
+
+        def counted_angle_step(*args):
+            counts[0] += 1
+            return angle_step(*args)
+
+        def counted_eliminate(rows):
+            counts[1] += 1
+            return eliminate(rows)
+
+        monkeypatch.setattr(bundle, "_angle_step", counted_angle_step)
+        monkeypatch.setattr(bundle, "_eliminate", counted_eliminate)
+        for word in words:
+            system = gluing_system(layered_triangulation(word))
+            shapes = solve_shapes(system)
+            assert max(map(abs, system.residual(shapes))) < 1e-12, word
+        return tuple(counts)
+
+    def test_noise_floor_ends_the_volume_steps(self, monkeypatch):
+        # on R^299L the decrement stalls near 1e-7 after about a dozen
+        # steps; the solve stops there, not on a reading below 1e-12
+        angle, polish = self.count_steps(monkeypatch, ["R" * 299 + "L"])
+        assert angle <= 16
+        assert polish <= 1
+
+    def test_corpus_step_counts(self, monkeypatch):
+        # count guard for the benchmark's verify-thm14 corpus
+        assert self.count_steps(monkeypatch, cli.corpus(5)) == (34, 0)
 
     def test_damped_steps_try_each_length_once(self, monkeypatch):
         # a damped step reads the rise along its move once per step length
@@ -1021,6 +1069,38 @@ class TestBundleReport:
         assert abs(report["cusp_area"] - maximal_rl.area) < 1e-6
         got = [complex(a, b) for a, b in report["shapes"]]
         assert max(abs(z - w) for z, w in zip(got, shapes)) < 1e-9
+
+    def test_reads_the_residual_the_solve_left(self, monkeypatch):
+        # the same report as recomputing the residual of the solved shapes,
+        # with no residual call
+        def recomputed(word):
+            tri = layered_triangulation(word)
+            system = gluing_system(tri)
+            solved = solve_shapes(system)
+            cusp = maximal_cusp(tri, solved)
+            return {"word": word,
+                    "shapes": [[z.real, z.imag] for z in solved],
+                    "residual": max(map(abs, system.residual(solved))),
+                    "volume": total_volume(solved),
+                    "cusp_area": cusp.area,
+                    "longitude": cusp.longitude_length,
+                    "height": cusp.height}
+
+        words = bundle_pool()
+        want = [json.dumps(recomputed(word), sort_keys=True)
+                for word in words]
+        calls = []
+        residual = GluingSystem.residual
+
+        def counted(system, shapes):
+            calls.append(system)
+            return residual(system, shapes)
+
+        monkeypatch.setattr(GluingSystem, "residual", counted)
+        got = [json.dumps(bundle_report(word), sort_keys=True)
+               for word in words]
+        assert got == want
+        assert calls == []
 
     def test_longitudes_clear_the_waist_bound(self):
         for word in ["RL", "RRL", "RRLL", "RLRL", "RRRLL"]:

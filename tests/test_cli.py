@@ -9,12 +9,15 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from cusplab import bundle, cli, errors, farey, geometry, surface
-from oracles import canonical_word, corpus_rotations, lemma_checks_scalar
+from cusplab import (bounds, bundle, cli, errors, farey, geometry,
+                     surface)
+from oracles import (canonical_word, corpus_rotations, lemma_checks_scalar,
+                     thm14_csv)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -244,6 +247,46 @@ class TestVerifyThm14:
         # only the config line, which records the flag, differs
         assert outs[0][2] != outs[1][2]
         assert outs[0][:2] + outs[0][3:] == outs[1][:2] + outs[1][3:]
+
+    @pytest.mark.parametrize("n_max", [1, 5, 7])
+    def test_matches_the_csv_writer_oracle(self, n_max, capsys):
+        assert cli.run(["verify-thm14", "--max-word-len", "8",
+                        "--n-max", str(n_max)]) == 0
+        got = capsys.readouterr().out
+        config = cli.RunConfig("verify-thm14", n_max=n_max, max_word_len=8,
+                               fmt="csv")
+        reports = [bounds.verify_fibered(word, n_max=n_max)
+                   for word in cli.corpus(8)]
+        assert len(reports) == 43
+        assert got == thm14_csv(config, reports)
+
+    def test_violation_row_matches_the_csv_writer_oracle(self):
+        config = cli.RunConfig("verify-thm14", n_max=2, max_word_len=3,
+                               fmt="csv")
+        rl, rrl = (bounds.verify_fibered(word, n_max=2)
+                   for word in ("RL", "RRL"))
+        bad = replace(rrl, margins={**rrl.margins, "area_n2": -0.25,
+                                    "height_n1": 0.0},
+                      flags=("violation:area_n2", "violation:height_n1")
+                      + rrl.flags)
+        text = cli._thm14_csv(config, [rl, bad])
+        assert text == thm14_csv(config, [rl, bad])
+        assert text.splitlines()[-1].split(",")[-1] == ";".join(bad.flags)
+
+
+class TestRunConfig:
+
+    @pytest.mark.parametrize("config", [
+        cli.RunConfig("verify-thm14", n_max=5, max_word_len=5, fmt="csv"),
+        cli.RunConfig("lemma-suite", samples=10, seed=3, out="x.json"),
+        cli.RunConfig("arc-dist", budget=9, fmt="text"),
+    ], ids=["verify-thm14", "lemma-suite", "arc-dist"])
+    def test_to_json_matches_asdict(self, config):
+        doc = config.to_json()
+        assert doc == asdict(config)
+        assert list(doc) == list(asdict(config))
+        doc["seed"] = -1
+        assert config.to_json() == asdict(config)
 
 
 class TestVerifyLifting:
