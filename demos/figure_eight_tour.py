@@ -25,10 +25,10 @@ SQRT3 = math.sqrt(3.0)
 def main():
     print("monodromy word: RL")
     tri = bundle.layered_triangulation("RL")
-    print("layered triangulation: %d tetrahedra, %d edge classes"
-          % (tri.num_tetrahedra, len(tri.edge_classes)))
-
     system = bundle.gluing_system(tri)
+    print("layered triangulation: %d tetrahedra, %d edge classes"
+          % (tri.num_tetrahedra, len(system.edge_rows)))
+
     shapes = bundle.solve_shapes(system)
     residual = max(abs(r) for r in system.residual(shapes))
     print("\ngluing equations solved, residual %.2e" % residual)

@@ -4,7 +4,9 @@ A pseudo-Anosov word over {L, R} determines a mapping torus fibering over
 the circle with once-punctured-torus fiber.  Layering one ideal tetrahedron
 per letter between consecutive diagonal flips of the fiber triangulation,
 then closing up through the monodromy, yields the standard ideal
-triangulation of the bundle.  This module builds that triangulation, writes
+triangulation of the bundle.  That triangulation is fixed by the word, so
+a LayeredTriangulation holds only the word, and the letter tables below
+stand in for its face gluings and edge classes.  This module writes
 Thurston's gluing equations in logarithmic form, solves them at the volume
 maximum over angle structures, and measures the cusp: the translation
 lattice of the boundary torus, the length of the fiber boundary (the
@@ -56,9 +58,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import (DegenerateShape, Diverged, MaxIterations, NotPseudoAnosov,
-                     NotSolved, NumericalError)
-from .farey import word_to_matrix
+from .errors import (DegenerateShape, Diverged, EmptyWord, MaxIterations,
+                     NotPseudoAnosov, NotSolved, NumericalError)
 
 __all__ = [
     "LayeredTriangulation", "ShapeVector", "CuspCrossSection", "GluingSystem",
@@ -158,61 +159,21 @@ _ENTER_1 = _placement(2, {m2: m for m, m2 in _STACK["R"][0][2].items()}, 2)
 class LayeredTriangulation:
     """Ideal triangulation of a once-punctured-torus bundle.
 
-    One tetrahedron per monodromy letter.  ``fiber_boundary_class`` lists
+    One tetrahedron per monodromy letter, glued as the letter tables say:
+    the word is the whole triangulation.  ``fiber_boundary_class`` lists
     the face corners of tetrahedron 0 that a loop around the fiber
     puncture crosses, in cyclic order: the peripheral class of the fiber
-    boundary (the longitude).  ``edge_classes`` is read off the slot walk,
-    and ``gluings`` and ``degrees`` off the word's ``_STACK`` rows, on
-    first use, since the solver and the cusp never need them.
+    boundary (the longitude), read off the first letter.
     """
     word: str
-    fiber_boundary_class: tuple
 
     @property
     def num_tetrahedra(self):
         return len(self.word)
 
-    def _stack_rows(self):
-        # (i, j, wrap, rows): layer i's top faces glue to layer j = i + 1
-        # by the rows of j's letter, wrapping once round the closure
-        n = len(self.word)
-        for i in range(n):
-            j = (i + 1) % n
-            yield i, j, 1 if j == 0 else 0, _STACK[self.word[j]]
-
-    @cached_property
-    def edge_classes(self):
-        """The 6n tetrahedron edges (tet, vertex pair) partitioned into the
-        edges of the glued manifold, class i being the edge born at layer i
-        as tetrahedron i's top diagonal (i, (0, 1))."""
-        classes = [[(i, (0, 1))] for i in range(len(self.word))]
-        for i, table, slots in _slot_walk(self.word):
-            for edge, s in table.items():
-                classes[slots[s]].append((i, edge))
-        return tuple(tuple(sorted(members)) for members in classes)
-
-    @cached_property
-    def gluings(self):
-        """Face handle (tet, omitted vertex) to (other tet, other face,
-        vertex bijection), for every face of every tetrahedron."""
-        gluings = {}
-        for i, j, _, rows in self._stack_rows():
-            for r, r2, sigma in rows:
-                gluings[(i, r)] = (j, r2, dict(sigma))
-                gluings[(j, r2)] = (i, r, {m2: m1 for m1, m2 in sigma.items()})
-        return gluings
-
-    @cached_property
-    def degrees(self):
-        """Winding of each face gluing around the fiber direction: +1
-        crossing the monodromy closure upward, -1 downward, 0 inside the
-        stack."""
-        degrees = {}
-        for i, j, wrap, rows in self._stack_rows():
-            for r, r2, _ in rows:
-                degrees[(i, r)] = wrap
-                degrees[(j, r2)] = -wrap
-        return degrees
+    @property
+    def fiber_boundary_class(self):
+        return tuple((0, r, m) for r, m in _PUNCTURE_WALK[self.word[0]])
 
     @cached_property
     def _system(self):
@@ -239,13 +200,20 @@ def _slot_walk(word):
 def layered_triangulation(word):
     """Build the layered triangulation of the bundle with monodromy ``word``.
 
-    Raises NotPseudoAnosov for single-letter words (parabolic monodromy),
-    EmptyWord for "", and ValueError on characters outside {L, R}.
+    A word over {L, R} is pseudo-Anosov exactly when it has both letters:
+    its matrix is then positive with trace at least 3, while R^n and L^n
+    are parabolic.  Raises EmptyWord for "", ValueError naming the first
+    character outside {L, R}, and NotPseudoAnosov for single-letter words.
     """
-    if not word_to_matrix(word).is_pseudo_anosov:
+    if not word:
+        raise EmptyWord("monodromy word is empty")
+    word = str(word)
+    bad = word.lstrip("LR")
+    if bad:
+        raise ValueError("monodromy letters are L and R, got %r" % bad[0])
+    if "L" not in word or "R" not in word:
         raise NotPseudoAnosov("monodromy %r is not pseudo-Anosov" % word)
-    walk = tuple((0, r, m) for r, m in _PUNCTURE_WALK[word[0]])
-    return LayeredTriangulation(word, walk)
+    return LayeredTriangulation(word)
 
 
 # ---- shapes and gluing equations ----------------------------------------
@@ -280,11 +248,16 @@ class ShapeVector:
         return self.shapes[k]
 
 
-def _shapes(shapes):
-    # the validated shapes as a tuple of complex numbers
-    if isinstance(shapes, ShapeVector):
-        return shapes.shapes
-    return ShapeVector(tuple(shapes)).shapes
+def _shapes(shapes, system=None):
+    # the validated shapes as a tuple of complex numbers, one per
+    # tetrahedron of the system's triangulation when a system is given
+    zs = (shapes if isinstance(shapes, ShapeVector)
+          else ShapeVector(tuple(shapes))).shapes
+    if system is not None and len(zs) != system.triangulation.num_tetrahedra:
+        raise NotSolved("word %r: %d shapes for %d tetrahedra"
+                        % (system.triangulation.word, len(zs),
+                           system.triangulation.num_tetrahedra))
+    return zs
 
 
 def _completeness_row(word):
@@ -402,10 +375,6 @@ class GluingSystem:
                        - lift[k2] - (j < entry[k2]))
             self._sides.append((16 * i, 16 * j, winding, place))
 
-    @property
-    def num_equations(self):
-        return len(self.edge_rows) + 1
-
     def _develop(self, zs):
         # The flat positions of one pass up the columns, the root (0, 0)
         # with its ends 1, 2 and 3 at 0, 1 and z_0.
@@ -488,26 +457,10 @@ class GluingSystem:
     def residual(self, shapes):
         """Equation residuals at the given shapes, edge rows first.
 
-        Returns a list of complex numbers.
+        Returns a list of complex numbers.  Raises NotSolved unless there
+        is one shape per tetrahedron.
         """
-        return self._evaluate(_shapes(shapes))
-
-    def holonomies(self, shapes):
-        """(winding, derivative, translation) for each generating loop:
-        the four column closings, each winding once, then the cross links.
-        """
-        return self._loops(self._develop(_shapes(shapes)))
-
-    def developed_area(self, shapes):
-        """Total euclidean area of the developed cusp triangles."""
-        pos = self._develop(_shapes(shapes))
-        total = 0.0
-        for o in range(0, len(pos), 4):
-            a, b, c = (o + m for m in _CYC[o // 4 % 4])
-            u = pos[b] - pos[a]
-            w = pos[c] - pos[a]
-            total += 0.5 * abs((u.conjugate() * w).imag)
-        return total
+        return self._evaluate(_shapes(shapes, self))
 
 
 def gluing_system(triangulation):
@@ -845,27 +798,29 @@ def cusp_cross_section(triangulation, shapes, base=(0, 0)):
     (a tetrahedron and vertex pair) develops with unit first side; with
     the default base this is the cut at euclidean height one over the
     first tetrahedron placed at (infinity, 0, 1, z_0).  Raises NotSolved
-    unless the shapes satisfy the gluing and completeness equations to
-    about 1e-8, and ValueError on a base that is not a corner.  Any other
+    unless there is one shape per tetrahedron and the shapes satisfy the
+    gluing and completeness equations to about 1e-8, and ValueError on a
+    base that is not a corner.  Any other
     base is a similarity: the default lattice over the base triangle's
     first side (between its first two _CYC ends) in the default cut.
     """
-    section, pos = _cross_section(triangulation._system, _shapes(shapes))
-    if base == (0, 0):
-        return section
-    i, k = base
-    if not (0 <= i < triangulation.num_tetrahedra and 0 <= k < 4):
-        raise ValueError("base %r is not a corner of word %r"
-                         % (base, triangulation.word))
-    a, b = (pos[16 * i + 4 * k + m] for m in _CYC[k][:2])
-    mu, lam = (w / (b - a) for w in section.translations)
-    area = section.area / abs(b - a) ** 2
+    system = triangulation._system
+    (mu, lam, area), pos = _cross_section(system, _shapes(shapes, system))
+    if base != (0, 0):
+        i, k = base
+        if not (0 <= i < triangulation.num_tetrahedra and 0 <= k < 4):
+            raise ValueError("base %r is not a corner of word %r"
+                             % (base, triangulation.word))
+        a, b = (pos[16 * i + 4 * k + m] for m in _CYC[k][:2])
+        mu, lam = mu / (b - a), lam / (b - a)
+        area /= abs(b - a) ** 2
     return CuspCrossSection((mu, lam), area, abs(lam), area / abs(lam))
 
 
 def _cross_section(system, zs):
-    # cusp_cross_section and the development it was read from, which
-    # maximal_cusp reuses for the edge formula; zs are validated shapes
+    # (mu, lam, area) of the reference cut and the development they were
+    # read from, which maximal_cusp reuses for the edge formula; zs are
+    # validated shapes, one per tetrahedron
     word = system.triangulation.word
     solved, residual = system._solved
     if solved != zs:
@@ -896,8 +851,7 @@ def _cross_section(system, zs):
                              "dependent" % word)
     # the shortest vector of mu's class modulo lam
     mu -= round((mu / lam).real) * lam
-    section = CuspCrossSection((mu, lam), area, abs(lam), area / abs(lam))
-    return section, pos
+    return (mu, lam, area), pos
 
 
 # ---- maximal cusp --------------------------------------------------------
@@ -910,9 +864,9 @@ def maximal_cusp(triangulation, shapes):
     cusp_cross_section is the largest value of h_k h_m below, and the
     maximal cut scales the reference lattice by 1 / sqrt(D), so its area
     is the reference area over D.  The computation is exact and has no
-    search depth.  Raises NotSolved on unsolved shapes and on a shape
-    outside the upper half plane, naming the word and the worst
-    tetrahedron.
+    search depth.  Raises NotSolved on unsolved shapes, on a shape count
+    other than one per tetrahedron, and on a shape outside the upper half
+    plane, naming the word and the worst tetrahedron.
 
     Edge formula.  In a tetrahedron with a vertex k at infinity and the
     cusp cut at height one, an ideal vertex m carries the horoball of
@@ -943,24 +897,22 @@ def maximal_cusp(triangulation, shapes):
     = {0, 1, 3} are |pos[16i + 1] - pos[16i + 3]| and |pos[16i + 4] -
     pos[16i + 7]|.
     """
-    if isinstance(shapes, ShapeVector):
-        zs = shapes.shapes
-    else:
-        zs = [complex(z) for z in shapes]
-        worst = min(range(len(zs)), key=lambda i: zs[i].imag, default=None)
-        if worst is not None and not zs[worst].imag > 0.0:
+    if not isinstance(shapes, ShapeVector):
+        shapes = [complex(z) for z in shapes]
+        worst = min(range(len(shapes)), key=lambda i: shapes[i].imag,
+                    default=None)
+        if worst is not None and not shapes[worst].imag > 0.0:
             raise NotSolved("word %r: tetrahedron %d has shape %r outside "
                             "the upper half plane, so the edges need not be "
                             "canonical"
-                            % (triangulation.word, worst, zs[worst]))
-        zs = _shapes(zs)
-    reference, pos = _cross_section(triangulation._system, zs)
+                            % (triangulation.word, worst, shapes[worst]))
+    system = triangulation._system
+    (mu, lam, area), pos = _cross_section(system, _shapes(shapes, system))
     diameter = max([abs(pos[o + 1] - pos[o + 3]) * abs(pos[o + 4] - pos[o + 7])
                     for o in range(0, len(pos), 16)])
     h = math.sqrt(diameter)
-    mu, lam = reference.translations
     mu, lam = mu / h, lam / h
-    area = reference.area / diameter
+    area /= diameter
     return CuspCrossSection((mu, lam), area, abs(lam), area / abs(lam))
 
 

@@ -73,7 +73,10 @@ class EmptyWord(CuspLabError):
 
 
 class NotPseudoAnosov(CuspLabError):
-    """The monodromy word is periodic or reducible (|trace| <= 2)."""
+    """The monodromy is periodic or reducible (|trace| <= 2).
+
+    A word over {L, R} is pseudo-Anosov exactly when it has both letters.
+    """
 
 
 # ---- hyperbolic geometry inputs ----

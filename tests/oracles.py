@@ -38,25 +38,30 @@ of its letter swap.  It shares nothing with the necklace generator.
 
 The rooted cusp graph is the cusp development before it climbed the four
 letter columns: a breadth-first search over the 4n cusp triangles from
-any root corner, through the triangulation's gluings and degrees, with a
-parent and winding per triangle and every non-tree side kept with its
-winding; each triangle is placed in dicts off its tree parent, and the
-lattice is read at the root's cut.  It shares the package's face, cycle
+any root corner, through the plane triangulation's gluings and degrees,
+with a parent and winding per triangle and every non-tree side kept with
+its winding; each triangle is placed in dicts off its tree parent, and
+the lattice is read at the root's cut.  It shares the package's face, cycle
 and pair tables and nothing of the column tables or the flat positions.
 
 The gcd basis is the cusp lattice before it was read off its two named
 loops: integer row reduction on the windings of all non-tree loops of the
 cusp graph, then a floating-point Euclid over the translations of winding
-zero.  It runs on the rooted cusp graph's loops or the package's.
+zero.  It runs on the rooted cusp graph's loops or on the package's
+unplaced sides (unplaced_loops); the package's developed triangles must
+also add up to the area of that lattice (developed_area).
 
 The plane triangulation is layered_triangulation before its letter
 tables: every tetrahedron is placed in the plane, faces are matched as
 lattice triangles up to translation, the last layer is unwound by the
 inverse monodromy, and a union-find merges the 6n tetrahedron edges.  It
-shares the package's face and puncture-walk tables and nothing of the
-stacking or the edge slots.  The sparse edge rows are GluingSystem's
-edge rows before the slot walk wrote them: each edge class summed member
-by member, repeats added up.
+shares the package's face table and nothing of the stacking or the edge
+slots.  A package triangulation is only its word, so the face gluings,
+windings and edge classes that the searches above read come from here,
+and the birth-order classes from the slot walk (slot_walk_edge_classes),
+whose partition must equal the plane's.  The sparse edge rows are
+GluingSystem's edge rows before the slot walk wrote them: each edge class
+summed member by member, repeats added up.
 
 The developed residual and its Newton loop are the shape solve before the
 completeness row became a precomputed monomial: each residual develops the
@@ -136,7 +141,7 @@ import csv
 import io
 import itertools
 import math
-from collections import deque
+from collections import deque, namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -146,9 +151,8 @@ from scipy.sparse.csgraph import shortest_path
 
 from cusplab import geometry
 from cusplab.arcs import NormalArc, _neighbors
-from cusplab.bundle import (_CYC, _FACE, _MAX_STEPS, _PAIR, _PUNCTURE_WALK,
-                            CuspCrossSection, _eliminate, _failure, _rise,
-                            LayeredTriangulation, ShapeVector,
+from cusplab.bundle import (_CYC, _FACE, _MAX_STEPS, _PAIR, CuspCrossSection,
+                            _eliminate, _failure, _rise, ShapeVector,
                             _cross_section, _slot_walk, cusp_cross_section)
 from cusplab.cli import (CONE_TOL, SCHEMA, TANGENT_TOL, _json_text,
                          _versions)
@@ -529,8 +533,8 @@ class HoroballDevelopment:
     """
 
     def __init__(self, triangulation, zs, lattice):
-        t = triangulation
-        n = t.num_tetrahedra
+        gluings = layered_triangulation_plane(triangulation.word).gluings
+        n = triangulation.num_tetrahedra
         self._mu, self._lam = lattice
         self._scale = max(abs(self._mu), abs(self._lam), 1.0)
         det = (self._mu.real * self._lam.imag
@@ -541,14 +545,14 @@ class HoroballDevelopment:
         base = [None] * n
         base[0] = std[0]
         for i in range(n - 1):
-            j, _, sigma = t.gluings[(i, 2)]
+            j, _, sigma = gluings[(i, 2)]
             src = [base[i][m] for m in _FACE[2]]
             dst = [std[j][sigma[m]] for m in _FACE[2]]
             g = _face_map(src, dst)
             base[j] = tuple(_mapply(g, p) for p in std[j])
         self._base = base
         self._trans = {}
-        for (i, r), (j, _, sigma) in t.gluings.items():
+        for (i, r), (j, _, sigma) in gluings.items():
             src = [base[i][m] for m in _FACE[r]]
             dst = [base[j][sigma[m]] for m in _FACE[r]]
             self._trans[(i, r)] = (j, _face_map(src, dst))
@@ -698,8 +702,8 @@ def maximal_cusp_pairwise(triangulation, shapes):
     maximal_cusp_products reads 12.  The same products of the same side
     lengths, so the two must be equal to the last bit.
     """
-    reference, pos = _cross_section(triangulation._system,
-                                    ShapeVector(tuple(shapes)).shapes)
+    (mu, lam, area), pos = _cross_section(triangulation._system,
+                                          ShapeVector(tuple(shapes)).shapes)
     diameter = 0.0
     for i in range(triangulation.num_tetrahedra):
         for k, m in itertools.combinations(range(4), 2):
@@ -710,9 +714,8 @@ def maximal_cusp_pairwise(triangulation, shapes):
                     h_m = abs(pos[o + 4 * m + k] - pos[o + 4 * m + m2])
                     diameter = max(diameter, h_k * h_m)
     h = math.sqrt(diameter)
-    mu, lam = reference.translations
     mu, lam = mu / h, lam / h
-    area = reference.area / diameter
+    area /= diameter
     return CuspCrossSection((mu, lam), area, abs(lam), area / abs(lam))
 
 
@@ -733,15 +736,16 @@ def edge_products(triangulation, shapes):
     The twelve sides of each tetrahedron's four cusp triangles are read
     once (_SIDES) and multiplied face by face, three edges per face
     (_TOUCH): 12n products, two for each of the 6n tetrahedron edges,
-    one per face on it.  Returns the reference cross section and, per
-    edge class, the list of its products, all equal to e^(-delta) of its
-    edge up to rounding.
+    one per face on it.  Returns the reference (mu, lam, area) and, per
+    edge class of the slot walk, the list of its products, all equal to
+    e^(-delta) of its edge up to rounding.
     """
     reference, pos = _cross_section(triangulation._system,
                                     ShapeVector(tuple(shapes)).shapes)
-    cls = {member: c for c, members in enumerate(triangulation.edge_classes)
+    classes = slot_walk_edge_classes(triangulation.word)
+    cls = {member: c for c, members in enumerate(classes)
            for member in members}
-    products = [[] for _ in triangulation.edge_classes]
+    products = [[] for _ in classes]
     for i, o in enumerate(range(0, len(pos), 16)):
         h = [abs(pos[o + u] - pos[o + v]) for u, v in _SIDES]
         for x, y, edge in _TOUCH:
@@ -756,12 +760,11 @@ def maximal_cusp_products(triangulation, shapes):
     products of a class agree up to rounding, so the two areas agree to
     about 1e-12 relative.
     """
-    reference, products = edge_products(triangulation, shapes)
+    (mu, lam, area), products = edge_products(triangulation, shapes)
     diameter = max(map(max, products))
     h = math.sqrt(diameter)
-    mu, lam = reference.translations
     mu, lam = mu / h, lam / h
-    area = reference.area / diameter
+    area /= diameter
     return CuspCrossSection((mu, lam), area, abs(lam), area / abs(lam))
 
 
@@ -782,8 +785,8 @@ class RootedCuspGraph:
 
     The cusp torus is tiled by one triangle per (tetrahedron, vertex).
     ``order`` and ``parent`` are a breadth-first spanning tree of the dual
-    graph from ``root``, found through the triangulation's gluings and
-    degrees; ``nontree`` lists each remaining side once as (side, other
+    graph from ``root``, found through the gluings and degrees of the
+    word's plane triangulation; ``nontree`` lists each remaining side once as (side, other
     side, winding), a side being (tetrahedron, vertex, face), and
     ``complete`` is the first of them to wind once round the fiber.
     develop places the root triangle's _CYC ends at 0, 1 and its corner
@@ -793,7 +796,8 @@ class RootedCuspGraph:
 
     def __init__(self, triangulation, root=(0, 0)):
         self.triangulation = t = triangulation
-        glu = t.gluings
+        self.gluings, degrees, _ = layered_triangulation_plane(t.word)
+        glu = self.gluings
         self.parent = {root: None}
         winding = {root: 0}
         self.order = [root]
@@ -811,19 +815,19 @@ class RootedCuspGraph:
                 seen_sides.add((i, k, r))
                 seen_sides.add((j, sigma[k], r2))
                 if other not in winding:
-                    winding[other] = winding[node] + t.degrees[(i, r)]
+                    winding[other] = winding[node] + degrees[(i, r)]
                     self.parent[other] = (node, r)
                     self.order.append(other)
                     queue.append(other)
                 else:
-                    deg = winding[node] + t.degrees[(i, r)] - winding[other]
+                    deg = winding[node] + degrees[(i, r)] - winding[other]
                     self.nontree.append(((i, k, r), (j, sigma[k], r2), deg))
         assert len(self.order) == 4 * t.num_tetrahedra
         self.complete = min((x for x in self.nontree if abs(x[2]) == 1),
                             key=lambda x: x[0])
 
     def develop(self, zs):
-        glu = self.triangulation.gluings
+        glu = self.gluings
         i0, k0 = self.order[0]
         cy = _CYC[k0]
         pos = {(i0, k0): {cy[0]: 0j, cy[1]: 1 + 0j,
@@ -846,7 +850,7 @@ class RootedCuspGraph:
         # into the placement this side demands
         i, k, r = side
         j, k2, _ = other_side
-        sigma = self.triangulation.gluings[(i, r)][2]
+        sigma = self.gluings[(i, r)][2]
         m1, m2 = (m for m in _FACE[r] if m != k)
         p, q = pos[(i, k)], pos[(j, k2)]
         rho = (p[m2] - p[m1]) / (q[sigma[m2]] - q[sigma[m1]])
@@ -909,8 +913,8 @@ def _primitive_translation(values, scale):
 def peripheral_basis_gcd(holonomies):
     """Peripheral lattice basis (mu, lam) from every non-tree loop.
 
-    ``holonomies`` is GluingSystem.holonomies: (winding, derivative,
-    translation) per loop.  Integer row reduction on the windings leaves
+    ``holonomies`` is (winding, derivative, translation) per loop, from
+    RootedCuspGraph.holonomies or unplaced_loops.  Integer row reduction on the windings leaves
     one generator of winding +-1 (mu, turned to +1) and a kernel of
     winding zero, whose translations are collinear multiples of the fiber
     boundary; lam is their generator, found by a floating-point Euclid.
@@ -939,6 +943,29 @@ def peripheral_basis_gcd(holonomies):
     return mu, lam
 
 
+def unplaced_loops(system, shapes):
+    """(winding, derivative, translation) of each side that the package's
+    column development leaves unplaced: the four column closings, each
+    winding once, then the cross links."""
+    return system._loops(system._develop(ShapeVector(tuple(shapes)).shapes))
+
+
+def developed_area(system, shapes):
+    """Total euclidean area of the package's developed cusp triangles.
+
+    Consistently oriented triangles tile one fundamental domain of the
+    cusp torus, so the sum is the coarea of the peripheral lattice.
+    """
+    pos = system._develop(ShapeVector(tuple(shapes)).shapes)
+    total = 0.0
+    for o in range(0, len(pos), 4):
+        a, b, c = (o + m for m in _CYC[o // 4 % 4])
+        u = pos[b] - pos[a]
+        w = pos[c] - pos[a]
+        total += 0.5 * abs((u.conjugate() * w).imag)
+    return total
+
+
 # ---- plane-point layered triangulation ----
 
 def _vadd(p, q):
@@ -947,6 +974,10 @@ def _vadd(p, q):
 
 def _vsub(p, q):
     return (p[0] - q[0], p[1] - q[1])
+
+
+PlaneTriangulation = namedtuple("PlaneTriangulation",
+                                "gluings degrees edge_classes")
 
 
 def layered_triangulation_plane(word):
@@ -961,7 +992,11 @@ def layered_triangulation_plane(word):
     translation, matched by sorted difference tuples; the top of the last
     layer is first carried back by the inverse monodromy.  Edge classes
     come from a union-find over all 6n tetrahedron edges, in root order.
-    The package's letter tables are checked against it.
+    Returns a PlaneTriangulation: face handle (tet, omitted vertex) to
+    (other tet, other face, vertex bijection), the winding of each face
+    gluing round the fiber direction (+1 crossing the closure upward, -1
+    downward, 0 inside the stack) and the edge classes.  The package's
+    letter tables are checked against it.
     """
     mono = word_to_matrix(word)
     if not mono.is_pseudo_anosov:
@@ -1045,15 +1080,7 @@ def layered_triangulation_plane(word):
         classes.setdefault(find(edge), []).append(edge)
     edge_classes = tuple(tuple(sorted(members))
                          for _, members in sorted(classes.items()))
-
-    walk = tuple((0, r, m) for r, m in _PUNCTURE_WALK[word[0]])
-    tri = LayeredTriangulation(word, walk)
-    # the plane's own edge classes, gluings and degrees, in place of the
-    # slot walk's and the letter tables' (cached properties keep their
-    # value in the instance dict)
-    tri.__dict__.update(edge_classes=edge_classes, gluings=gluings,
-                        degrees=degrees)
-    return tri
+    return PlaneTriangulation(gluings, degrees, edge_classes)
 
 
 # ---- edge classes from the slot walk, built eagerly ----
@@ -1075,7 +1102,7 @@ def slot_walk_edge_classes(word):
 # ---- edge rows summed over the edge classes ----
 
 def sparse_edge_rows(triangulation):
-    """Edge rows of a triangulation, read off its edge classes.
+    """Edge rows of a triangulation, read off the slot walk's edge classes.
 
     Each class member (tetrahedron i, vertex pair) adds 1 to the
     coefficient of its dihedral parameter _PAIR on tetrahedron i; repeats
@@ -1084,7 +1111,7 @@ def sparse_edge_rows(triangulation):
     walk, must equal it tuple for tuple.
     """
     rows = []
-    for cls in triangulation.edge_classes:
+    for cls in slot_walk_edge_classes(triangulation.word):
         row = {}
         for i, edge in cls:
             row[(i, _PAIR[edge])] = row.get((i, _PAIR[edge]), 0) + 1
@@ -1134,7 +1161,7 @@ def developed_residual(system, shapes, graph=None):
         graph = RootedCuspGraph(system.triangulation)
     zs = np.array(ShapeVector(tuple(shapes)).shapes, dtype=complex)
     logs = (np.log(zs), -np.log(1.0 - zs), np.log((zs - 1.0) / zs))
-    classes = system.triangulation.edge_classes
+    classes = slot_walk_edge_classes(system.triangulation.word)
     out = np.empty(len(classes) + 1, dtype=complex)
     for e, cls in enumerate(classes):
         out[e] = sum(logs[_PAIR[edge]][i]
@@ -1236,7 +1263,7 @@ def completeness_monomial(graph, loop=None):
     a -> c is w_a times that and b -> c is w_a - 1 times it, where w_a is
     the corner parameter at a.
     """
-    glu = graph.triangulation.gluings
+    glu = graph.gluings
     n = graph.triangulation.num_tetrahedra
     one = (0, ())
     root = graph.order[0]
@@ -1285,7 +1312,7 @@ def column_derivative(triangulation, shapes):
     glues it, once round the stack back to (0, 3); returns the ratio of
     the final side 0 -> 1 to the first.
     """
-    glu = triangulation.gluings
+    glu = layered_triangulation_plane(triangulation.word).gluings
     a, b, c = _CYC[3]
     p = {a: 0j, b: 1 + 0j}
     p[c] = _corner(shapes[0], 3, a)

@@ -138,7 +138,8 @@ class TestVerifyFibered:
         assert count == 2026
 
     def test_builds_no_edge_classes(self, monkeypatch):
-        # the triangulation of a scanned word never reads its edge classes
+        # the triangulation of a scanned word holds its word and, once
+        # solved, its gluing system: no edge classes, gluings or windings
         built = []
         layered = bundle.layered_triangulation
 
@@ -149,7 +150,7 @@ class TestVerifyFibered:
         monkeypatch.setattr(bundle, "layered_triangulation", captured)
         verify_fibered("RRLRL", n_max=3)
         assert len(built) == 1
-        assert "edge_classes" not in vars(built[0])
+        assert sorted(vars(built[0])) == ["_system", "word"]
 
 
 class TestVerifyLifting:

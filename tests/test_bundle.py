@@ -1,13 +1,15 @@
 import cmath
+import dataclasses
 import itertools
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
-from cusplab import bundle, cli, errors
+from cusplab import bundle, cli, errors, farey
 from cusplab.bundle import (
     _angle_step,
     _lobachevsky,
@@ -26,14 +28,14 @@ from cusplab.bundle import (
 from oracles import (RootedCuspGraph, angle_shift, angle_space,
                      angle_step_basis, birth_order_fill, bloch_wigner,
                      canonical_word, column_derivative,
-                     completeness_monomial, developed_residual,
-                     edge_products, figure_eight_cusp,
+                     completeness_monomial, developed_area,
+                     developed_residual, edge_products, figure_eight_cusp,
                      layered_triangulation_plane, lobachevsky_spence,
                      maximal_cusp_bfs, maximal_cusp_pairwise,
                      maximal_cusp_products, peripheral_basis_gcd,
                      slot_walk_edge_classes, solve_shapes_basis,
                      solve_shapes_developed, solve_shapes_lstsq,
-                     sparse_edge_rows)
+                     sparse_edge_rows, unplaced_loops)
 
 REGULAR = complex(0.5, math.sqrt(3.0) / 2.0)
 
@@ -166,19 +168,24 @@ class TestLayeredTriangulation:
         for word in ["RL", "RRL", "RLRL", "RRRLL"]:
             assert layered_triangulation(word).num_tetrahedra == len(word)
 
+    def test_one_field(self):
+        # the word is the whole triangulation
+        tri = layered_triangulation("RRLRL")
+        assert [f.name for f in dataclasses.fields(tri)] == ["word"]
+        assert tri == bundle.LayeredTriangulation("RRLRL")
+
     def test_edge_classes_partition_the_edges(self):
         for word in ["RL", "RRL", "RRLL", "RRLRL"]:
-            tri = layered_triangulation(word)
+            classes = slot_walk_edge_classes(word)
             # one edge class per tetrahedron, six slots per tetrahedron
-            assert len(tri.edge_classes) == len(word)
-            slots = [e for cls in tri.edge_classes for e in cls]
+            assert len(classes) == len(word)
+            slots = [e for cls in classes for e in cls]
             assert len(slots) == 6 * len(word)
             assert len(set(slots)) == len(slots)
 
     def test_class_i_is_the_edge_born_at_layer_i(self):
         for word in ["RL", "RRL", "RRLL", "RRLRL"]:
-            tri = layered_triangulation(word)
-            for i, cls in enumerate(tri.edge_classes):
+            for i, cls in enumerate(slot_walk_edge_classes(word)):
                 assert (i, (0, 1)) in cls, (word, i)
 
     @pytest.mark.parametrize("words, count", [
@@ -188,49 +195,41 @@ class TestLayeredTriangulation:
     ], ids=["length<=9", "bundle-pool", "random-10-40"])
     def test_matches_the_plane_oracle(self, words, count):
         # the letter tables against plane points, face keys and a
-        # union-find: the same gluings, degrees and edge partition
+        # union-find: layer i's top faces glue to layer i + 1 by the _STACK
+        # rows of its letter, winding once at the closure, and the slot
+        # walk's classes are the plane's edge partition
         words = words()
         assert len(words) == count
         for word in words:
-            got = layered_triangulation(word)
+            n = len(word)
             want = layered_triangulation_plane(word)
-            assert got.gluings == want.gluings, word
-            assert got.degrees == want.degrees, word
-            assert sorted(got.edge_classes) == sorted(want.edge_classes), word
-
-    def test_edge_classes_match_the_slot_walk_oracle(self):
-        words = cli.corpus(9) + ["R" * 99 + "L", "RL" * 50, "RRL" * 33]
-        assert len(words) == 75
-        for word in words:
-            assert layered_triangulation(word).edge_classes \
-                == slot_walk_edge_classes(word), word
-
-    def test_edge_classes_are_read_on_first_use(self):
-        # the solve and the cusp never read them
-        tri = layered_triangulation("RRLRL")
-        maximal_cusp(tri, solve_shapes(gluing_system(tri)))
-        assert "edge_classes" not in vars(tri)
-        assert tri.edge_classes is tri.edge_classes
-        assert "edge_classes" in vars(tri)
+            assert len(want.gluings) == len(want.degrees) == 4 * n, word
+            for i in range(n):
+                j = (i + 1) % n
+                for r, r2, sigma in bundle._STACK[word[j]]:
+                    assert want.gluings[(i, r)] == (j, r2, sigma), word
+                    assert want.degrees[(i, r)] == (j == 0), word
+            assert sorted(slot_walk_edge_classes(word)) \
+                == sorted(want.edge_classes), word
 
     def test_gluings_form_a_fixed_point_free_involution(self):
-        tri = layered_triangulation("RRLRL")
-        assert len(tri.gluings) == 4 * tri.num_tetrahedra
-        for (i, r), (j, r2, sigma) in tri.gluings.items():
+        gluings = layered_triangulation_plane("RRLRL").gluings
+        assert len(gluings) == 4 * 5
+        for (i, r), (j, r2, sigma) in gluings.items():
             assert (i, r) != (j, r2)
-            back = tri.gluings[(j, r2)]
+            back = gluings[(j, r2)]
             assert (back[0], back[1]) == (i, r)
             for m, m2 in sigma.items():
                 assert back[2][m2] == m
 
     def test_winding_degrees_sit_on_the_closure(self):
-        tri = layered_triangulation("RRL")
-        n = tri.num_tetrahedra
-        ups = [f for f, d in tri.degrees.items() if d == 1]
-        downs = [f for f, d in tri.degrees.items() if d == -1]
+        degrees = layered_triangulation_plane("RRL").degrees
+        n = 3
+        ups = [f for f, d in degrees.items() if d == 1]
+        downs = [f for f, d in degrees.items() if d == -1]
         assert sorted(f[0] for f in ups) == [n - 1, n - 1]
         assert sorted(f[0] for f in downs) == [0, 0]
-        zero = [f for f, d in tri.degrees.items() if d == 0]
+        zero = [f for f, d in degrees.items() if d == 0]
         assert len(zero) == 4 * n - 4
 
     def test_fiber_boundary_class_walks_the_bottom_corners(self):
@@ -254,6 +253,39 @@ class TestLayeredTriangulation:
         with pytest.raises(ValueError):
             layered_triangulation("RLX")
 
+    def test_pseudo_anosov_exactly_with_both_letters(self):
+        # read off the letters, as the trace of the word's matrix says
+        count = 0
+        for n in range(1, 13):
+            for letters in itertools.product("RL", repeat=n):
+                word = "".join(letters)
+                if farey.word_to_matrix(word).is_pseudo_anosov:
+                    assert layered_triangulation(word).word == word
+                else:
+                    with pytest.raises(errors.NotPseudoAnosov):
+                        layered_triangulation(word)
+                count += 1
+        assert count == 2 ** 13 - 2
+
+    @pytest.mark.parametrize("word, error, message", [
+        ("", errors.EmptyWord, "monodromy word is empty"),
+        ("RLX", ValueError, "monodromy letters are L and R, got 'X'"),
+        ("xRL", ValueError, "monodromy letters are L and R, got 'x'"),
+        ("R", errors.NotPseudoAnosov, "monodromy 'R' is not pseudo-Anosov"),
+        ("RRRR", errors.NotPseudoAnosov,
+         "monodromy 'RRRR' is not pseudo-Anosov"),
+    ])
+    def test_bad_word_messages(self, word, error, message):
+        # the messages of the check that multiplied the word out, whose
+        # empty-word and letter errors come from the word's matrix
+        with pytest.raises(error) as got:
+            layered_triangulation(word)
+        assert type(got.value) is error
+        assert str(got.value) == message
+        if error is not errors.NotPseudoAnosov:
+            with pytest.raises(error, match="^%s$" % re.escape(message)):
+                farey.word_to_matrix(word)
+
 
 class TestShapeVector:
 
@@ -272,12 +304,29 @@ class TestShapeVector:
 class TestGluingSystem:
 
     def test_equation_count(self):
+        # one edge row per edge class, one per tetrahedron, and the
+        # completeness row
         for word in ["RL", "RRL", "RRLL"]:
-            tri = layered_triangulation(word)
-            system = gluing_system(tri)
-            assert system.num_equations == len(tri.edge_classes) + 1
-            assert len(system.residual([1j] * len(word))) \
-                == system.num_equations
+            system = gluing_system(layered_triangulation(word))
+            assert len(system.edge_rows) == len(word)
+            assert len(system.residual([1j] * len(word))) == len(word) + 1
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_shape_count_is_not_solved(self, extra):
+        # too few shapes would run off the rows and too many would leave
+        # one unread: both are refused where the shapes enter, naming the
+        # word and both counts
+        tri = layered_triangulation("RRL")
+        shapes = list(solve_shapes(gluing_system(tri)))
+        shapes = shapes + [REGULAR] if extra > 0 else shapes[:-1]
+        message = "word 'RRL': %d shapes for 3 tetrahedra" % (3 + extra)
+        for call in (gluing_system(tri).residual,
+                     lambda zs: cusp_cross_section(tri, zs),
+                     lambda zs: maximal_cusp(tri, zs)):
+            for zs in (shapes, ShapeVector(tuple(shapes))):
+                with pytest.raises(errors.NotSolved) as info:
+                    call(zs)
+                assert str(info.value) == message
 
     def test_edge_rows_sum_to_zero_identically(self):
         # the logarithmic parameters of one tetrahedron sum to 2 pi i, so
@@ -366,9 +415,8 @@ class TestGluingSystem:
         # gcd 1, and each derivative is 1 at the complete structure
         for word in ["RL", "LR", "RRL", "LRR", "RLLLL", "LRRRR", "RRLRL",
                      "RRLLRLRL"]:
-            tri = layered_triangulation(word)
-            system = gluing_system(tri)
-            loops = system.holonomies(solve_shapes(system))
+            system = gluing_system(layered_triangulation(word))
+            loops = unplaced_loops(system, solve_shapes(system))
             assert len(loops) == 2 * len(word) + 1, word
             assert [w for w, _, _ in loops[:4]] == [1, 1, 1, 1], word
             assert math.gcd(*[w for w, _, _ in loops]) == 1, word
@@ -765,7 +813,7 @@ class TestCuspCrossSection:
             system = gluing_system(tri)
             shapes = solve_shapes(system)
             cusp = cusp_cross_section(tri, shapes)
-            assert abs(system.developed_area(shapes) - cusp.area) \
+            assert abs(developed_area(system, shapes) - cusp.area) \
                 < 1e-9 * cusp.area
 
     def test_base_corner_does_not_matter(self):
@@ -869,7 +917,7 @@ class TestCuspCrossSection:
                 (word, base)
             if base == (0, 0):
                 mu, lam = peripheral_basis_gcd(
-                    gluing_system(tri).holonomies(shapes))
+                    unplaced_loops(gluing_system(tri), shapes))
                 self._same_lattice(got, mu, lam, word)
             seen += 1
         assert seen == compared
@@ -957,6 +1005,27 @@ class TestMaximalCusp:
             del calls[:]
             maximal_cusp(tri, shapes)
             assert calls == [(gluing_system(tri), 16 * len(word))], word
+
+    def test_one_record_per_call(self, monkeypatch):
+        # the reference cut is read as raw numbers, so each call validates
+        # only the section it returns
+        post_init = CuspCrossSection.__post_init__
+        calls = []
+
+        def counted(section):
+            calls.append(section)
+            post_init(section)
+
+        monkeypatch.setattr(CuspCrossSection, "__post_init__", counted)
+        for word in ("RL", "RRLRL"):
+            tri = layered_triangulation(word)
+            shapes = solve_shapes(gluing_system(tri))
+            del calls[:]
+            got = maximal_cusp(tri, shapes)
+            assert len(calls) == 1 and calls[0] is got, word
+            del calls[:]
+            got = cusp_cross_section(tri, shapes, base=(1, 2))
+            assert len(calls) == 1 and calls[0] is got, word
 
     def test_edge_formula_matches_the_horoball_search(self):
         for word in cli.corpus(5):
