@@ -713,11 +713,9 @@ def distance(a, b, radius_cap=None, budget=64):
 # ---- mapping classes ----
 
 def _rename_edges(tri, ren):
-    """tri with edge labels renamed by `ren`, built once from its slot table."""
-    t0, k0 = tri.punctures[tri.preferred][0]
-    return IdealTriangulation(
-        tri._glued, name=tri.name, preferred=(t0, k0),
-        edge_of_slot=tuple(ren.get(x, x) for x in tri._edge_of_slot))
+    """tri with edge labels renamed by `ren`, its slots left in place."""
+    return tri._remapped(lambda t, s: (t, s), tri.punctures[tri.preferred][0],
+                         ren)
 
 
 def _close_segment(base, flips, ren):
@@ -824,12 +822,12 @@ def iso_mapping_class(base, relab, word="iso"):
     if len(relab.perm) != n:
         raise BaseMismatch("relabeling is not a permutation of the %d base "
                            "triangles" % n)
-    image = relab.apply(base)
-    if image._glued != base._glued:
+    if not relab.is_automorphism(base):
         raise BaseMismatch("relabeling is not an automorphism of the base")
-    ren = {e: base.edge_label(t, s) for e, ((t, s), _) in image.edges.items()}
-    return MappingClass(base, (_Segment((), ren, relab),), word,
-                        image.preferred == base.preferred)
+    t0, k0 = base.punctures[base.preferred][0]
+    fixes_p = base.puncture_of(relab.corner_image(t0, k0)) == base.preferred
+    return MappingClass(base, (_Segment((), relab.edge_map(base), relab),),
+                        word, fixes_p)
 
 
 def apply_mcg(phi, a):

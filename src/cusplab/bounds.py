@@ -143,7 +143,7 @@ def verify_lifting(cover, pairs, cap=12):
     propagates when an arc or a search leaves the cap.
     """
     base = cover.base
-    chi = base.num_triangles - len(base.edge_labels)
+    chi = base.chi
     if chi >= 0:
         raise NonNegativeChi("base surface has chi = %d" % chi)
     denominator = 4050.0 * cover.degree * abs(chi) ** 6

@@ -72,7 +72,8 @@ class RunConfig:
 
     One frozen record per invocation; the caps are validated here once so
     the handlers can trust them, and the record is embedded verbatim in
-    every emitted report.
+    every emitted report.  Its defaults are the command line's: an option
+    left out keeps the field's default.
     """
 
     subcommand: str
@@ -91,6 +92,8 @@ class RunConfig:
     fmt: str = "json"
 
     def __post_init__(self):
+        if int(self.max_word_len) < 2:
+            raise ValueError("--max-word-len must be at least 2")
         if not 0.0 < self.tol < math.inf:
             raise ValueError("--tol must be positive and finite, got %r"
                              % self.tol)
@@ -258,7 +261,7 @@ def _thm14_csv(config, reports):
     return "".join(lines)
 
 
-def _cmd_verify_thm14(config):
+def _cmd_verify_thm14(args, config):
     reports = [bounds.verify_fibered(word, n_max=config.n_max,
                                      tol=config.tol)
                for word in corpus(config.max_word_len)]
@@ -486,7 +489,7 @@ def _cone_check(config, draws):
             "status": "PASS" if violations == 0 else "VIOLATION"}
 
 
-def _cmd_lemma_suite(config):
+def _cmd_lemma_suite(args, config):
     draws = _Draws(config.seed)
     checks = [_tangent_check(config, draws), _cone_check(config, draws)]
     ok = all(c["status"] == "PASS" for c in checks)
@@ -514,79 +517,75 @@ def _build_parser():
     p.add_argument("slope_b", metavar="R/S")
 
     p = sub.add_parser("arc-dist",
-                       help="arc-complex distance between two arc literals")
+                       help="arc-complex distance between two arc literals",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("arc_a", metavar="ARC")
     p.add_argument("arc_b", metavar="ARC")
-    p.add_argument("--budget", type=int, default=64,
+    p.add_argument("--budget", type=int,
                    help="normal-coordinate search cap (default 64)")
-    p.add_argument("--surface", metavar="FILE",
+    p.add_argument("--surface", metavar="FILE", default=None,
                    help="triangulation file (default: once-punctured torus)")
 
     p = sub.add_parser("bundle-report",
-                       help="solve one bundle and report its maximal cusp")
+                       help="solve one bundle and report its maximal cusp",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("word", metavar="WORD")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--depth", type=int, default=8,
+    p.add_argument("--tol", type=float)
+    p.add_argument("--depth", type=int,
                    help="ignored; the maximal cusp needs no search depth")
-    p.add_argument("--init", choices=["regular", "i"], default="i",
+    p.add_argument("--init", choices=["regular", "i"],
                    help="ignored; the shapes start from the volume maximum")
     p.add_argument("--out", metavar="FILE")
 
     p = sub.add_parser("verify-thm14",
-                       help="scan the word corpus against the cusp bounds")
+                       help="scan the word corpus against the cusp bounds",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--max-word-len", type=int, required=True, metavar="K")
-    p.add_argument("--n-max", type=int, default=4, metavar="N")
-    p.add_argument("--stable-n", type=int, default=20, metavar="N",
+    p.add_argument("--n-max", type=int, metavar="N")
+    p.add_argument("--stable-n", type=int, metavar="N",
                    help="ignored; the stable distance is computed exactly")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--depth", type=int, default=8,
+    p.add_argument("--tol", type=float)
+    p.add_argument("--depth", type=int,
                    help="ignored; the maximal cusp needs no search depth")
     p.add_argument("--out", metavar="FILE")
 
     p = sub.add_parser("verify-lifting",
-                       help="compare arc distances with their lifts")
+                       help="compare arc distances with their lifts",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--cover", required=True, metavar="FILE")
     p.add_argument("--pairs", required=True, metavar="FILE")
-    p.add_argument("--cap", type=int, default=12)
+    p.add_argument("--cap", type=int)
     p.add_argument("--out", metavar="FILE")
 
     p = sub.add_parser("lemma-suite",
-                       help="seeded Monte-Carlo checks of the lemma bounds")
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--cone-samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+                       help="seeded Monte-Carlo checks of the lemma bounds",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--cone-samples", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", metavar="FILE")
 
     return parser
+
+
+# each subcommand's report format; the rest write JSON
+_FORMATS = {"arc-dist": "text", "verify-thm14": "csv"}
 
 
 def _dispatch(args):
     name = args.subcommand
     if name == "farey-dist":
         return _cmd_farey_dist(args)
-    if name == "arc-dist":
-        config = RunConfig(name, budget=args.budget, fmt="text")
-        return _cmd_arc_dist(args, config)
-    if name == "bundle-report":
-        config = RunConfig(name, tol=args.tol, depth=args.depth,
-                           init=args.init, out=args.out)
-        return _cmd_bundle_report(args, config)
-    if name == "verify-thm14":
-        if args.max_word_len < 2:
-            raise ValueError("--max-word-len must be at least 2")
-        config = RunConfig(name, tol=args.tol, depth=args.depth,
-                           n_max=args.n_max, max_word_len=args.max_word_len,
-                           stable_n=args.stable_n, out=args.out, fmt="csv")
-        return _cmd_verify_thm14(config)
-    if name == "verify-lifting":
-        config = RunConfig(name, cap=args.cap, out=args.out)
-        return _cmd_verify_lifting(args, config)
-    if name == "lemma-suite":
-        config = RunConfig(name, samples=args.samples,
-                           cone_samples=args.cone_samples, seed=args.seed,
-                           out=args.out)
-        return _cmd_lemma_suite(config)
-    raise ValueError("unknown subcommand %r" % name)
+    handler = {"arc-dist": _cmd_arc_dist,
+               "bundle-report": _cmd_bundle_report,
+               "verify-thm14": _cmd_verify_thm14,
+               "verify-lifting": _cmd_verify_lifting,
+               "lemma-suite": _cmd_lemma_suite}[name]
+    # the subparsers suppress defaults, so args holds exactly the options
+    # given, and RunConfig supplies the rest
+    given = {k: v for k, v in vars(args).items()
+             if k in RunConfig.__dataclass_fields__}
+    return handler(args, RunConfig(fmt=_FORMATS.get(name, "json"), **given))
 
 
 def run(argv):

@@ -21,10 +21,11 @@ arc machinery keeps endpoints there.
 
 Edges carry stable integer labels.  A freshly built triangulation numbers its
 edges 0 .. E-1 by their smallest slot in lexicographic order, the convention
-of the text format.  A flip keeps the labels of the four sides of its
-quadrilateral and gives the new diagonal a fresh label (one past the current
-maximum), recorded in the FlipRecord, so weight vectors keyed by label stay
-unambiguous along a flip path.
+of the text format.  A flip moves the six slots of its two triangles and
+renames one label, its diagonal's, to a fresh one (one past the current
+maximum) recorded in the FlipRecord; the four sides of its quadrilateral keep
+theirs, so weight vectors keyed by label stay unambiguous along a flip path.
+Flips, mirrors, relabelings and edge renamings are slot maps built alike.
 """
 
 from dataclasses import dataclass
@@ -105,7 +106,6 @@ class IdealTriangulation:
         self.edge_labels = tuple(sorted(self.edges))
         self._build_punctures()
         self._set_preferred(preferred)
-        self._ckey = {}
 
     # ---- construction checks ----
 
@@ -172,6 +172,8 @@ class IdealTriangulation:
         if preferred is None:
             self.preferred = 0
         elif isinstance(preferred, tuple):
+            if preferred not in self._corner_puncture:
+                raise BadSurfaceFile("no corner %r" % (preferred,))
             self.preferred = self._corner_puncture[preferred]
         else:
             if not 0 <= int(preferred) < len(self.punctures):
@@ -246,8 +248,11 @@ class IdealTriangulation:
         P, Q, R, S in counterclockwise order with the old diagonal Q--S and
         the new one P--R; its sides A: P->Q, B: Q->R, C: R->S, D: S->P keep
         their edge labels and the new diagonal receives a fresh label,
-        recorded as `new_edge`.  Raises NotFlippable when both sides of e
-        lie on the same triangle.
+        recorded as `new_edge`.  On slots the flip moves six and renames one
+        label: with e on slots (t, a) and (u, b), A, B, C, D go to (t, 0),
+        (t, 1), (u, 0), (u, 1), and (t, a), (u, b) to (t, 2), (u, 2) under
+        the new label.  Raises NotFlippable when both sides of e lie on the
+        same triangle.
         """
         if e not in self.edges:
             raise NotFlippable("no edge labelled %r" % (e,))
@@ -260,48 +265,37 @@ class IdealTriangulation:
         C = (u, (b + 2) % 3)
         D = (t, (a + 1) % 3)
         # new triangles reuse the ids: t' = (P,Q,R), u' = (R,S,P)
-        moves = {A: (t, 0), B: (t, 1), C: (u, 0), D: (u, 1)}
+        moves = {A: (t, 0), B: (t, 1), C: (u, 0), D: (u, 1),
+                 (t, a): (t, 2), (u, b): (u, 2)}
+        label = self._edge_of_slot
+        record = FlipRecord(edge=e, new_edge=fresh, old_slots=((t, a), (u, b)),
+                            sides={k: label[3 * w + s] for k, (w, s)
+                                   in zip("ABCD", (A, B, C, D))})
+        # corner (w, k) is the tail of slot (w, k), so P, Q, R, S are the
+        # corners A, B, C, D and Q, S also (t, a), (u, b); each goes to the
+        # new corner at the same letter: P, Q, R to (t, 0), (t, 1), (t, 2),
+        # S to (u, 1)
+        corner_map = {A: (t, 0), B: (t, 1), C: (t, 2), D: (u, 1),
+                      (t, a): (t, 1), (u, b): (u, 1)}
+        pref = self.punctures[self.preferred][0]
+        return self._remapped(lambda w, s: moves.get((w, s), (w, s)),
+                              corner_map.get(pref, pref), {e: fresh}), record
 
-        glued = {}
-        labels = {}
-        for idx in range(3 * self.num_triangles):
-            s = divmod(idx, 3)
-            if s[0] in (t, u):
-                continue
-            p = self._glued[idx]
-            glued[s] = moves.get(p, p)
-            labels[s] = self._edge_of_slot[idx]
-        for side, ns in moves.items():
-            p = self._glued[3 * side[0] + side[1]]
-            glued[ns] = moves.get(p, p)
-            labels[ns] = self._edge_of_slot[3 * side[0] + side[1]]
-        glued[(t, 2)] = (u, 2)
-        glued[(u, 2)] = (t, 2)
-        labels[(t, 2)] = fresh
-        labels[(u, 2)] = fresh
+    def _remapped(self, image, corner, ren=None):
+        """The triangulation gluing image(x) to image(y) where x glues to y.
 
-        order = [(w, s) for w in range(self.num_triangles) for s in range(3)]
-        record = FlipRecord(
-            edge=e,
-            new_edge=fresh,
-            old_slots=((t, a), (u, b)),
-            sides={"A": self._edge_of_slot[3 * A[0] + A[1]],
-                   "B": self._edge_of_slot[3 * B[0] + B[1]],
-                   "C": self._edge_of_slot[3 * C[0] + C[1]],
-                   "D": self._edge_of_slot[3 * D[0] + D[1]]})
-
-        # each old corner of the two flipped triangles goes to a new corner
-        # at the same letter: P, Q, R to (t, 0), (t, 1), (t, 2), S to (u, 1)
-        corner_map = {(t, (a + 2) % 3): (t, 0),
-                      (t, a): (t, 1), (u, (b + 1) % 3): (t, 1),
-                      (u, (b + 2) % 3): (t, 2),
-                      (t, (a + 1) % 3): (u, 1), (u, b): (u, 1)}
-        old_pref = self.punctures[self.preferred][0]
-        new_pref = corner_map.get(old_pref, old_pref)
-        new_tri = IdealTriangulation(
-            tuple(glued[s] for s in order), name=self.name,
-            preferred=new_pref, edge_of_slot=tuple(labels[s] for s in order))
-        return new_tri, record
+        `image(t, s)` is a bijection of slots, each edge label e becomes
+        ren.get(e, e), and the preferred puncture is the one at `corner`.
+        Flips, mirrors, relabelings and renamings are all built here.
+        """
+        img = [image(t, s) for t in range(self.num_triangles) for s in range(3)]
+        glued = [None] * len(img)
+        labels = [None] * len(img)
+        for (t, s), (u, b), e in zip(img, self._glued, self._edge_of_slot):
+            glued[3 * t + s] = img[3 * u + b]
+            labels[3 * t + s] = ren.get(e, e) if ren else e
+        return IdealTriangulation(glued, name=self.name, preferred=corner,
+                                  edge_of_slot=labels)
 
     # ---- orientation reversal and canonical form ----
 
@@ -311,44 +305,44 @@ class IdealTriangulation:
         Every triangle is reflected through the swap of vertices 1 and 2;
         slot s becomes slot 2 - s and all gluings stay in convention.
         """
-        glued = {}
-        labels = {}
-        for idx, (u, b) in enumerate(self._glued):
-            t, s = divmod(idx, 3)
-            glued[(t, 2 - s)] = (u, 2 - b)
-            labels[(t, 2 - s)] = self._edge_of_slot[idx]
-        order = [(w, s) for w in range(self.num_triangles) for s in range(3)]
         t0, k0 = self.punctures[self.preferred][0]
-        return IdealTriangulation(
-            tuple(glued[s] for s in order), name=self.name,
-            preferred=(t0, _REFLECT[k0]),
-            edge_of_slot=tuple(labels[s] for s in order))
+        return self._remapped(lambda t, s: (t, 2 - s), (t0, _REFLECT[k0]))
 
-    def _flag_key(self, t0, r0, mark_puncture):
-        # relabel by search order from the starting flag; rho[t] shifts slots,
-        # new slot s of t is old slot (s + rho[t]) % 3
-        rho = {t0: r0}
-        ids = {t0: 0}
+    def _flag_walk(self, t0, r0):
+        """(rows, order, rho): the slot table renumbered from one flag.
+
+        Triangles are numbered in breadth-first order from t0, new slot s
+        of triangle t being old slot (s + rho[t]) % 3, with rho[t0] = r0;
+        row i gives, for each new slot of order[i], the new slot it is glued
+        to.  Two walks give the same rows exactly when a relabeling carries
+        one flag to the other and one slot table onto the other.
+        """
+        rho = [None] * self.num_triangles
+        ids = list(rho)
+        rho[t0], ids[t0] = r0, 0
         order = [t0]
         rows = []
         for t in order:
             r = rho[t]
             row = []
             for s in range(3):
-                u, b = self.glued_slot(t, (s + r) % 3)
-                if u not in ids:
+                u, b = self._glued[3 * t + (s + r) % 3]
+                if ids[u] is None:
                     ids[u] = len(order)
                     rho[u] = b
                     order.append(u)
                 row.append((ids[u], (b - rho[u]) % 3))
             rows.append(tuple(row))
-        key = (tuple(rows),)
-        if mark_puncture:
-            mask = tuple(tuple(int(self.puncture_of((t, (k + rho[t]) % 3))
+        return tuple(rows), order, rho
+
+    def _flag_key(self, t0, r0, mark_puncture):
+        rows, order, rho = self._flag_walk(t0, r0)
+        if not mark_puncture:
+            return (rows,)
+        mask = tuple(tuple(int(self.puncture_of((t, (k + rho[t]) % 3))
                                == self.preferred) for k in range(3))
-                         for t in order)
-            key += (mask,)
-        return key
+                     for t in order)
+        return (rows, mask)
 
     def _oriented_key(self, mark_puncture):
         return min(self._flag_key(t0, r0, mark_puncture)
@@ -359,16 +353,14 @@ class IdealTriangulation:
 
         With mark_puncture the isomorphisms must carry the preferred
         puncture to the preferred puncture; with mirror they may reverse
-        orientation.  The key is the minimal breadth-first re-encoding over
-        all starting flags, so it doubles as a canonical labeling.
+        orientation.  The key is the least `_flag_walk` re-encoding over all
+        3T starting flags (and those of the mirror image, with mirror), so it
+        doubles as a canonical labeling.  It is recomputed on every call.
         """
-        k = (bool(mark_puncture), bool(mirror))
-        if k not in self._ckey:
-            key = self._oriented_key(mark_puncture)
-            if mirror:
-                key = min(key, self.mirrored()._oriented_key(mark_puncture))
-            self._ckey[k] = key
-        return self._ckey[k]
+        key = self._oriented_key(mark_puncture)
+        if mirror:
+            key = min(key, self.mirrored()._oriented_key(mark_puncture))
+        return key
 
     def is_isomorphic_to(self, other, mark_puncture=True, mirror=True):
         return (self.canonical_key(mark_puncture, mirror)
@@ -488,7 +480,7 @@ class IdealTriangulation:
             bit = frozenset((x, y)) in rev
             assert bit == (colour[x[0]] ^ colour[y[0]])
             fixed.append((fix(x), fix(y)))
-        if isinstance(preferred, tuple):
+        if preferred in {(t, k) for t in range(T) for k in range(3)}:
             t0, k0 = preferred
             if colour[t0]:
                 preferred = (t0, _REFLECT[k0])
@@ -504,45 +496,34 @@ def build_triangulation(pairs, name="surface", preferred=None, reversed_pairs=()
 def find_relabelings(tri, target, match_labels=True, match_preferred=False):
     """All relabelings carrying tri onto target, slot table and labels alike.
 
-    A relabeling is determined by the image of one flag, so the search tries
-    all 3T seeds and keeps those that propagate consistently.  With
-    match_labels each edge label must land on itself; with match_preferred
-    the preferred puncture must be carried to the preferred puncture.
-    Results are sorted by (perm, rot).
+    A relabeling is determined by the image of one flag: tri is walked
+    from flag (0, 0) and target from each of its 3T flags, and where the
+    two walks' rows agree, the i-th triangles of their orders correspond.
+    With match_labels each edge label must land on itself; with
+    match_preferred the preferred puncture must be carried to the
+    preferred puncture.  Both are read slot by slot, with no triangulation
+    built.  Results are sorted by (perm, rot).
     """
     out = []
     T = tri.num_triangles
     if T != target.num_triangles:
         return out
-    for t0 in range(T):
+    rows, order, rho = tri._flag_walk(0, 0)
+    t0, k0 = tri.punctures[tri.preferred][0]
+    for u0 in range(T):
         for r0 in range(3):
-            perm = {0: t0}
-            rot = {0: r0}
-            queue = [0]
-            ok = True
-            while queue and ok:
-                x = queue.pop()
-                for s in range(3):
-                    y, b = tri.glued_slot(x, s)
-                    iy, ib = target.glued_slot(perm[x], (s + rot[x]) % 3)
-                    if y in perm:
-                        if (perm[y], (b + rot[y]) % 3) != (iy, ib):
-                            ok = False
-                            break
-                    else:
-                        perm[y] = iy
-                        rot[y] = (ib - b) % 3
-                        queue.append(y)
-            if not ok or len(perm) < T:
+            rows2, order2, rho2 = target._flag_walk(u0, r0)
+            if rows2 != rows:
                 continue
-            cand = Relabeling(tuple(perm[t] for t in range(T)),
-                              tuple(rot[t] for t in range(T)))
-            image = cand.apply(tri)
-            if image._glued != target._glued:
+            pairs = sorted(zip(order, order2))
+            cand = Relabeling(tuple(y for _, y in pairs),
+                              tuple((rho2[y] - rho[x]) % 3 for x, y in pairs))
+            if match_labels and any(
+                    target.edge_label(*cand.slot_image(t, s))
+                    != tri.edge_label(t, s) for t in range(T) for s in range(3)):
                 continue
-            if match_labels and image._edge_of_slot != target._edge_of_slot:
-                continue
-            if match_preferred and image.preferred != target.preferred:
+            if match_preferred and (target.puncture_of(cand.corner_image(t0, k0))
+                                    != target.preferred):
                 continue
             out.append(cand)
     return sorted(out, key=lambda r: (r.perm, r.rot))
@@ -634,19 +615,8 @@ class Relabeling:
 
     def apply(self, tri):
         self._check_size(tri)
-        glued = {}
-        labels = {}
-        for t in range(tri.num_triangles):
-            for s in range(3):
-                ns = self.slot_image(t, s)
-                glued[ns] = self.slot_image(*tri.glued_slot(t, s))
-                labels[ns] = tri.edge_label(t, s)
-        order = [(w, s) for w in range(tri.num_triangles) for s in range(3)]
         t0, k0 = tri.punctures[tri.preferred][0]
-        return IdealTriangulation(
-            tuple(glued[s] for s in order), name=tri.name,
-            preferred=self.corner_image(t0, k0),
-            edge_of_slot=tuple(labels[s] for s in order))
+        return tri._remapped(self.slot_image, self.corner_image(t0, k0))
 
     def is_automorphism(self, tri):
         self._check_size(tri)

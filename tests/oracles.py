@@ -134,6 +134,16 @@ The csv-writer report is the verify-thm14 CSV before one format wrote
 each row: every row goes through ``csv.writer``, its margins sorted
 report by report.  It shares the package's provenance lines and nothing
 of its row format.
+
+The dict builders are flips, mirror images and relabelings before one
+slot map built them all: each fills a slot-keyed dict of gluings and one
+of labels, the flip side by side with the new diagonal glued by hand, and
+reads both back in slot order.  The propagating relabeling search is
+find_relabelings before it compared flag walks: from each of the 3T seed
+flags it propagates a relabeling across the gluings, then builds the
+image of every candidate and compares its slot and label tables.  They
+share the package's validating constructor and the Relabeling slot and
+corner maps, and nothing of its slot map or flag walk.
 """
 
 import cmath
@@ -157,11 +167,13 @@ from cusplab.bundle import (_CYC, _FACE, _MAX_STEPS, _PAIR, CuspCrossSection,
 from cusplab.cli import (CONE_TOL, SCHEMA, TANGENT_TOL, _json_text,
                          _versions)
 from cusplab.errors import (BudgetExceeded, DegenerateShape, DepthUnstable,
-                            Diverged, MaxIterations, NotAnArc,
+                            Diverged, MaxIterations, NotAnArc, NotFlippable,
                             NotPseudoAnosov, NumericalError,
                             OverlappingHoroballs, Unreachable)
 from cusplab.farey import (Slope, _distance_pq, _positive_frame, act,
                            distance, word_to_matrix)
+from cusplab.surface import (_REFLECT, FlipRecord, IdealTriangulation,
+                             Relabeling)
 
 
 def farey_box_vertices(bound):
@@ -2008,3 +2020,127 @@ def thm14_csv(config, reports):
         row += [repr(rep.stable_upper), margins, ";".join(rep.flags)]
         writer.writerow(row)
     return buf.getvalue()
+
+
+# ---- flips, mirrors and relabelings through slot-keyed dicts ----
+
+def _from_slot_dicts(tri, glued, labels, preferred):
+    # the dicts read back in slot order, through the validating constructor
+    order = [(w, s) for w in range(tri.num_triangles) for s in range(3)]
+    return IdealTriangulation(
+        tuple(glued[s] for s in order), name=tri.name, preferred=preferred,
+        edge_of_slot=tuple(labels[s] for s in order))
+
+
+def flip_dicts(tri, e):
+    """tri.flip(e): the four sides moved by hand, the new diagonal glued
+    across (t, 2) and (u, 2) under a fresh label."""
+    if e not in tri.edges:
+        raise NotFlippable("no edge labelled %r" % (e,))
+    (t, a), (u, b) = tri.edges[e]
+    if t == u:
+        raise NotFlippable("edge %d has triangle %d on both sides" % (e, t))
+    fresh = max(tri.edges) + 1
+    A = (t, (a + 2) % 3)
+    B = (u, (b + 1) % 3)
+    C = (u, (b + 2) % 3)
+    D = (t, (a + 1) % 3)
+    moves = {A: (t, 0), B: (t, 1), C: (u, 0), D: (u, 1)}
+    glued = {}
+    labels = {}
+    for w in range(tri.num_triangles):
+        if w in (t, u):
+            continue
+        for s in range(3):
+            p = tri.glued_slot(w, s)
+            glued[(w, s)] = moves.get(p, p)
+            labels[(w, s)] = tri.edge_label(w, s)
+    for side, ns in moves.items():
+        p = tri.glued_slot(*side)
+        glued[ns] = moves.get(p, p)
+        labels[ns] = tri.edge_label(*side)
+    glued[(t, 2)] = (u, 2)
+    glued[(u, 2)] = (t, 2)
+    labels[(t, 2)] = fresh
+    labels[(u, 2)] = fresh
+    record = FlipRecord(edge=e, new_edge=fresh, old_slots=((t, a), (u, b)),
+                        sides={"A": tri.edge_label(*A),
+                               "B": tri.edge_label(*B),
+                               "C": tri.edge_label(*C),
+                               "D": tri.edge_label(*D)})
+    corner_map = {(t, (a + 2) % 3): (t, 0),
+                  (t, a): (t, 1), (u, (b + 1) % 3): (t, 1),
+                  (u, (b + 2) % 3): (t, 2),
+                  (t, (a + 1) % 3): (u, 1), (u, b): (u, 1)}
+    old_pref = tri.punctures[tri.preferred][0]
+    return (_from_slot_dicts(tri, glued, labels,
+                             corner_map.get(old_pref, old_pref)), record)
+
+
+def mirrored_dicts(tri):
+    """tri.mirrored(): slot s of every triangle becomes slot 2 - s."""
+    glued = {}
+    labels = {}
+    for t in range(tri.num_triangles):
+        for s in range(3):
+            u, b = tri.glued_slot(t, s)
+            glued[(t, 2 - s)] = (u, 2 - b)
+            labels[(t, 2 - s)] = tri.edge_label(t, s)
+    t0, k0 = tri.punctures[tri.preferred][0]
+    return _from_slot_dicts(tri, glued, labels, (t0, _REFLECT[k0]))
+
+
+def apply_dicts(relab, tri):
+    """relab.apply(tri): every slot and its partner sent through the
+    relabeling."""
+    glued = {}
+    labels = {}
+    for t in range(tri.num_triangles):
+        for s in range(3):
+            ns = relab.slot_image(t, s)
+            glued[ns] = relab.slot_image(*tri.glued_slot(t, s))
+            labels[ns] = tri.edge_label(t, s)
+    t0, k0 = tri.punctures[tri.preferred][0]
+    return _from_slot_dicts(tri, glued, labels, relab.corner_image(t0, k0))
+
+
+def find_relabelings_propagate(tri, target, match_labels=True,
+                               match_preferred=False):
+    """find_relabelings by propagating each of the 3T seed flags across
+    the gluings, then building and comparing every candidate's image."""
+    out = []
+    T = tri.num_triangles
+    if T != target.num_triangles:
+        return out
+    for t0 in range(T):
+        for r0 in range(3):
+            perm = {0: t0}
+            rot = {0: r0}
+            queue = [0]
+            ok = True
+            while queue and ok:
+                x = queue.pop()
+                for s in range(3):
+                    y, b = tri.glued_slot(x, s)
+                    iy, ib = target.glued_slot(perm[x], (s + rot[x]) % 3)
+                    if y in perm:
+                        if (perm[y], (b + rot[y]) % 3) != (iy, ib):
+                            ok = False
+                            break
+                    else:
+                        perm[y] = iy
+                        rot[y] = (ib - b) % 3
+                        queue.append(y)
+            if not ok or len(perm) < T:
+                continue
+            cand = Relabeling(tuple(perm[t] for t in range(T)),
+                              tuple(rot[t] for t in range(T)))
+            image = apply_dicts(cand, tri)
+            if image._glued != target._glued:
+                continue
+            if match_labels and image._edge_of_slot != target._edge_of_slot:
+                continue
+            if match_preferred and image.preferred != target.preferred:
+                continue
+            out.append(cand)
+    return sorted(out, key=lambda r: (r.perm, r.rot))

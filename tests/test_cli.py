@@ -289,6 +289,98 @@ class TestRunConfig:
         assert config.to_json() == asdict(config)
 
 
+class TestEchoedConfig:
+    """The configuration each subcommand echoes, with no options and with
+    every option set, field by field as the parser's own defaults gave it
+    before RunConfig's became the only ones."""
+
+    DEFAULTS = {"budget": 64, "cap": 12, "cone_samples": 10000, "depth": 8,
+                "fmt": "json", "init": "i", "max_word_len": 6, "n_max": 4,
+                "out": None, "samples": 100000, "seed": 0, "stable_n": 20,
+                "tol": 1e-12}
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        base = surface.once_punctured_torus()
+        cover = surface.build_cover(base, {e: (0,) for e in (0, 1, 2)})
+        (tmp_path / "cover.tri").write_text(surface.cover_to_text(cover))
+        (tmp_path / "pairs.json").write_text('[["slope 0/1", "slope 1/2"]]')
+        return tmp_path
+
+    CASES = [
+        pytest.param(["bundle-report", "RL"], {}, id="bundle-report"),
+        pytest.param(["bundle-report", "RL", "--tol", "1e-9", "--depth", "3",
+                      "--init", "regular"],
+                     {"tol": 1e-9, "depth": 3, "init": "regular"},
+                     id="bundle-report-all"),
+        pytest.param(["verify-thm14", "--max-word-len", "2"],
+                     {"max_word_len": 2, "fmt": "csv"}, id="verify-thm14"),
+        pytest.param(["verify-thm14", "--max-word-len", "3", "--n-max", "2",
+                      "--stable-n", "7", "--tol", "1e-10", "--depth", "5"],
+                     {"max_word_len": 3, "n_max": 2, "stable_n": 7,
+                      "tol": 1e-10, "depth": 5, "fmt": "csv"},
+                     id="verify-thm14-all"),
+        pytest.param(["verify-lifting", "--cover", "cover.tri",
+                      "--pairs", "pairs.json"], {}, id="verify-lifting"),
+        pytest.param(["verify-lifting", "--cover", "cover.tri",
+                      "--pairs", "pairs.json", "--cap", "5"], {"cap": 5},
+                     id="verify-lifting-all"),
+        pytest.param(["lemma-suite"], {}, id="lemma-suite"),
+        pytest.param(["lemma-suite", "--samples", "11", "--cone-samples",
+                      "12", "--seed", "13"],
+                     {"samples": 11, "cone_samples": 12, "seed": 13},
+                     id="lemma-suite-all"),
+    ]
+
+    @pytest.mark.parametrize("argv, changes", CASES)
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_matches_the_parser_defaults(self, argv, changes, to_file,
+                                         files, monkeypatch, capsys):
+        monkeypatch.chdir(files)
+        out = files / "report"
+        want = dict(self.DEFAULTS, subcommand=argv[0], **changes)
+        if to_file:
+            argv = argv + ["--out", str(out)]
+            want["out"] = str(out)
+        assert cli.run(argv) == 0
+        text = out.read_text() if to_file else capsys.readouterr().out
+        if argv[0] == "verify-thm14":
+            line = text.splitlines()[2]
+            assert line.startswith("# config: ")
+            assert json.loads(line[len("# config: "):]) == want
+        else:
+            assert json.loads(text)["config"] == want
+
+    @pytest.mark.parametrize("argv, budget", [
+        (["arc-dist", "slope 0/1", "slope 1/2"], 64),
+        (["arc-dist", "slope 0/1", "slope 1/2", "--budget", "9"], 9),
+    ])
+    def test_arc_dist_config(self, argv, budget, monkeypatch):
+        # arc-dist prints a bare distance, so its configuration is read at
+        # the handler
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_arc_dist",
+                            lambda args, config: seen.append(config) or 0)
+        assert cli.run(argv) == 0
+        assert seen[0].to_json() == dict(self.DEFAULTS, subcommand="arc-dist",
+                                         budget=budget, fmt="text")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify-thm14", "--max-word-len", "1", "--tol", "-1"],
+         "--max-word-len must be at least 2"),
+        (["verify-thm14", "--max-word-len", "0"],
+         "--max-word-len must be at least 2"),
+        (["verify-thm14", "--max-word-len", "3", "--n-max", "0", "--tol",
+          "-1"], "--tol must be positive and finite, got -1.0"),
+        (["lemma-suite", "--seed", "-1", "--samples", "0"],
+         "--samples must be positive"),
+    ])
+    def test_first_failing_check_names_the_option(self, argv, message,
+                                                   capsys):
+        assert cli.run(argv) == 2
+        assert capsys.readouterr().err == "cusplab: error: %s\n" % message
+
+
 class TestVerifyLifting:
 
     @pytest.fixture()

@@ -1,3 +1,6 @@
+import re
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,14 @@ from cusplab.surface import (
     cover_to_text,
     once_punctured_torus,
 )
-from oracles import pieces_union_find, punctures_union_find
+from oracles import (
+    apply_dicts,
+    find_relabelings_propagate,
+    flip_dicts,
+    mirrored_dicts,
+    pieces_union_find,
+    punctures_union_find,
+)
 
 
 def relabel_edge(tri, old, new):
@@ -42,6 +52,12 @@ def twice_punctured_torus():
              ((0, 1), (1, 2)), ((1, 1), (2, 2)),
              ((2, 1), (3, 2)), ((3, 1), (0, 2))]
     return IdealTriangulation.from_gluings(pairs, name="s12", preferred=(0, 0))
+
+
+def criterion_09_cover():
+    """The degree-3 cover of the torus that acceptance criterion 9 lifts to."""
+    return build_cover(once_punctured_torus(),
+                       {0: (0, 1, 2), 1: (0, 2, 1), 2: (1, 0, 2)}).total
 
 
 def thrice_punctured_sphere():
@@ -142,6 +158,28 @@ class TestValidation:
         with pytest.raises(errors.NonOrientable):
             IdealTriangulation.from_gluings(pairs,
                                             reversed_pairs=[pairs[1]])
+
+    @pytest.mark.parametrize("corner", [(9, 0), (0, 3), (0, -1), (1, 3),
+                                        (1, -1), (1, 0, 0)])
+    def test_bad_preferred_corner(self, corner):
+        message = re.escape("no corner %r" % (corner,))
+        pairs = [((0, 0), (1, 1)), ((0, 1), (1, 2)), ((0, 2), (1, 0))]
+        with pytest.raises(errors.BadSurfaceFile, match=message):
+            IdealTriangulation.from_gluings(pairs, preferred=corner)
+        # the reflected table of test_reversed_gluings_normalised: its
+        # normalisation reflects triangle 1, and must not turn (1, -1) into
+        # a real corner
+        pairs = [((0, 0), (1, 1)), ((0, 1), (1, 0)), ((0, 2), (1, 2))]
+        with pytest.raises(errors.BadSurfaceFile, match=message):
+            IdealTriangulation.from_gluings(pairs, preferred=corner,
+                                            reversed_pairs=pairs)
+
+    def test_bad_preferred_corner_of_a_cover(self):
+        with pytest.raises(errors.BadSurfaceFile,
+                           match=re.escape("no corner (40, 0)")):
+            build_cover(once_punctured_torus(),
+                        {0: (0, 1, 2), 1: (0, 2, 1), 2: (1, 0, 2)},
+                        preferred=(40, 0))
 
     def test_reversed_gluings_normalised(self):
         # the standard torus table with triangle 1 reflected by hand; all
@@ -474,3 +512,118 @@ class TestPuncturesAgainstUnionFind:
                 continue
             self.check(tri)
             flips += 1
+
+
+def connected_degree_three_covers():
+    """Every connected degree-3 cover of the torus, once per puncture of
+    the cover, marked preferred at that puncture's first corner."""
+    base = once_punctured_torus()
+    for perms in product(permutations(range(3)), repeat=3):
+        try:
+            total = build_cover(base, perms).total
+        except errors.Intransitive:
+            continue
+        for orbit in total.punctures:
+            yield IdealTriangulation(total._glued, name=total.name,
+                                     preferred=orbit[0])
+
+
+def random_relabeling(rng, n):
+    return Relabeling(tuple(int(x) for x in rng.permutation(n)),
+                      tuple(int(x) for x in rng.integers(3, size=n)))
+
+
+class TestSlotMapsAgainstDicts:
+    """Flips, mirrors and relabelings built by one slot map, and the
+    flag-walk relabeling search, against the dict-built oracles."""
+
+    @staticmethod
+    def same(tri, want):
+        assert tri._glued == want._glued
+        assert tri._edge_of_slot == want._edge_of_slot
+        assert tri.preferred == want.preferred
+        assert tri.edges == want.edges
+        assert tri.punctures == want.punctures
+
+    def check_builders(self, tri, rng):
+        for e in tri.edge_labels:
+            try:
+                want = flip_dicts(tri, e)
+            except errors.NotFlippable:
+                with pytest.raises(errors.NotFlippable):
+                    tri.flip(e)
+                continue
+            got = tri.flip(e)
+            self.same(got[0], want[0])
+            assert got[1] == want[1]
+        self.same(tri.mirrored(), mirrored_dicts(tri))
+        relab = random_relabeling(rng, tri.num_triangles)
+        self.same(relab.apply(tri), apply_dicts(relab, tri))
+
+    def test_builders_on_the_degree_three_covers(self, degree_three_covers):
+        rng = np.random.default_rng(25)
+        assert len(degree_three_covers) == 108
+        for cover in degree_three_covers:
+            self.check_builders(cover.total, rng)
+
+    def test_builders_at_every_preferred_puncture(self):
+        # the 156 connected covers, 48 of them with several punctures, and
+        # the twice-punctured torus, preferred at each puncture in turn
+        rng = np.random.default_rng(26)
+        s = twice_punctured_torus()
+        tris = [IdealTriangulation(s._glued, preferred=p)
+                for p in range(len(s.punctures))]
+        tris += connected_degree_three_covers()
+        assert len({len(t.punctures) for t in tris}) > 1
+        for tri in tris:
+            self.check_builders(tri, rng)
+
+    def test_builders_along_a_flip_walk_on_the_criterion_09_cover(self):
+        rng = np.random.default_rng(2025)
+        tri = criterion_09_cover()
+        flips = 0
+        while flips < 200:
+            self.check_builders(tri, rng)
+            e = tri.edge_labels[int(rng.integers(tri.num_edges))]
+            try:
+                tri, _ = tri.flip(e)
+            except errors.NotFlippable:
+                continue
+            flips += 1
+
+    @staticmethod
+    def check_search(pairs):
+        calls = 0
+        for tri, target in pairs:
+            for match_labels, match_preferred in product((False, True),
+                                                          repeat=2):
+                got = surface.find_relabelings(tri, target, match_labels,
+                                               match_preferred)
+                assert got == find_relabelings_propagate(
+                    tri, target, match_labels, match_preferred)
+                calls += 1
+        return calls
+
+    def test_find_relabelings_on_the_degree_three_covers(
+            self, degree_three_covers):
+        rng = np.random.default_rng(27)
+        tris = [c.total for c in degree_three_covers]
+        pairs = [(t, t) for t in tris]
+        for t in tris:
+            # a relabelled copy, and a seeded partner that is often another
+            # cover with the same triangle count
+            pairs.append((t, random_relabeling(rng, 6).apply(t)))
+            pairs.append((t, tris[int(rng.integers(len(tris)))]))
+        found = [surface.find_relabelings(t, u, False) for t, u in pairs]
+        assert sum(map(bool, found)) > len(tris) * 2
+        assert self.check_search(pairs) == 4 * 3 * 108
+
+    def test_find_relabelings_at_every_preferred_puncture(self):
+        tris = list(connected_degree_three_covers())
+        rng = np.random.default_rng(28)
+        pairs = [(t, t) for t in tris]
+        pairs += [(t, random_relabeling(rng, 6).apply(u))
+                  for t in tris for u in tris[:3]]
+        pairs += [(twice_punctured_torus(), once_punctured_torus()),
+                  (once_punctured_torus(), once_punctured_torus().mirrored())]
+        assert self.check_search(pairs) == 4 * len(pairs)
