@@ -20,8 +20,6 @@ from .surface import (
     IdealTriangulation,
     Relabeling,
     build_cover,
-    build_triangulation,
-    canonical_form,
     cover_from_text,
     cover_to_text,
     once_punctured_torus,

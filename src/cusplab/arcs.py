@@ -11,7 +11,7 @@ opposite side, so the weight of the side at slot s of triangle t splits as
 
 and the vertex counts are derived, never stored.  An arc isotopic onto an
 edge has no transverse position at all; it is kept as a degenerate marker
-(`along_edge`) and its published weight vector is the unit indicator of that
+(`along`) and its published weight vector is the unit indicator of that
 edge.  The indicator is also the honest crossing vector of a different arc,
 the one meeting that edge once and nothing else, so the marker, not the
 vector, is what equality and serialization trust.
@@ -46,9 +46,9 @@ that edge, collecting their puncture-to-puncture edges.  Truncation is
 honest; a search that runs out of room raises Unreachable or BudgetExceeded
 rather than reporting a number that might be too small.
 
-The arcs that searches and slopes produce are interned while they stay
-in the bounded cache `_arc_from_raw`: it holds one arc per sparse raw
-coordinate key, so neighbour lists and `slope_arc` hand out the same
+The arcs that searches, slopes and `arcs_of` produce are interned while
+they stay in the bounded cache `_arc_from_raw`: it holds one arc per sparse
+raw coordinate key, so neighbour lists and `slope_arc` hand out the same
 object for the same arc, set lookups in a search end on identity, and
 each distinct arc is validated on its first construction.  An arc the
 cache has evicted is built and validated again; the new object equals
@@ -68,7 +68,7 @@ from .surface import (IdealTriangulation, Relabeling, find_relabelings,
 __all__ = [
     "NormalArc", "MappingClass", "arcs_of", "intersection_number", "distance",
     "apply_mcg", "mapping_class", "iso_mapping_class", "lift_arc",
-    "slope_arc", "arc_slope", "parse_arc", "arc_to_json", "arc_from_json",
+    "slope_arc", "arc_slope", "parse_arc", "arc_from_json",
 ]
 
 # the base of twist words and slopes, built once for the base checks
@@ -206,6 +206,14 @@ def _reverse_chain(base, flips):
     return tri, chain
 
 
+def _edge_keys(base, flips):
+    """(tri, chain, keys) of a flip word: the flipped triangulation, its
+    reverse chain back to base, and each edge's raw base-coordinate key."""
+    tri, chain = _reverse_chain(base, flips)
+    return tri, chain, {g: _raw_key(*_transport({}, {}, {g: 1}, chain))
+                        for g in tri.edge_labels}
+
+
 # ---- strand tracing ----
 
 def _trace(tri, w, c):
@@ -295,25 +303,14 @@ class NormalArc:
                 raise NotAnArc("give either vectors or a degenerate edge")
             self._init_from(base, {}, {}, {along: 1})
             return
-        labels = base.edge_labels
-        wv = tuple(int(x) for x in (edge_weights if edge_weights else ()))
-        cv = tuple(int(x) for x in (corner_data if corner_data else ()))
-        if len(wv) != len(labels):
-            raise NotAnArc("need %d edge weights" % len(labels))
-        if len(cv) != 3 * base.num_triangles:
-            raise NotAnArc("need %d corner entries" % (3 * base.num_triangles))
-        if min(wv) < 0 or min(cv) < 0:
-            raise NotAnArc("coordinates must be nonnegative")
+        w, c = _vector_dicts(base, edge_weights, corner_data)
         # a unit indicator with no corner data is the published form of the
-        # degenerate arc running along that edge
-        if sum(wv) == 1 and sum(cv) == 0:
-            self._init_from(base, {}, {}, {labels[wv.index(1)]: 1})
-            return
-        w = {e: x for e, x in zip(labels, wv) if x}
-        c = {(t, k): cv[3 * t + k]
-             for t in range(base.num_triangles) for k in range(3)
-             if cv[3 * t + k]}
-        self._init_from(base, w, c, {})
+        # degenerate arc running along that edge; any negative entry fails
+        # _init_from's nonnegativity check first
+        if not c and list(w.values()) == [1]:
+            self._init_from(base, {}, {}, w)
+        else:
+            self._init_from(base, w, c, {})
 
     @classmethod
     def _make(cls, base, w, c, par):
@@ -328,7 +325,7 @@ class NormalArc:
         par = {k: int(v) for k, v in par.items() if v}
         if any(v < 0 for v in w.values()) or any(v < 0 for v in c.values()):
             raise NotAnArc("coordinates must be nonnegative")
-        for e in w:
+        for e in (*w, *par):
             if e not in base.edges:
                 raise NotAnArc("no edge labelled %r" % (e,))
         for (t, k) in c:
@@ -338,8 +335,6 @@ class NormalArc:
             if w or c or sorted(par.values()) != [1]:
                 raise NotAnArc("a degenerate arc is one edge and nothing else")
             (e,) = par
-            if e not in base.edges:
-                raise NotAnArc("no edge labelled %r" % (e,))
             tail, head = base.edge_punctures(e)
             if not (tail == base.preferred == head):
                 raise NotAnArc("edge %r does not run from the preferred "
@@ -385,14 +380,6 @@ class NormalArc:
     def corner_data(self):
         return self._key[2]
 
-    @property
-    def endpoints(self):
-        return (self.base.preferred, self.base.preferred)
-
-    @property
-    def along_edge(self):
-        return self.along
-
     def _dicts(self):
         if self.along is not None:
             return {}, {}, {self.along: 1}
@@ -430,25 +417,29 @@ class NormalArc:
                 "along": self.along}
 
 
-def arc_to_json(a):
-    return a.to_json()
+def _vector_dicts(base, edge_weights, corner_data):
+    """Sparse (w, c) of published vectors, entries read through int().
+
+    Raises NotAnArc unless there is one weight per edge label and one entry
+    per triangle corner.
+    """
+    labels = base.edge_labels
+    wv = [int(x) for x in edge_weights or ()]
+    cv = [int(x) for x in corner_data or ()]
+    if len(wv) != len(labels):
+        raise NotAnArc("need %d edge weights" % len(labels))
+    if len(cv) != 3 * base.num_triangles:
+        raise NotAnArc("need %d corner entries" % (3 * base.num_triangles))
+    return ({e: x for e, x in zip(labels, wv) if x},
+            {divmod(i, 3): x for i, x in enumerate(cv) if x})
 
 
 def arc_from_json(base, obj):
     """Inverse of to_json; faithful, since "along" is carried explicitly."""
     if obj.get("along") is not None:
         return NormalArc(base, along=obj["along"])
-    labels = base.edge_labels
-    wv, cv = obj["edge_weights"], obj["corner_data"]
-    if len(wv) != len(labels) or len(cv) != 3 * base.num_triangles:
-        raise NotAnArc("coordinate vector lengths do not match the surface")
-    w = {e: v for e, v in zip(labels, wv) if v}
-    c = {}
-    for t in range(base.num_triangles):
-        for k in range(3):
-            if cv[3 * t + k]:
-                c[(t, k)] = cv[3 * t + k]
-    return NormalArc._make(base, w, c, {})
+    return NormalArc._make(base, *_vector_dicts(base, obj["edge_weights"],
+                                                obj["corner_data"]), {})
 
 
 def parse_arc(base, text):
@@ -488,17 +479,12 @@ def arcs_of(base, flips=()):
 
     With no flips these are the base edges at the preferred puncture, each a
     degenerate arc.  Edges with an endpoint at another puncture are not
-    vertices of the arc complex and are left out.
+    vertices of the arc complex and are left out.  The arcs are interned
+    through `_arc_from_raw`.
     """
-    tri, chain = _reverse_chain(base, flips)
-    out = []
-    for g in tri.edge_labels:
-        tail, head = tri.edge_punctures(g)
-        if not (tail == tri.preferred == head):
-            continue
-        w, c, par = _transport({}, {}, {g: 1}, chain)
-        out.append(NormalArc._make(base, w, c, par))
-    return out
+    tri, _, keys = _edge_keys(base, flips)
+    return [_arc_from_raw(base, keys[g]) for g in tri.edge_labels
+            if tri.edge_punctures(g) == (tri.preferred, tri.preferred)]
 
 
 # ---- reduction to an edge, intersections, neighbors, distance ----
@@ -613,9 +599,7 @@ def _neighbors(a, budget):
     """
     records, e_star = _reduce(a)
     base = a.base
-    tri0, chain0 = _reverse_chain(base, [rec.edge for rec in records])
-    keys0 = {g: _raw_key(*_transport({}, {}, {g: 1}, chain0))
-             for g in tri0.edge_labels}
+    tri0, chain0, keys0 = _edge_keys(base, [rec.edge for rec in records])
     seen = {frozenset(keys0.values())}
     queue = deque([(tri0, keys0, chain0)])
     out = set()
@@ -653,7 +637,7 @@ def _neighbors(a, budget):
     return tuple(sorted(out, key=NormalArc._sort_key))
 
 
-def distance(a, b, radius_cap=None, budget=64):
+def distance(a, b, budget=64):
     """Length of a shortest path from a to b in the budget-capped complex.
 
     A level-synchronous bidirectional breadth-first search: one seen set
@@ -675,10 +659,9 @@ def distance(a, b, radius_cap=None, budget=64):
     returned is the length of a real path and can never be smaller than
     the true distance.
 
-    `radius_cap` bounds the total path length.  Raises BudgetExceeded when
-    an input itself exceeds the budget and Unreachable when the search
-    passes the radius cap or either side exhausts the capped complex
-    without meeting the other; truncation never reports a smaller number.
+    Raises BudgetExceeded when an input itself exceeds the budget and
+    Unreachable when either side exhausts the capped complex without
+    meeting the other; truncation never reports a smaller number.
     """
     if a.base != b.base:
         raise BaseMismatch("arcs live on different triangulations")
@@ -691,9 +674,6 @@ def distance(a, b, radius_cap=None, budget=64):
     r = 0
     while near_front and far_front:
         r += 1
-        if radius_cap is not None and r > radius_cap:
-            raise Unreachable("no path of length < %d within budget %d"
-                              % (r, budget))
         if len(far_front) < len(near_front):
             near, far = far, near
             near_front, far_front = far_front, near_front

@@ -61,10 +61,6 @@ class Slope:
             return cls(int(a), int(b))
         return cls(int(text), 1)
 
-    @property
-    def is_infinity(self):
-        return self.q == 0
-
     def __str__(self):
         return "inf" if self.q == 0 else "%d/%d" % (self.p, self.q)
 
@@ -86,16 +82,12 @@ def _word_product(word):
 
 @dataclass(frozen=True)
 class Monodromy:
-    """An integer matrix of determinant +1, optionally remembering a word.
+    """An integer matrix of determinant +1; a monodromy is its matrix.
 
-    The word, when present, must multiply out to the matrix under the R and
-    L conventions of this module.  Products forget the word unless both
-    factors carry one.  A product, an inverse and a power are exact by
-    construction and skip the checks: a product of two word-carrying
-    matrices is the matrix of the concatenated word.
+    Construction checks the determinant.  A product, an inverse and a power
+    are exact by construction and skip the check.
     """
     matrix: tuple
-    word: str = None
 
     def __post_init__(self):
         (a, b), (c, d) = self.matrix
@@ -103,18 +95,12 @@ class Monodromy:
         if m[0][0] * m[1][1] - m[0][1] * m[1][0] != 1:
             raise ValueError("matrix determinant is not +1")
         object.__setattr__(self, "matrix", m)
-        if self.word is not None:
-            if _word_product(self.word) != m:
-                raise ValueError("word %r does not multiply out to the matrix"
-                                 % self.word)
 
     @classmethod
-    def _exact(cls, matrix, word=None):
-        # a matrix of determinant +1 that its word (if any) multiplies out
-        # to, by construction; no check
+    def _exact(cls, matrix):
+        # a matrix of determinant +1 by construction; no check
         out = object.__new__(cls)
         object.__setattr__(out, "matrix", matrix)
-        object.__setattr__(out, "word", word)
         return out
 
     @property
@@ -128,11 +114,8 @@ class Monodromy:
     def __mul__(self, other):
         (a, b), (c, d) = self.matrix
         (e, f), (g, h) = other.matrix
-        word = None
-        if self.word is not None and other.word is not None:
-            word = self.word + other.word
         return Monodromy._exact(((a * e + b * g, a * f + b * h),
-                                 (c * e + d * g, c * f + d * h)), word)
+                                 (c * e + d * g, c * f + d * h)))
 
     def inverse(self):
         (a, b), (c, d) = self.matrix
@@ -141,8 +124,7 @@ class Monodromy:
     def power(self, n):
         if n < 0:
             return self.inverse().power(-n)
-        out = Monodromy._exact(((1, 0), (0, 1)),
-                               "" if self.word is not None else None)
+        out = Monodromy._exact(((1, 0), (0, 1)))
         base = self
         while n:
             if n & 1:
@@ -156,8 +138,7 @@ def word_to_matrix(word):
     """The Monodromy of a word over {L, R}; raises EmptyWord on ''."""
     if not word:
         raise EmptyWord("monodromy word is empty")
-    word = str(word)
-    return Monodromy._exact(_word_product(word), word)
+    return Monodromy._exact(_word_product(str(word)))
 
 
 def act(m, s):

@@ -1,12 +1,12 @@
 """Closed-form hyperbolic estimates in the upper half-space model.
 
 Cusp neighborhoods lift to horoballs, and every estimate this package makes
-about them reduces to a handful of exact formulas: the area growth of an
-expanding cusp neighborhood on a surface with cone points, the length of
-common tangent segments between disjoint horoballs, a disk-packing constant,
-and the visual size of a shadow on the boundary of a Margulis tube.  This
-module holds those formulas and nothing else; all of them are elementary
-enough to be property-tested against direct numerical integration.
+about them reduces to a handful of exact formulas: the signed distance and
+the common tangent segments between horoballs, the area growth of an
+expanding cusp neighborhood on a surface with cone points, and the largest
+cusp area and shortest arc that a surface's Euler characteristic allows.
+This module holds those formulas and nothing else; all of them are
+elementary enough to be property-tested against direct numerical integration.
 
 Horoballs are either euclidean balls resting on the boundary plane, recorded
 by their ideal center and euclidean diameter, or the region above a
@@ -26,17 +26,13 @@ from .errors import (
 )
 
 __all__ = [
-    "PACKING",
     "TANGENT_MIN",
     "WAIST",
     "ConeCuspParams",
     "Horoball",
     "cone_cusp_area",
-    "drift_bound",
     "horoball_distance",
     "max_cusp_area_bound",
-    "packing_area_lower",
-    "shadow_radius",
     "shortest_arc_length_bound",
     "tangent_lengths",
 ]
@@ -47,9 +43,6 @@ WAIST = 2.0 ** 0.25
 # least length of a tangent segment between horoballs on a common tangent
 # geodesic; attained exactly at tangency
 TANGENT_MIN = log(3.0 + 2.0 * sqrt(2.0))
-
-# density of the optimal disk packing of the euclidean plane
-PACKING = 2.0 * sqrt(3.0) / pi
 
 _new_tuple = tuple.__new__
 
@@ -205,31 +198,3 @@ def shortest_arc_length_bound(chi, cusp_area, singular):
     if not cusp_area > 0:
         raise NonPositiveArea("cusp_area must be positive")
     return 2.0 * log(max_cusp_area_bound(chi, singular) / cusp_area)
-
-
-def drift_bound(arc_length):
-    """Height change along a geodesic re-entering a cusp neighborhood.
-
-    Crossing between tangency configurations costs at most sqrt(2)
-    vertically; otherwise the crossing runs within a tangent segment of the
-    arc, giving (arc_length - ln(3 + 2 sqrt(2)) + 2 sqrt(2)) / 2, which is
-    arc_length/2 + 0.5328... .  Monotone non-decreasing in arc_length.
-    """
-    return max(sqrt(2.0),
-               0.5 * (arc_length - TANGENT_MIN + 2.0 * sqrt(2.0)))
-
-
-def shadow_radius(chi):
-    """Radius of the boundary shadow of a deep point, sqrt(2)/(8 pi^2 chi^2)."""
-    if chi >= 0:
-        raise NonNegativeChi("need chi < 0, got %r" % (chi,))
-    return sqrt(2.0) / (8.0 * pi * pi * chi * chi)
-
-
-def packing_area_lower(num_disks, radius):
-    """Area needed to pack disjoint disks, 2 sqrt(3) n r^2.
-
-    The optimal plane packing has density 2 sqrt(3)/pi, so n disks of radius
-    r occupy at least (2 sqrt(3)/pi) n pi r^2.
-    """
-    return 2.0 * sqrt(3.0) * num_disks * radius * radius

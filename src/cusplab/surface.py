@@ -28,6 +28,7 @@ theirs, so weight vectors keyed by label stay unambiguous along a flip path.
 Flips, mirrors, relabelings and edge renamings are slot maps built alike.
 """
 
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -83,7 +84,7 @@ def _pieces(glued):
 class IdealTriangulation:
     """Immutable ideal triangulation of a connected oriented punctured surface.
 
-    Construct with `build_triangulation`/`from_gluings`, `from_text`, or a
+    Construct with `from_gluings`, `from_text`, or a
     ready slot table: entry 3t + s of `glued` is the slot paired with (t, s).
     All derived data (edges, punctures, Euler characteristic) is computed up
     front; instances never mutate, and flips return new instances.
@@ -176,9 +177,13 @@ class IdealTriangulation:
                 raise BadSurfaceFile("no corner %r" % (preferred,))
             self.preferred = self._corner_puncture[preferred]
         else:
-            if not 0 <= int(preferred) < len(self.punctures):
-                raise BadSurfaceFile("no puncture p%s" % preferred)
-            self.preferred = int(preferred)
+            try:
+                index = operator.index(preferred)
+            except TypeError:
+                index = -1
+            if not 0 <= index < len(self.punctures):
+                raise BadSurfaceFile("no puncture p%s" % (preferred,))
+            self.preferred = index
 
     # ---- basic queries ----
 
@@ -195,9 +200,6 @@ class IdealTriangulation:
 
     def edge_label(self, t, s):
         return self._edge_of_slot[3 * t + s]
-
-    def edge_slots(self, e):
-        return self.edges[e]
 
     def puncture_of(self, corner):
         return self._corner_puncture[corner]
@@ -362,10 +364,6 @@ class IdealTriangulation:
             key = min(key, self.mirrored()._oriented_key(mark_puncture))
         return key
 
-    def is_isomorphic_to(self, other, mark_puncture=True, mirror=True):
-        return (self.canonical_key(mark_puncture, mirror)
-                == other.canonical_key(mark_puncture, mirror))
-
     # ---- serialization ----
 
     def to_text(self):
@@ -487,12 +485,6 @@ class IdealTriangulation:
         return fixed, preferred
 
 
-def build_triangulation(pairs, name="surface", preferred=None, reversed_pairs=()):
-    """Validated triangulation from a gluing table; see from_gluings."""
-    return IdealTriangulation.from_gluings(pairs, name=name, preferred=preferred,
-                                           reversed_pairs=reversed_pairs)
-
-
 def find_relabelings(tri, target, match_labels=True, match_preferred=False):
     """All relabelings carrying tri onto target, slot table and labels alike.
 
@@ -527,11 +519,6 @@ def find_relabelings(tri, target, match_labels=True, match_preferred=False):
                 continue
             out.append(cand)
     return sorted(out, key=lambda r: (r.perm, r.rot))
-
-
-def canonical_form(tri, mark_puncture=True, mirror=True):
-    """Canonical labeling key of the triangulation; equal iff isomorphic."""
-    return tri.canonical_key(mark_puncture=mark_puncture, mirror=mirror)
 
 
 @dataclass(frozen=True)
@@ -653,9 +640,6 @@ class CoverMap:
 
     def lift_id(self, t, sheet):
         return t * self.degree + sheet
-
-    def project(self, cover_tri):
-        return divmod(cover_tri, self.degree)
 
     def edge_lifts(self, e):
         """Cover edge labels over base edge e, indexed by the (t, a) sheet."""

@@ -144,6 +144,12 @@ flags it propagates a relabeling across the gluings, then builds the
 image of every candidate and compares its slot and label tables.  They
 share the package's validating constructor and the Relabeling slot and
 corner maps, and nothing of its slot map or flag walk.
+
+The closed forms at the end are cusplab.geometry formulas that no
+computation in the package reads: the drift bound of a geodesic
+re-entering a cusp, the shadow radius of a deep point and the disk-packing
+area.  They are kept here with their tests, as stated, for a later
+computation to read.
 """
 
 import cmath
@@ -153,7 +159,7 @@ import itertools
 import math
 from collections import deque, namedtuple
 from fractions import Fraction
-from math import gcd
+from math import gcd, pi, sqrt
 
 import numpy as np
 from scipy import sparse
@@ -167,11 +173,13 @@ from cusplab.bundle import (_CYC, _FACE, _MAX_STEPS, _PAIR, CuspCrossSection,
 from cusplab.cli import (CONE_TOL, SCHEMA, TANGENT_TOL, _json_text,
                          _versions)
 from cusplab.errors import (BudgetExceeded, DegenerateShape, DepthUnstable,
-                            Diverged, MaxIterations, NotAnArc, NotFlippable,
-                            NotPseudoAnosov, NumericalError,
-                            OverlappingHoroballs, Unreachable)
+                            Diverged, MaxIterations, NonNegativeChi,
+                            NotAnArc, NotFlippable, NotPseudoAnosov,
+                            NumericalError, OverlappingHoroballs,
+                            Unreachable)
 from cusplab.farey import (Slope, _distance_pq, _positive_frame, act,
                            distance, word_to_matrix)
+from cusplab.geometry import TANGENT_MIN
 from cusplab.surface import (_REFLECT, FlipRecord, IdealTriangulation,
                              Relabeling)
 
@@ -1597,7 +1605,8 @@ def solve_shapes_basis(system, tol=1e-12):
 def distance_forward(a, b, radius_cap=None, budget=64):
     """Arc-complex distance by breadth-first search from `a` alone.
 
-    Same inputs, errors and budget guard as cusplab.arcs.distance.
+    Same errors and budget guard as cusplab.arcs.distance; `radius_cap`
+    also raises Unreachable once the path would be longer than it.
     """
     if a.coord_sum > budget or b.coord_sum > budget:
         raise BudgetExceeded("arc coordinates exceed the budget %d" % budget)
@@ -2144,3 +2153,37 @@ def find_relabelings_propagate(tri, target, match_labels=True,
                 continue
             out.append(cand)
     return sorted(out, key=lambda r: (r.perm, r.rot))
+
+
+# ---- closed forms that no computation reads ----
+
+# density of the optimal disk packing of the euclidean plane
+PACKING = 2.0 * sqrt(3.0) / pi
+
+
+def drift_bound(arc_length):
+    """Height change along a geodesic re-entering a cusp neighborhood.
+
+    Crossing between tangency configurations costs at most sqrt(2)
+    vertically; otherwise the crossing runs within a tangent segment of the
+    arc, giving (arc_length - ln(3 + 2 sqrt(2)) + 2 sqrt(2)) / 2, which is
+    arc_length/2 + 0.5328... .  Monotone non-decreasing in arc_length.
+    """
+    return max(sqrt(2.0),
+               0.5 * (arc_length - TANGENT_MIN + 2.0 * sqrt(2.0)))
+
+
+def shadow_radius(chi):
+    """Radius of the boundary shadow of a deep point, sqrt(2)/(8 pi^2 chi^2)."""
+    if chi >= 0:
+        raise NonNegativeChi("need chi < 0, got %r" % (chi,))
+    return sqrt(2.0) / (8.0 * pi * pi * chi * chi)
+
+
+def packing_area_lower(num_disks, radius):
+    """Area needed to pack disjoint disks, 2 sqrt(3) n r^2.
+
+    The optimal plane packing has density 2 sqrt(3)/pi, so n disks of radius
+    r occupy at least (2 sqrt(3)/pi) n pi r^2.
+    """
+    return 2.0 * sqrt(3.0) * num_disks * radius * radius

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations, product
 from math import gcd
 
@@ -12,7 +13,6 @@ from cusplab.arcs import (
     apply_mcg,
     arc_from_json,
     arc_slope,
-    arc_to_json,
     arcs_of,
     distance,
     intersection_number,
@@ -67,16 +67,15 @@ class TestNormalArc:
     def test_edge_arcs_of_the_base(self):
         T = once_punctured_torus()
         arcs = arcs_of(T)
-        assert [a.along_edge for a in arcs] == [0, 1, 2]
+        assert [a.along for a in arcs] == [0, 1, 2]
         assert all(a.coord_sum == 1 for a in arcs)
-        assert all(a.endpoints == (T.preferred, T.preferred) for a in arcs)
         assert arcs[0] == NormalArc(T, along=0)
 
     def test_slope_dictionary_on_edges(self):
         T = once_punctured_torus()
         for text, e in [("0/1", 0), ("1/0", 1), ("1/1", 2)]:
             a = slope_arc(T, text)
-            assert a.along_edge == e
+            assert a.along == e
             assert arc_slope(a) == Slope.parse(text)
 
     # straight-line representatives walked through the plane model, frozen
@@ -95,7 +94,7 @@ class TestNormalArc:
             a = slope_arc(T, text)
             assert a.edge_weights == wv, text
             assert a.corner_data == cv, text
-            assert a.along_edge is None, text
+            assert a.along is None, text
 
     def test_slope_round_trip(self):
         T = once_punctured_torus()
@@ -112,7 +111,7 @@ class TestNormalArc:
             a, want = slope_arc(T, s), slope_arc_walk(T, s)
             assert a.edge_weights == want.edge_weights, s
             assert a.corner_data == want.corner_data, s
-            assert a.along_edge == want.along_edge, s
+            assert a.along == want.along, s
             assert arc_slope(a) == s
 
     def test_indicator_weights_mean_the_edge_arc(self):
@@ -150,7 +149,7 @@ class TestNormalArc:
     def test_twice_punctured_base_arcs(self):
         s12 = twice_punctured_torus()
         arcs = arcs_of(s12)
-        assert [a.along_edge for a in arcs] == [0, 3]
+        assert [a.along for a in arcs] == [0, 3]
         assert intersection_number(arcs[0], arcs[1]) == 0
         assert distance(arcs[0], arcs[1], budget=16) == 1
 
@@ -294,16 +293,93 @@ class TestSerialization:
         T = once_punctured_torus()
         for text in ["0/1", "1/0", "2/1", "1/2", "-1/1", "2/5", "-3/5"]:
             a = slope_arc(T, text)
-            obj = arc_to_json(a)
+            obj = a.to_json()
             assert arc_from_json(T, obj) == a
-        assert arc_to_json(slope_arc(T, "0/1"))["along"] == 0
-        assert arc_to_json(slope_arc(T, "2/1"))["along"] is None
+        assert slope_arc(T, "0/1").to_json()["along"] == 0
+        assert slope_arc(T, "2/1").to_json()["along"] is None
 
     def test_json_validates_lengths(self):
         T = once_punctured_torus()
-        with pytest.raises(errors.NotAnArc):
+        with pytest.raises(errors.NotAnArc, match="need 3 edge weights"):
             arc_from_json(T, {"edge_weights": [1, 0], "corner_data": [0] * 6,
                               "along": None})
+        with pytest.raises(errors.NotAnArc, match="need 6 corner entries"):
+            arc_from_json(T, {"edge_weights": [1, 0, 0],
+                              "corner_data": [0] * 5, "along": None})
+
+
+def centre_preferred():
+    """twice_punctured_torus with its centre puncture preferred, so the
+    arcs between lattice punctures end at the wrong puncture."""
+    return IdealTriangulation(twice_punctured_torus()._glued, name="s12",
+                              preferred=1)
+
+
+class TestInputChecks:
+    """One input per NotAnArc message of the arc constructors, through
+    NormalArc(...), parse_arc, arc_from_json and, for the checks no public
+    constructor reaches, NormalArc._make."""
+
+    CASES = {
+        "vectors-and-edge": (
+            lambda T: NormalArc(T, (1, 0, 0), ZERO_CORNERS, along=0),
+            "give either vectors or a degenerate edge"),
+        "short-weights": (
+            lambda T: NormalArc(T, (1, 0), ZERO_CORNERS),
+            "need 3 edge weights"),
+        "short-corners": (
+            lambda T: parse_arc(T, "arc 1,0,0;0,0,0,0,0"),
+            "need 6 corner entries"),
+        "negative-literal": (
+            lambda T: parse_arc(T, "arc 2,-1,0;0,0,0,0,0,0"),
+            "coordinates must be nonnegative"),
+        "negative-json": (
+            lambda T: arc_from_json(T, {"edge_weights": [-1, 0, 0],
+                                        "corner_data": [0] * 6,
+                                        "along": None}),
+            "coordinates must be nonnegative"),
+        "unknown-weight-edge": (
+            lambda T: NormalArc._make(T, {7: 1}, {}, {}),
+            "no edge labelled 7"),
+        "unknown-corner": (
+            lambda T: NormalArc._make(T, {}, {(2, 0): 1}, {}),
+            "no corner (2, 0)"),
+        "edge-and-more": (
+            lambda T: NormalArc._make(T, {0: 1}, {}, {1: 1}),
+            "a degenerate arc is one edge and nothing else"),
+        "unknown-along": (
+            lambda T: arc_from_json(T, {"along": 7}),
+            "no edge labelled 7"),
+        "along-between-punctures": (
+            lambda T: NormalArc(twice_punctured_torus(), along=1),
+            "edge 1 does not run from the preferred puncture to itself"),
+        "empty": (
+            lambda T: NormalArc(T, (0, 0, 0), ZERO_CORNERS),
+            "empty coordinates describe no arc"),
+        "closed-curve": (
+            lambda T: parse_arc(T, "arc 2,2,2;1,1,1,1,1,1"),
+            "coordinates contain a closed curve"),
+        "two-arcs": (
+            lambda T: NormalArc(T, (2, 0, 0), ZERO_CORNERS),
+            "coordinates describe 2 arcs, not one"),
+        "wrong-puncture": (
+            lambda T: parse_arc(centre_preferred(),
+                                "arc 0,0,0,0,1,1;0,0,0,0,0,0,0,0,1,0,0,0"),
+            "endpoint at puncture 0, not the preferred 1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_message(self, case):
+        build, message = self.CASES[case]
+        with pytest.raises(errors.NotAnArc, match=re.escape(message)):
+            build(once_punctured_torus())
+
+    def test_negative_entries_are_checked_before_the_unit_indicator(self):
+        # (2, -1, 0) sums to 1 like a unit indicator
+        T = once_punctured_torus()
+        with pytest.raises(errors.NotAnArc,
+                           match="coordinates must be nonnegative"):
+            NormalArc(T, (2, -1, 0), ZERO_CORNERS)
 
 
 class TestIntersection:
@@ -409,18 +485,6 @@ class TestDistance:
                     seen.add(nb)
                     stack.append(nb)
         assert (len(seen), edges) == (288, 1146)
-
-    def test_radius_cap_is_honest(self):
-        T = once_punctured_torus()
-        with pytest.raises(errors.Unreachable):
-            distance(slope_arc(T, "0/1"), slope_arc(T, "2/5"),
-                     radius_cap=1, budget=32)
-        # distance 3: both ends expand before the cap of 2 runs out
-        a, b = slope_arc(T, "0/1"), slope_arc(T, "5/7")
-        assert farey.distance(Slope(0, 1), Slope(5, 7)) == 3
-        assert distance(a, b, radius_cap=3, budget=32) == 3
-        with pytest.raises(errors.Unreachable):
-            distance(a, b, radius_cap=2, budget=32)
 
     def test_budget_guard(self):
         T = once_punctured_torus()
@@ -668,7 +732,7 @@ class TestLifts:
         T = once_punctured_torus()
         cover = degree_three_cover(T)
         lifts = lift_arc(cover, slope_arc(T, "0/1"))
-        assert sorted(a.along_edge for a in lifts) == [0, 3, 6]
+        assert sorted(a.along for a in lifts) == [0, 3, 6]
         for i in range(3):
             for j in range(i + 1, 3):
                 assert intersection_number(lifts[i], lifts[j]) == 0

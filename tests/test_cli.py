@@ -273,6 +273,25 @@ class TestVerifyThm14:
         assert text == thm14_csv(config, [rl, bad])
         assert text.splitlines()[-1].split(",")[-1] == ";".join(bad.flags)
 
+    def test_violations_exit_one(self, monkeypatch, tmp_path, capsys):
+        # zero translation distances break every n * area <= 9 chi^2 d(psi^n)
+        monkeypatch.setattr(farey, "_power_distances",
+                            lambda t, n_max: dict.fromkeys(
+                                range(1, n_max + 1), 0))
+        path = tmp_path / "report.csv"
+        code = cli.run(["verify-thm14", "--max-word-len", "3",
+                        "--n-max", "2", "--out", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "cusplab: violations on RL, RRL\n"
+        rows = list(csv.reader(io.StringIO(
+            "\n".join(path.read_text().splitlines()[3:]))))
+        for row in rows[1:]:
+            assert row[4:6] == ["0", "0"]
+            flags = row[8].split(";")
+            assert flags[:4] == ["violation:area_n1", "violation:height_n1",
+                                 "violation:area_n2", "violation:height_n2"]
+
 
 class TestRunConfig:
 
@@ -415,6 +434,19 @@ class TestVerifyLifting:
         assert code == 2
         assert "--pairs" in capsys.readouterr().err
 
+    def test_malformed_cover_file(self, identity_cover, tmp_path, capsys):
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text("[]")
+        lines = identity_cover.read_text().splitlines()
+        assert lines[3] == "cover degree 1"
+        lines[3] = "cover degree one"
+        identity_cover.write_text("\n".join(lines) + "\n")
+        code = cli.run(["verify-lifting", "--cover", str(identity_cover),
+                        "--pairs", str(pairs)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "cusplab: error: line 4: bad cover degree\n"
+
     def test_missing_cover_file(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.json"
         pairs.write_text("[]")
@@ -448,6 +480,26 @@ class TestLemmaSuite:
             docs.append(json.loads(capsys.readouterr().out))
         assert docs[0]["checks"][0]["min_l1"] != docs[1]["checks"][0]["min_l1"]
         assert docs[0] == docs[2]
+
+    def test_violations_exit_one(self, monkeypatch, capsys):
+        # l1 = 1 < ln(3 + 2 sqrt 2) and l2 = 2 > sqrt 2 on every sample and
+        # every tangent case, and a constant area never grows
+        monkeypatch.setattr(geometry, "tangent_lengths",
+                            lambda h1, h2: (1.0, 2.0))
+        monkeypatch.setattr(geometry, "cone_cusp_area",
+                            lambda params, x: 1.0)
+        code = cli.run(["lemma-suite", "--samples", "30",
+                        "--cone-samples", "20"])
+        assert code == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "VIOLATION"
+        tangent, cone = doc["checks"]
+        assert tangent["status"] == cone["status"] == "VIOLATION"
+        # two per sample and one for the tangent cases; every cone sample
+        # with d > 0 fails exp(d) * area <= area
+        assert tangent["violations"] == 2 * 30 + 1
+        assert (tangent["min_l1"], tangent["max_l2"]) == (1.0, 2.0)
+        assert cone["violations"] == 20
 
 
 def draws_at(seed, u):

@@ -155,7 +155,6 @@ class TestWordToMatrix:
         assert m.matrix == ((2, 1), (1, 1))
         assert m.trace == 3
         assert m.is_pseudo_anosov
-        assert m.word == "RL"
 
     def test_single_letters(self):
         assert word_to_matrix("R").matrix == ((1, 1), (0, 1))
@@ -175,10 +174,6 @@ class TestWordToMatrix:
         with pytest.raises(ValueError):
             word_to_matrix("RLX")
 
-    def test_word_matrix_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            Monodromy(((2, 1), (1, 1)), word="LR")
-
     def test_determinant_enforced(self):
         with pytest.raises(ValueError):
             Monodromy(((0, 1), (1, 0)))
@@ -189,24 +184,7 @@ class TestWordToMatrix:
         assert (m * m.inverse()).matrix == identity
         assert m.power(0).matrix == identity
         assert m.power(3).matrix == (m * m * m).matrix
-        assert m.power(3).word == "RRLRRLRRL"
         assert m.power(-1).matrix == m.inverse().matrix
-
-    def test_power_multiplies_no_word_again(self, monkeypatch):
-        # a product of word-carrying matrices is the concatenated word's
-        # matrix by construction, so only word_to_matrix multiplies out
-        product = farey._word_product
-        calls = []
-
-        def counted(word):
-            calls.append(word)
-            return product(word)
-
-        monkeypatch.setattr(farey, "_word_product", counted)
-        power = word_to_matrix("RRL").power(20)
-        assert len(calls) <= 1
-        assert power.word == "RRL" * 20
-        assert power.matrix == product("RRL" * 20)
 
 
 class TestAct:
@@ -311,8 +289,8 @@ class TestTranslationDistance:
             assert len(values) == 1, word
 
     def test_conjugacy_invariance(self):
-        # conjugates, negatives and inverses carry no word, so they go
-        # through the conjugacy reduction to a positive word
+        # conjugates, negatives and inverses are not positive words, so
+        # they go through the conjugacy reduction to a positive frame
         rng = np.random.default_rng(8)
         for word in cli.corpus(6):
             m = word_to_matrix(word)
@@ -323,7 +301,6 @@ class TestTranslationDistance:
                     c = c.inverse()
                 conj = c * m * c.inverse()
                 for other in (conj, negated(conj), conj.inverse()):
-                    assert other.word is None
                     value, slope = translation_distance(other,
                                                         with_witness=True)
                     assert value == expected, (word, other.matrix)
@@ -338,8 +315,8 @@ class TestTranslationDistance:
 
 
 def wordless_matrices():
-    """The word-less and negative-trace matrices of the conjugacy and
-    negative-trace tests: conjugates of every class of length <= 6, their
+    """The matrices of the conjugacy and negative-trace tests that are not
+    positive words: conjugates of every class of length <= 6, their
     negatives and inverses, and two negative traces."""
     rng = np.random.default_rng(8)
     out = [Monodromy(((-2, -1), (-1, -1))),
@@ -365,7 +342,6 @@ class TestTranslationDistances:
 
     def test_wordless_and_negative_trace(self):
         for m in wordless_matrices():
-            assert m.word is None
             assert translation_distances(m, 5) == {
                 n: translation_distance(m.power(n))
                 for n in range(1, 6)}, m.matrix
@@ -462,7 +438,6 @@ class TestStableTranslationDistance:
                 c = word_to_matrix(random_word(rng, 1, 6))
                 conj = c * m * c.inverse()
                 for other in (conj, negated(conj), conj.inverse()):
-                    assert other.word is None
                     assert stable_translation_distance(other) == tau, word
 
     def test_not_pseudo_anosov(self):

@@ -6,21 +6,18 @@ import pytest
 
 from cusplab import errors
 from cusplab.geometry import (
-    PACKING,
     TANGENT_MIN,
     WAIST,
     ConeCuspParams,
     Horoball,
     cone_cusp_area,
-    drift_bound,
     horoball_distance,
     max_cusp_area_bound,
-    packing_area_lower,
-    shadow_radius,
     shortest_arc_length_bound,
     tangent_lengths,
 )
-from oracles import horoball_gap_numeric, tangent_pair_numeric
+from oracles import (PACKING, drift_bound, horoball_gap_numeric,
+                     packing_area_lower, shadow_radius, tangent_pair_numeric)
 
 TOL = 1e-9
 

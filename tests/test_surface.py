@@ -9,8 +9,6 @@ from cusplab.surface import (
     IdealTriangulation,
     Relabeling,
     build_cover,
-    build_triangulation,
-    canonical_form,
     cover_from_text,
     cover_to_text,
     once_punctured_torus,
@@ -79,11 +77,6 @@ class TestBasics:
         assert s.edge_labels == (0, 1, 2)
         assert [s.edge_label(0, k) for k in range(3)] == [0, 1, 2]
         assert [s.edge_label(1, k) for k in range(3)] == [2, 0, 1]
-
-    def test_build_triangulation_alias(self):
-        s = build_triangulation(
-            [((0, 0), (1, 1)), ((0, 1), (1, 2)), ((0, 2), (1, 0))], name="s11")
-        assert s == once_punctured_torus()
 
     def test_puncture_walk_covers_link(self):
         s = once_punctured_torus()
@@ -181,6 +174,37 @@ class TestValidation:
                         {0: (0, 1, 2), 1: (0, 2, 1), 2: (1, 0, 2)},
                         preferred=(40, 0))
 
+    @pytest.mark.parametrize("preferred", [0.7, 0.0, "0"])
+    def test_preferred_puncture_must_be_an_integer(self, preferred):
+        glued = once_punctured_torus()._glued
+        with pytest.raises(errors.BadSurfaceFile,
+                           match=re.escape("no puncture p%s" % preferred)):
+            IdealTriangulation(glued, preferred=preferred)
+
+    def test_numpy_integer_preferred_puncture(self):
+        s = IdealTriangulation(once_punctured_torus()._glued,
+                               preferred=np.int64(0))
+        assert s.preferred == 0 and type(s.preferred) is int
+
+    def test_reversed_gluings_keep_the_preferred_corner(self):
+        # triangle 1 of twice_punctured_torus reflected by hand, its
+        # gluings marked reversed; normalisation reflects it back, and a
+        # preferred corner on it must follow to (1, _REFLECT[k])
+        s = twice_punctured_torus()
+        pairs = [((0, 0), (2, 0)), ((1, 0), (3, 0)),
+                 ((0, 1), (1, 2)), ((1, 1), (2, 2)),
+                 ((2, 1), (3, 2)), ((3, 1), (0, 2))]
+        reflect = {(1, a): (1, 2 - a) for a in range(3)}
+        mirrored = [(reflect.get(x, x), reflect.get(y, y)) for x, y in pairs]
+        reversed_pairs = [p for p in mirrored if 1 in (p[0][0], p[1][0])]
+        for t in range(4):
+            for k in range(3):
+                got = IdealTriangulation.from_gluings(
+                    mirrored, preferred=(t, k), reversed_pairs=reversed_pairs)
+                assert got._glued == s._glued
+                want = (t, surface._REFLECT[k]) if t == 1 else (t, k)
+                assert got.preferred == s.puncture_of(want), (t, k)
+
     def test_reversed_gluings_normalised(self):
         # the standard torus table with triangle 1 reflected by hand; all
         # three gluings become orientation-reversing and normalisation must
@@ -223,6 +247,32 @@ class TestTextFormat:
         with pytest.raises(errors.BadSurfaceFile):
             IdealTriangulation.from_text(text)
 
+    TORUS_ROWS = "tri 0: 1.1 1.2 1.0\ntri 1: 0.2 0.0 0.1\n"
+    HEADER = "surface x preferred_puncture p0\n"
+
+    @pytest.mark.parametrize("text, message", [
+        (HEADER + "surface y preferred_puncture p0\n" + TORUS_ROWS,
+         "line 2: bad surface header"),
+        ("# torus\nsurface x p0\n" + TORUS_ROWS,
+         "line 2: bad surface header"),
+        ("tri 0: 1.1 1.2 1.0\n", "line 1: bad triangle line"),
+        (HEADER + "tri 0: 1.1 1.x 1.0\ntri 1: 0.2 0.0 0.1\n",
+         "line 2: bad slot entry"),
+        (HEADER + "tri 0: 1.1 1.2 1.0\n\ntri 0: 0.2 0.0 0.1\n",
+         "line 4: triangle 0 repeated"),
+        (HEADER + "what 0: 1.1 1.2 1.0\n", "line 2: unexpected 'what'"),
+        ("# nothing but a comment\n\n", "missing surface header"),
+        (HEADER + "tri 0: 1.1 1.2 1.0\ntri 2: 0.2 0.0 0.1\n",
+         "triangle ids are not 0..1"),
+        ("surface x preferred_puncture q0\n" + TORUS_ROWS,
+         "bad puncture id 'q0'"),
+        ("surface x preferred_puncture p7\n" + TORUS_ROWS, "no puncture p7"),
+    ])
+    def test_each_message(self, text, message):
+        with pytest.raises(errors.BadSurfaceFile) as info:
+            IdealTriangulation.from_text(text)
+        assert str(info.value) == message
+
 
 class TestFlips:
 
@@ -246,7 +296,7 @@ class TestFlips:
         t, rec = s.flip(0)
         assert 0 not in t.edges
         assert t.edge_labels == (1, 2, 3, 4, 5, 6)
-        assert t.edge_slots(rec.new_edge)
+        assert t.edges[rec.new_edge]
         # the four sides keep their labels and their gluing partners
         for side in "ABCD":
             assert rec.sides[side] in t.edges
@@ -283,7 +333,7 @@ class TestFlips:
         s = once_punctured_torus()
         t = relabel_edge(s, 2, 9)
         assert t.edge_labels == (0, 1, 9)
-        assert t.edge_slots(9) == s.edge_slots(2)
+        assert t.edges[9] == s.edges[2]
         assert relabel_edge(t, 9, 2) == s
         with pytest.raises(errors.NonInvolution):
             relabel_edge(s, 7, 8)
@@ -392,32 +442,26 @@ class TestCanonicalForm:
     def test_relabelled_copies_match(self):
         s = twice_punctured_torus()
         r = Relabeling(perm=(3, 1, 0, 2), rot=(2, 0, 1, 2))
-        assert s.is_isomorphic_to(r.apply(s))
+        assert s.canonical_key() == r.apply(s).canonical_key()
 
     def test_different_surfaces_differ(self):
-        assert not once_punctured_torus().is_isomorphic_to(
-            thrice_punctured_sphere())
+        assert (once_punctured_torus().canonical_key()
+                != thrice_punctured_sphere().canonical_key())
 
     def test_puncture_marking(self):
         s = twice_punctured_torus()
         other = IdealTriangulation(
             [s.glued_slot(t, k) for t in range(4) for k in range(3)],
             preferred=1 - s.preferred)
-        assert not s.is_isomorphic_to(other)
-        assert s.is_isomorphic_to(other, mark_puncture=False)
+        assert s.canonical_key() != other.canonical_key()
+        assert (s.canonical_key(mark_puncture=False)
+                == other.canonical_key(mark_puncture=False))
 
     def test_mirror(self):
         s = twice_punctured_torus()
         m = s.mirrored()
         assert m.mirrored() == s
-        assert s.is_isomorphic_to(m)
         assert s.canonical_key() == m.canonical_key()
-
-    def test_canonical_form_alias(self):
-        s = twice_punctured_torus()
-        r = Relabeling(perm=(1, 3, 2, 0), rot=(0, 2, 1, 0))
-        assert canonical_form(s) == canonical_form(r.apply(s))
-        assert canonical_form(s) != canonical_form(once_punctured_torus())
 
 
 class TestCovers:
@@ -437,7 +481,7 @@ class TestCovers:
         cover = build_cover(base, [(1, 2, 0), (0, 1, 2), (0, 1, 2)])
         for t in range(2):
             for i in range(3):
-                assert cover.project(cover.lift_id(t, i)) == (t, i)
+                assert divmod(cover.lift_id(t, i), cover.degree) == (t, i)
 
     def test_intransitive(self):
         base = once_punctured_torus()
@@ -467,6 +511,36 @@ class TestCovers:
         assert again.total == cover.total
         assert again.perms == cover.perms
         assert cover_to_text(again) == text
+
+    # line 1 is the header and lines 2-3 the base rows of the torus text
+    TORUS = "surface s11 preferred_puncture p0\n" + TestTextFormat.TORUS_ROWS
+    PERMS = "perm 0: 1 0\nperm 1: 0 1\nperm 2: 0 1\n"
+
+    @pytest.mark.parametrize("text, message", [
+        (TORUS + "cover degree 2\ncover degree 2\n" + PERMS,
+         "line 5: bad cover line"),
+        (TORUS + "cover deg 2\n" + PERMS, "line 4: bad cover line"),
+        (TORUS + "cover degree two\n" + PERMS, "line 4: bad cover degree"),
+        (TORUS + "perm 0: 1 0\ncover degree 2\n",
+         "line 4: bad perm line"),
+        (TORUS + "cover degree 2\nperm 0 1 0\n", "line 5: bad perm line"),
+        (TORUS + "cover degree 2\nperm 0: 1 x\n",
+         "line 5: bad perm entry"),
+        (TORUS + "cover degree 2\ntri 2: 0.0 0.1 0.2\n",
+         "line 5: surface data after cover line"),
+        (TORUS + PERMS.replace("perm", "# perm"), "missing cover line"),
+        (TORUS + "cover degree 2\n" + PERMS + "perm 1: 1 0\n",
+         "line 8: edge 1 repeated"),
+        (TORUS + "cover degree 2\n# sheets\nperm 0: 1 0 2\n",
+         "line 6: permutation has 3 entries, need 2"),
+        ("surface s11 preferred_puncture p0\ntri 0: 1.1 1.2 1.0\n"
+         "tri 0: 0.2 0.0 0.1\ncover degree 2\n" + PERMS,
+         "line 3: triangle 0 repeated"),
+    ])
+    def test_each_cover_file_message(self, text, message):
+        with pytest.raises(errors.BadSurfaceFile) as info:
+            cover_from_text(text)
+        assert str(info.value) == message
 
     def test_preferred_puncture_lifts_sheet_zero(self):
         base = twice_punctured_torus()
