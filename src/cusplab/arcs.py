@@ -55,6 +55,7 @@ cache has evicted is built and validated again; the new object equals
 the old one by `__eq__`, so results never depend on eviction.
 """
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -301,12 +302,14 @@ class NormalArc:
         if along is not None:
             if edge_weights is not None or corner_data is not None:
                 raise NotAnArc("give either vectors or a degenerate edge")
-            self._init_from(base, {}, {}, {along: 1})
+            if not hasattr(along, "__index__") or along not in base.edges:
+                raise NotAnArc("no edge labelled %r" % (along,))
+            self._init_from(base, {}, {}, {operator.index(along): 1})
             return
         w, c = _vector_dicts(base, edge_weights, corner_data)
         # a unit indicator with no corner data is the published form of the
         # degenerate arc running along that edge; any negative entry fails
-        # _init_from's nonnegativity check first
+        # _vector_dicts first
         if not c and list(w.values()) == [1]:
             self._init_from(base, {}, {}, w)
         else:
@@ -314,23 +317,16 @@ class NormalArc:
 
     @classmethod
     def _make(cls, base, w, c, par):
-        """Internal: from sparse dicts carrying true crossing semantics."""
+        """Internal: from sparse dicts carrying true crossing semantics.
+
+        Like every caller of _init_from, it passes positive integers on the
+        base's own edge labels and corners, which are not checked again.
+        """
         self = cls.__new__(cls)
         self._init_from(base, w, c, par)
         return self
 
     def _init_from(self, base, w, c, par):
-        w = {k: int(v) for k, v in w.items() if v}
-        c = {k: int(v) for k, v in c.items() if v}
-        par = {k: int(v) for k, v in par.items() if v}
-        if any(v < 0 for v in w.values()) or any(v < 0 for v in c.values()):
-            raise NotAnArc("coordinates must be nonnegative")
-        for e in (*w, *par):
-            if e not in base.edges:
-                raise NotAnArc("no edge labelled %r" % (e,))
-        for (t, k) in c:
-            if not (0 <= t < base.num_triangles and 0 <= k < 3):
-                raise NotAnArc("no corner (%r, %r)" % (t, k))
         if par:
             if w or c or sorted(par.values()) != [1]:
                 raise NotAnArc("a degenerate arc is one edge and nothing else")
@@ -418,18 +414,25 @@ class NormalArc:
 
 
 def _vector_dicts(base, edge_weights, corner_data):
-    """Sparse (w, c) of published vectors, entries read through int().
+    """Sparse (w, c) of published vectors, the one reading of them.
 
-    Raises NotAnArc unless there is one weight per edge label and one entry
-    per triangle corner.
+    Entries are read through operator.index, so numpy integers pass and
+    floats do not.  Raises NotAnArc unless every entry is a nonnegative
+    integer, with one weight per edge label and one entry per triangle
+    corner.
     """
     labels = base.edge_labels
-    wv = [int(x) for x in edge_weights or ()]
-    cv = [int(x) for x in corner_data or ()]
+    try:
+        wv, cv = ([operator.index(x) for x in (() if v is None else v)]
+                  for v in (edge_weights, corner_data))
+    except TypeError:
+        raise NotAnArc("coordinates must be integers")
     if len(wv) != len(labels):
         raise NotAnArc("need %d edge weights" % len(labels))
     if len(cv) != 3 * base.num_triangles:
         raise NotAnArc("need %d corner entries" % (3 * base.num_triangles))
+    if min(wv + cv) < 0:
+        raise NotAnArc("coordinates must be nonnegative")
     return ({e: x for e, x in zip(labels, wv) if x},
             {divmod(i, 3): x for i, x in enumerate(cv) if x})
 

@@ -26,10 +26,6 @@ class Disconnected(CuspLabError):
         self.pieces = pieces
 
 
-class NonOrientable(CuspLabError):
-    """The gluing data does not admit a consistent orientation."""
-
-
 class BadSurfaceFile(CuspLabError):
     """Text description of a triangulated surface failed to parse."""
 

@@ -71,10 +71,6 @@ class Horoball(namedtuple("Horoball", "center diameter")):
             raise ValueError("horoball diameter must be positive")
         return _new_tuple(cls, (center, diameter))
 
-    @property
-    def at_infinity(self):
-        return self.center == inf
-
 
 def horoball_distance(h1, h2):
     """Signed distance between two horoball boundaries.

@@ -9,10 +9,7 @@ slot (t, a) to slot (u, b) identifies the two edges reversing direction,
     vertex a+1 of t  ~  vertex b   of u,
 
 which is the unique convention compatible with both triangles being
-counterclockwise.  Gluing data containing orientation-reversing
-identifications is accepted when the glued surface is orientable: the
-offending triangles are reflected and the data rebuilt in the convention
-above.  Genuinely non-orientable data is rejected.
+counterclockwise.
 
 Punctures are the orbits of triangle corners under the gluings, each walked
 once by `puncture_walk`; every vertex of every triangle is a puncture (the
@@ -37,7 +34,6 @@ from .errors import (
     Disconnected,
     Intransitive,
     NonInvolution,
-    NonOrientable,
     NotFlippable,
 )
 
@@ -79,6 +75,15 @@ def _pieces(glued):
                     reached[u] = True
                     stack.append(u)
     return pieces
+
+
+def _lines(text):
+    """(line number, tokens) of each line with a token left once its `#`
+    comment is cut; both text formats read their lines here."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        tok = raw.split("#", 1)[0].split()
+        if tok:
+            yield ln, tok
 
 
 class IdealTriangulation:
@@ -130,29 +135,26 @@ class IdealTriangulation:
 
     def _build_edges(self, edge_of_slot):
         if edge_of_slot is None:
-            reps = [_shared((_shared(divmod(idx, 3)), slot))
-                    for idx, slot in enumerate(self._glued)
-                    if idx < 3 * slot[0] + slot[1]]
-            table = [None] * (3 * self.num_triangles)
-            for e, ((t, a), (u, b)) in enumerate(reps):
-                table[3 * t + a] = e
-                table[3 * u + b] = e
-            self._edge_of_slot = tuple(table)
-            self.edges = {e: pair for e, pair in enumerate(reps)}
-        else:
-            table = tuple(int(x) for x in edge_of_slot)
-            if len(table) != 3 * self.num_triangles:
-                raise NonInvolution("edge label table has wrong length")
-            by_label = {}
-            for idx, e in enumerate(table):
-                by_label.setdefault(e, []).append(_shared(divmod(idx, 3)))
-            for e, slots in sorted(by_label.items()):
-                (t, a) = slots[0]
-                if len(slots) != 2 or self._glued[3 * t + a] != slots[1]:
-                    raise NonInvolution("edge label %d does not match a gluing" % e)
-            self._edge_of_slot = table
-            self.edges = {e: _shared(tuple(slots))
-                          for e, slots in sorted(by_label.items())}
+            # edges 0 .. E-1 by their smaller slot, in slot order
+            edge_of_slot = [None] * len(self._glued)
+            e = 0
+            for idx, (u, b) in enumerate(self._glued):
+                if idx < 3 * u + b:
+                    edge_of_slot[idx] = edge_of_slot[3 * u + b] = e
+                    e += 1
+        table = tuple(int(x) for x in edge_of_slot)
+        if len(table) != 3 * self.num_triangles:
+            raise NonInvolution("edge label table has wrong length")
+        by_label = {}
+        for idx, e in enumerate(table):
+            by_label.setdefault(e, []).append(_shared(divmod(idx, 3)))
+        self.edges = {}
+        for e, slots in sorted(by_label.items()):
+            (t, a) = slots[0]
+            if len(slots) != 2 or self._glued[3 * t + a] != slots[1]:
+                raise NonInvolution("edge label %d does not match a gluing" % e)
+            self.edges[e] = _shared(tuple(slots))
+        self._edge_of_slot = table
 
     def _build_punctures(self):
         # walking from each corner not yet placed, in (t, k) order, finds
@@ -208,9 +210,6 @@ class IdealTriangulation:
         """Punctures at the tail and head of edge e (slot direction)."""
         (t, a), _ = self.edges[e]
         return (self.puncture_of((t, a)), self.puncture_of((t, (a + 1) % 3)))
-
-    def corners(self):
-        return [(t, k) for t in range(self.num_triangles) for k in range(3)]
 
     def puncture_walk(self, corner):
         """The corners around the puncture of `corner`, in cyclic order.
@@ -375,13 +374,14 @@ class IdealTriangulation:
 
     @classmethod
     def from_text(cls, text):
+        return cls._from_lines(_lines(text))
+
+    @classmethod
+    def _from_lines(cls, lines):
+        """The surface of the (line number, tokens) pairs that `_lines` reads."""
         header = None
         rows = {}
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tok = line.split()
+        for ln, tok in lines:
             if tok[0] == "surface":
                 if header is not None or len(tok) != 4 or tok[2] != "preferred_puncture":
                     raise BadSurfaceFile("line %d: bad surface header" % ln)
@@ -413,27 +413,14 @@ class IdealTriangulation:
         return cls(glued, name=name, preferred=int(pid[1:]))
 
     @classmethod
-    def from_gluings(cls, pairs, name="surface", preferred=None, reversed_pairs=()):
-        """Build from a list of slot pairs ((t, a), (u, b)).
-
-        Pairs listed in `reversed_pairs` are orientation-reversing
-        identifications (vertex a of t matching vertex b of u); the data is
-        normalised by reflecting triangles where possible and rejected with
-        NonOrientable where not.
-        """
+    def from_gluings(cls, pairs, name="surface", preferred=None):
+        """Build from a list of slot pairs ((t, a), (u, b)), each gluing the
+        two slots in the convention of the module docstring."""
         pairs = [((int(t), int(a)), (int(u), int(b)))
                  for (t, a), (u, b) in pairs]
-        rev = {frozenset(p) for p in
-               ((tuple(x), tuple(y)) for x, y in reversed_pairs)}
-        unknown = rev - {frozenset(p) for p in pairs}
-        if unknown:
-            raise NonInvolution("reversed_pairs contains unknown gluings")
         tris = {t for p in pairs for (t, _) in p}
         if tris != set(range(len(tris))):
             raise NonInvolution("triangle ids are not consecutive from 0")
-        if rev:
-            pairs, preferred = cls._normalize_orientation(pairs, rev, len(tris),
-                                                          preferred)
         glued = {}
         for x, y in pairs:
             for s, p in ((x, y), (y, x)):
@@ -445,44 +432,6 @@ class IdealTriangulation:
         if missing:
             raise NonInvolution("slot (%d,%d) is not glued" % missing[0])
         return cls(tuple(glued[s] for s in order), name=name, preferred=preferred)
-
-    @staticmethod
-    def _normalize_orientation(pairs, rev, T, preferred):
-        # 2-colour the triangles: a reversing gluing joins opposite colours
-        colour = {}
-        adj = {t: [] for t in range(T)}
-        for x, y in pairs:
-            flip = frozenset((x, y)) in rev
-            adj[x[0]].append((y[0], flip))
-            adj[y[0]].append((x[0], flip))
-        for start in range(T):
-            if start in colour:
-                continue
-            colour[start] = 0
-            queue = [start]
-            for t in queue:
-                for nbr, flip in adj[t]:
-                    want = colour[t] ^ flip
-                    if nbr not in colour:
-                        colour[nbr] = want
-                        queue.append(nbr)
-                    elif colour[nbr] != want:
-                        raise NonOrientable("gluing data admits no orientation")
-
-        def fix(slot):
-            t, s = slot
-            return (t, 2 - s) if colour[t] else slot
-
-        fixed = []
-        for x, y in pairs:
-            bit = frozenset((x, y)) in rev
-            assert bit == (colour[x[0]] ^ colour[y[0]])
-            fixed.append((fix(x), fix(y)))
-        if preferred in {(t, k) for t in range(T) for k in range(3)}:
-            t0, k0 = preferred
-            if colour[t0]:
-                preferred = (t0, _REFLECT[k0])
-        return fixed, preferred
 
 
 def find_relabelings(tri, target, match_labels=True, match_preferred=False):
@@ -593,13 +542,6 @@ class Relabeling:
             rot[self.perm[t]] = (-self.rot[t]) % 3
         return Relabeling(tuple(perm), tuple(rot))
 
-    def then(self, other):
-        """The composite relabeling: self first, then other."""
-        perm = tuple(other.perm[p] for p in self.perm)
-        rot = tuple((self.rot[t] + other.rot[self.perm[t]]) % 3
-                    for t in range(len(self.perm)))
-        return Relabeling(perm, rot)
-
     def apply(self, tri):
         self._check_size(tri)
         t0, k0 = tri.punctures[tri.preferred][0]
@@ -648,19 +590,17 @@ class CoverMap:
                      for i in range(self.degree))
 
 
-def build_cover(base, perms, name=None, preferred=None):
+def build_cover(base, perms, preferred=None):
     """Assemble the cover of `base` given one sheet permutation per edge.
 
-    `perms` maps edge label to a tuple listing sigma(0), sigma(1), ...; see
-    CoverMap for the orientation convention.  `preferred` selects the lift
-    of the base preferred puncture by a cover corner; the default marks the
-    sheet-0 lift of the base puncture's first corner.  Raises BaseMismatch
-    for data that does not fit the base and Intransitive when the sheets do
-    not form a single connected cover.
+    `perms` is a dict mapping each edge label to a tuple listing sigma(0),
+    sigma(1), ...; see CoverMap for the orientation convention.
+    `preferred` selects the lift of the base preferred puncture by a cover
+    corner; the default marks the sheet-0 lift of the base puncture's
+    first corner.  Raises BaseMismatch for data that does not fit the base
+    and Intransitive when the sheets do not form a single connected cover.
     """
     labels = sorted(base.edges)
-    if not hasattr(perms, "keys"):
-        perms = dict(zip(labels, perms))
     if sorted(perms) != labels:
         raise BaseMismatch("need one permutation per edge label of the base")
     table = {}
@@ -692,9 +632,8 @@ def build_cover(base, perms, name=None, preferred=None):
     # triangulation's own check does: permutations that generate a
     # transitive group can still leave the cover disconnected
     try:
-        total = IdealTriangulation(
-            glued, name=name or "%s_cover%d" % (base.name, degree),
-            preferred=preferred)
+        total = IdealTriangulation(glued, name="%s_cover%d" % (base.name, degree),
+                                   preferred=preferred)
     except Disconnected as exc:
         raise Intransitive("gluing permutations leave the cover in %d pieces"
                            % exc.pieces) from exc
@@ -702,6 +641,16 @@ def build_cover(base, perms, name=None, preferred=None):
 
 
 def cover_to_text(cover):
+    """The base surface's text, then the degree and one perm line per edge.
+
+    The text reads back with build_cover's default preferred puncture, so
+    a cover marked at another raises ValueError instead.
+    """
+    t0, k0 = cover.base.punctures[cover.base.preferred][0]
+    default = cover.total.puncture_of((cover.lift_id(t0, 0), k0))
+    if cover.total.preferred != default:
+        raise ValueError("the cover format cannot mark puncture p%d preferred; "
+                         "it reads back with p%d" % (cover.total.preferred, default))
     lines = [cover.base.to_text().rstrip("\n")]
     lines.append("cover degree %d" % cover.degree)
     for e in sorted(cover.perms):
@@ -713,11 +662,7 @@ def cover_from_text(text):
     base_lines = []
     perm_lines = []
     degree = None
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
+    for ln, tok in _lines(text):
         if tok[0] == "cover":
             if degree is not None or len(tok) != 3 or tok[1] != "degree":
                 raise BadSurfaceFile("line %d: bad cover line" % ln)
@@ -737,10 +682,10 @@ def cover_from_text(text):
         else:
             if degree is not None:
                 raise BadSurfaceFile("line %d: surface data after cover line" % ln)
-            base_lines.append(raw)
+            base_lines.append((ln, tok))
     if degree is None:
         raise BadSurfaceFile("missing cover line")
-    base = IdealTriangulation.from_text("\n".join(base_lines))
+    base = IdealTriangulation._from_lines(base_lines)
     perms = {}
     for ln, e, sigma in perm_lines:
         if e in perms:

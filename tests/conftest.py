@@ -16,7 +16,7 @@ def degree_three_covers():
     out = []
     for perms in product(permutations(range(3)), repeat=3):
         try:
-            cover = build_cover(base, perms)
+            cover = build_cover(base, dict(enumerate(perms)))
         except errors.Intransitive:
             continue
         if len(cover.total.punctures) == 1:

@@ -1919,7 +1919,7 @@ def _random_tangent_lengths(rng):
             h1 = geometry.Horoball(c1, float(rng.uniform(0.05, 3.0)))
         c2 = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
         h2 = geometry.Horoball(c2, float(rng.uniform(0.05, 3.0)))
-        if h1.at_infinity or abs(h1.center - h2.center) > 1e-12:
+        if h1.center == math.inf or abs(h1.center - h2.center) > 1e-12:
             try:
                 return geometry.tangent_lengths(h1, h2)
             except OverlappingHoroballs:

@@ -166,7 +166,7 @@ def test_criterion_07_tangent_extremals(capsys):
             h1 = geometry.Horoball(c1, float(rng.uniform(0.05, 3.0)))
         c2 = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
         h2 = geometry.Horoball(c2, float(rng.uniform(0.05, 3.0)))
-        if not h1.at_infinity and abs(h1.center - h2.center) < 1e-12:
+        if h1.center != math.inf and abs(h1.center - h2.center) < 1e-12:
             continue
         if geometry.horoball_distance(h1, h2) < 0.0:
             continue

@@ -177,7 +177,8 @@ class TestTrace:
                 (twice_punctured_torus(), 2, 4, 1, 3),
                 (degree_three_cover(T).total, 2, 3, 1, 2)]
         for tri, wtop, wsum, ctop, csum in sets:
-            corners = tri.corners()
+            corners = [(t, k) for t in range(tri.num_triangles)
+                       for k in range(3)]
             cvecs = [{k: x for k, x in zip(corners, cv) if x}
                      for cv in small_vectors(len(corners), ctop, csum)]
             arcs_seen = 0
@@ -317,8 +318,8 @@ def centre_preferred():
 
 class TestInputChecks:
     """One input per NotAnArc message of the arc constructors, through
-    NormalArc(...), parse_arc, arc_from_json and, for the checks no public
-    constructor reaches, NormalArc._make."""
+    NormalArc(...), parse_arc, arc_from_json and, for the degenerate-edge
+    check no public constructor reaches, NormalArc._make."""
 
     CASES = {
         "vectors-and-edge": (
@@ -333,17 +334,22 @@ class TestInputChecks:
         "negative-literal": (
             lambda T: parse_arc(T, "arc 2,-1,0;0,0,0,0,0,0"),
             "coordinates must be nonnegative"),
+        "float-entry": (
+            lambda T: NormalArc(T, (1.9, 4, 2), (0, 1, 2, 2, 0, 1)),
+            "coordinates must be integers"),
+        "float-json": (
+            lambda T: arc_from_json(T, {"edge_weights": [1.9, 4, 2],
+                                        "corner_data": [0, 1, 2, 2, 0, 1],
+                                        "along": None}),
+            "coordinates must be integers"),
+        "float-along": (
+            lambda T: NormalArc(T, along=1.0),
+            "no edge labelled 1.0"),
         "negative-json": (
             lambda T: arc_from_json(T, {"edge_weights": [-1, 0, 0],
                                         "corner_data": [0] * 6,
                                         "along": None}),
             "coordinates must be nonnegative"),
-        "unknown-weight-edge": (
-            lambda T: NormalArc._make(T, {7: 1}, {}, {}),
-            "no edge labelled 7"),
-        "unknown-corner": (
-            lambda T: NormalArc._make(T, {}, {(2, 0): 1}, {}),
-            "no corner (2, 0)"),
         "edge-and-more": (
             lambda T: NormalArc._make(T, {0: 1}, {}, {1: 1}),
             "a degenerate arc is one edge and nothing else"),
@@ -373,6 +379,16 @@ class TestInputChecks:
         build, message = self.CASES[case]
         with pytest.raises(errors.NotAnArc, match=re.escape(message)):
             build(once_punctured_torus())
+
+    def test_numpy_vectors(self):
+        # numpy integers read as integers; an array is tested against None,
+        # never for truth
+        T = once_punctured_torus()
+        a = NormalArc(T, np.array([1, 4, 2]), np.array([0, 1, 2, 2, 0, 1]))
+        assert a == slope_arc(T, "2/5")
+        assert type(a.edge_weights[0]) is int
+        assert NormalArc(T, np.array([1, 0, 0]), np.zeros(6, int)).along == 0
+        assert type(NormalArc(T, along=np.int64(1)).to_json()["along"]) is int
 
     def test_negative_entries_are_checked_before_the_unit_indicator(self):
         # (2, -1, 0) sums to 1 like a unit indicator

@@ -447,6 +447,21 @@ class TestVerifyLifting:
         assert capsys.readouterr().err == \
             "cusplab: error: line 4: bad cover degree\n"
 
+    def test_cover_file_surface_error_names_the_file_line(self, tmp_path,
+                                                          capsys):
+        # the base surface's errors count the comment and blank line too
+        cover = tmp_path / "cover.tri"
+        cover.write_text("# my cover\n\nsurface s11 preferred_puncture p0\n"
+                         "tri 0: 1.1 1.2 1.0\ntri 0: 0.2 0.0 0.1\n"
+                         "cover degree 1\nperm 0: 0\nperm 1: 0\nperm 2: 0\n")
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text("[]")
+        code = cli.run(["verify-lifting", "--cover", str(cover),
+                        "--pairs", str(pairs)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "cusplab: error: line 5: triangle 0 repeated\n"
+
     def test_missing_cover_file(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.json"
         pairs.write_text("[]")

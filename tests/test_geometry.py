@@ -133,8 +133,6 @@ class TestHoroball:
             Horoball(0j, 0.0)
         with pytest.raises(ValueError):
             Horoball(inf, -1.0)
-        assert Horoball(inf, 2.0).at_infinity
-        assert not Horoball(1 + 2j, 2.0).at_infinity
 
     def test_distance_examples(self):
         assert abs(horoball_distance(Horoball(0j, 1.0), Horoball(inf, 1.0))) \

@@ -5,8 +5,10 @@ the public API; both break silently when a name moves, so these tests
 load them the way they run.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -40,6 +42,35 @@ def test_traced_names_resolve():
     assert layertrace.WRAPPED
     for layer, owner, attr in layertrace.WRAPPED:
         assert callable(getattr(owner, attr, None)), (layer, attr)
+
+
+def raised_names(path):
+    """The names that `raise` statements in one source file raise."""
+    with open(path) as handle:
+        tree = ast.parse(handle.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_every_error_class_is_raised():
+    """Each exception class but the CuspLabError base is raised by the
+    package or by the test oracles; one whose raiser is gone is dead."""
+    from cusplab import errors
+    package = os.path.join(ROOT, "src", "cusplab")
+    raised = raised_names(os.path.join(ROOT, "tests", "oracles.py"))
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            raised |= raised_names(os.path.join(package, name))
+    classes = {name for name, obj in vars(errors).items()
+               if inspect.isclass(obj) and issubclass(obj, errors.CuspLabError)}
+    assert classes - {"CuspLabError"} - raised == set()
 
 
 def test_public_names_exist():

@@ -39,6 +39,13 @@ def relabel_edge(tri, old, new):
                               edge_of_slot=table)
 
 
+def then(first, second):
+    """The composite relabeling: first, then second."""
+    return Relabeling(tuple(second.perm[p] for p in first.perm),
+                      tuple((first.rot[t] + second.rot[first.perm[t]]) % 3
+                            for t in range(len(first.perm))))
+
+
 def twice_punctured_torus():
     """Square torus with a second puncture at the centre of the square.
 
@@ -146,12 +153,6 @@ class TestValidation:
                            match="describes %d components" % copies):
             IdealTriangulation(glued)
 
-    def test_nonorientable_rejected(self):
-        pairs = [((0, 0), (1, 1)), ((0, 1), (1, 2)), ((0, 2), (1, 0))]
-        with pytest.raises(errors.NonOrientable):
-            IdealTriangulation.from_gluings(pairs,
-                                            reversed_pairs=[pairs[1]])
-
     @pytest.mark.parametrize("corner", [(9, 0), (0, 3), (0, -1), (1, 3),
                                         (1, -1), (1, 0, 0)])
     def test_bad_preferred_corner(self, corner):
@@ -159,13 +160,6 @@ class TestValidation:
         pairs = [((0, 0), (1, 1)), ((0, 1), (1, 2)), ((0, 2), (1, 0))]
         with pytest.raises(errors.BadSurfaceFile, match=message):
             IdealTriangulation.from_gluings(pairs, preferred=corner)
-        # the reflected table of test_reversed_gluings_normalised: its
-        # normalisation reflects triangle 1, and must not turn (1, -1) into
-        # a real corner
-        pairs = [((0, 0), (1, 1)), ((0, 1), (1, 0)), ((0, 2), (1, 2))]
-        with pytest.raises(errors.BadSurfaceFile, match=message):
-            IdealTriangulation.from_gluings(pairs, preferred=corner,
-                                            reversed_pairs=pairs)
 
     def test_bad_preferred_corner_of_a_cover(self):
         with pytest.raises(errors.BadSurfaceFile,
@@ -185,33 +179,6 @@ class TestValidation:
         s = IdealTriangulation(once_punctured_torus()._glued,
                                preferred=np.int64(0))
         assert s.preferred == 0 and type(s.preferred) is int
-
-    def test_reversed_gluings_keep_the_preferred_corner(self):
-        # triangle 1 of twice_punctured_torus reflected by hand, its
-        # gluings marked reversed; normalisation reflects it back, and a
-        # preferred corner on it must follow to (1, _REFLECT[k])
-        s = twice_punctured_torus()
-        pairs = [((0, 0), (2, 0)), ((1, 0), (3, 0)),
-                 ((0, 1), (1, 2)), ((1, 1), (2, 2)),
-                 ((2, 1), (3, 2)), ((3, 1), (0, 2))]
-        reflect = {(1, a): (1, 2 - a) for a in range(3)}
-        mirrored = [(reflect.get(x, x), reflect.get(y, y)) for x, y in pairs]
-        reversed_pairs = [p for p in mirrored if 1 in (p[0][0], p[1][0])]
-        for t in range(4):
-            for k in range(3):
-                got = IdealTriangulation.from_gluings(
-                    mirrored, preferred=(t, k), reversed_pairs=reversed_pairs)
-                assert got._glued == s._glued
-                want = (t, surface._REFLECT[k]) if t == 1 else (t, k)
-                assert got.preferred == s.puncture_of(want), (t, k)
-
-    def test_reversed_gluings_normalised(self):
-        # the standard torus table with triangle 1 reflected by hand; all
-        # three gluings become orientation-reversing and normalisation must
-        # recover the standard table
-        pairs = [((0, 0), (1, 1)), ((0, 1), (1, 0)), ((0, 2), (1, 2))]
-        s = IdealTriangulation.from_gluings(pairs, reversed_pairs=pairs)
-        assert s == once_punctured_torus()
 
 
 class TestTextFormat:
@@ -399,7 +366,7 @@ class TestRelabeling:
         t = r.apply(s)
         assert t.chi == s.chi
         assert r.inverse().apply(t) == s
-        assert r.then(r.inverse()).apply(s) == s
+        assert then(r, r.inverse()).apply(s) == s
 
     def test_rotation_automorphism_of_torus(self):
         # rotating both plane triangles one step is the order three symmetry
@@ -408,7 +375,7 @@ class TestRelabeling:
         r = Relabeling(perm=(0, 1), rot=(1, 1))
         assert r.is_automorphism(s)
         assert r.edge_map(s) == {0: 1, 1: 2, 2: 0}
-        assert r.then(r).then(r).apply(s) == s
+        assert then(then(r, r), r).apply(s) == s
 
     def test_non_automorphism(self):
         s = once_punctured_torus()
@@ -478,7 +445,7 @@ class TestCovers:
 
     def test_projection_indices(self):
         base = once_punctured_torus()
-        cover = build_cover(base, [(1, 2, 0), (0, 1, 2), (0, 1, 2)])
+        cover = build_cover(base, {0: (1, 2, 0), 1: (0, 1, 2), 2: (0, 1, 2)})
         for t in range(2):
             for i in range(3):
                 assert divmod(cover.lift_id(t, i), cover.degree) == (t, i)
@@ -486,13 +453,13 @@ class TestCovers:
     def test_intransitive(self):
         base = once_punctured_torus()
         with pytest.raises(errors.Intransitive, match="in 2 pieces"):
-            build_cover(base, [(0, 1), (0, 1), (0, 1)])
+            build_cover(base, {e: (0, 1) for e in range(3)})
         # the same 3-cycle on every edge generates a transitive group but
         # still tears the cover into three pieces
         with pytest.raises(errors.Intransitive, match="in 3 pieces"):
-            build_cover(base, [(1, 2, 0), (1, 2, 0), (1, 2, 0)])
+            build_cover(base, {e: (1, 2, 0) for e in range(3)})
         with pytest.raises(errors.Intransitive, match="in 4 pieces"):
-            build_cover(base, [(0, 1, 2, 3)] * 3)
+            build_cover(base, {e: (0, 1, 2, 3) for e in range(3)})
 
     def test_base_mismatch(self):
         base = once_punctured_torus()
@@ -536,11 +503,27 @@ class TestCovers:
         ("surface s11 preferred_puncture p0\ntri 0: 1.1 1.2 1.0\n"
          "tri 0: 0.2 0.0 0.1\ncover degree 2\n" + PERMS,
          "line 3: triangle 0 repeated"),
+        # base lines keep the file's numbers past comments and blank lines
+        ("# my cover\n\nsurface s11 preferred_puncture p0\n"
+         "tri 0: 1.1 1.2 1.0\ntri 0: 0.2 0.0 0.1\ncover degree 2\n" + PERMS,
+         "line 5: triangle 0 repeated"),
     ])
     def test_each_cover_file_message(self, text, message):
         with pytest.raises(errors.BadSurfaceFile) as info:
             cover_from_text(text)
         assert str(info.value) == message
+
+    def test_cover_text_refuses_another_preferred_puncture(self):
+        # the degree-2 torus cover has two punctures; the text would read
+        # back marked at the sheet-0 lift, puncture 0
+        base = once_punctured_torus()
+        perms = {0: (0, 1), 1: (0, 1), 2: (1, 0)}
+        total = build_cover(base, perms).total
+        assert len(total.punctures) == 2 and total.preferred == 0
+        cover = build_cover(base, perms, preferred=total.punctures[1][0])
+        assert cover.total.preferred == 1
+        with pytest.raises(ValueError, match="puncture p1"):
+            cover_to_text(cover)
 
     def test_preferred_puncture_lifts_sheet_zero(self):
         base = twice_punctured_torus()
@@ -594,7 +577,7 @@ def connected_degree_three_covers():
     base = once_punctured_torus()
     for perms in product(permutations(range(3)), repeat=3):
         try:
-            total = build_cover(base, perms).total
+            total = build_cover(base, dict(enumerate(perms))).total
         except errors.Intransitive:
             continue
         for orbit in total.punctures:
