@@ -417,16 +417,13 @@ def _vector_dicts(base, edge_weights, corner_data):
     """Sparse (w, c) of published vectors, the one reading of them.
 
     Entries are read through operator.index, so numpy integers pass and
-    floats do not.  Raises NotAnArc unless every entry is a nonnegative
-    integer, with one weight per edge label and one entry per triangle
-    corner.
+    floats do not.  Raises NotAnArc unless each vector is a sequence of
+    nonnegative integers, with one weight per edge label and one entry
+    per triangle corner.
     """
     labels = base.edge_labels
-    try:
-        wv, cv = ([operator.index(x) for x in (() if v is None else v)]
-                  for v in (edge_weights, corner_data))
-    except TypeError:
-        raise NotAnArc("coordinates must be integers")
+    wv, cv = (_entries(v, name) for v, name in
+              ((edge_weights, "edge weights"), (corner_data, "corner data")))
     if len(wv) != len(labels):
         raise NotAnArc("need %d edge weights" % len(labels))
     if len(cv) != 3 * base.num_triangles:
@@ -437,10 +434,31 @@ def _vector_dicts(base, edge_weights, corner_data):
             {divmod(i, 3): x for i, x in enumerate(cv) if x})
 
 
+def _entries(vector, name):
+    # the entries of one published vector as ints; None reads as empty
+    try:
+        entries = iter(() if vector is None else vector)
+    except TypeError:
+        raise NotAnArc("%s must be a sequence" % name)
+    try:
+        return [operator.index(x) for x in entries]
+    except TypeError:
+        raise NotAnArc("coordinates must be integers")
+
+
 def arc_from_json(base, obj):
-    """Inverse of to_json; faithful, since "along" is carried explicitly."""
+    """Inverse of to_json; faithful, since "along" is carried explicitly.
+
+    Raises NotAnArc unless obj is an object with an "along" edge or both
+    vectors.
+    """
+    if not isinstance(obj, dict):
+        raise NotAnArc("an arc's JSON is an object, got %r" % (obj,))
     if obj.get("along") is not None:
         return NormalArc(base, along=obj["along"])
+    for key in ("edge_weights", "corner_data"):
+        if key not in obj:
+            raise NotAnArc("arc JSON has no %r" % key)
     return NormalArc._make(base, *_vector_dicts(base, obj["edge_weights"],
                                                 obj["corner_data"]), {})
 

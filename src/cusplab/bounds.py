@@ -5,16 +5,15 @@ farey module computes exact translation distances of its monodromy; this
 module evaluates the area and height inequalities relating the two and
 emits signed margin reports.  A negative margin on one of the proven
 inequalities is flagged as a violation.  The lower bounds involve the
-stable translation distance, which farey computes exactly from a 2x2
-min-plus matrix.  Those checks keep the labels from when it was only
-estimated from above, consistent-strong or inconclusive, never violated,
-until the report schema changes.
+stable translation distance tau = d(psi^2)/2, which comes with the
+d(psi^n) from one exact farey call.  Those checks keep the labels from
+when tau was only estimated from above, consistent-strong or
+inconclusive, never violated, until the report schema changes.
 
 The quasi-Fuchsian bound expressions are evaluated as pure arithmetic
 for tabulation; no quasi-Fuchsian geometry is computed here.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -36,11 +35,11 @@ class CuspReport:
     ``d_psi_n`` maps n to the exact arc-complex translation distance of
     the n-th power of the monodromy; ``stable_upper`` is the stable
     translation distance, exact, under the name it had as an upper
-    estimate.  ``margins`` maps
-    each inequality to its signed slack (positive means satisfied), and
-    ``flags`` carries one label per check: violation:* for a failed
-    proven inequality, consistent-strong:*/ inconclusive:* for the
-    stable-distance comparisons.
+    estimate.  ``margins`` maps each inequality to its signed slack
+    (positive means satisfied), and ``flags`` carries one label per
+    check: violation:* for a failed proven inequality,
+    consistent-strong:*/ inconclusive:* for the stable-distance
+    comparisons.
     """
     word: str
     chi: int
@@ -61,22 +60,6 @@ class CuspReport:
     @property
     def violations(self):
         return tuple(f for f in self.flags if f.startswith("violation:"))
-
-    def to_json(self):
-        """Deterministic JSON text; equal reports serialize identically."""
-        payload = {
-            "word": self.word,
-            "chi": self.chi,
-            "cusp_area": self.cusp_area,
-            "longitude": self.longitude,
-            "height": self.height,
-            "d_psi_n": {str(n): self.d_psi_n[n]
-                        for n in sorted(self.d_psi_n)},
-            "stable_upper": self.stable_upper,
-            "margins": {k: self.margins[k] for k in sorted(self.margins)},
-            "flags": list(self.flags),
-        }
-        return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
 
 
 def verify_fibered(word, n_max=4, tol=1e-12):
@@ -100,19 +83,16 @@ def verify_fibered(word, n_max=4, tol=1e-12):
     shapes = bundle.solve_shapes(bundle.gluing_system(tri), tol=tol)
     cusp = bundle.maximal_cusp(tri, shapes)
 
-    # d(psi^n) and tau read the same Farey distance matrix
-    _, t = farey._distance_matrix(mono)
-    d_psi_n = farey._power_distances(t, n_max)
-    stable = float(farey._stable_distance(t))
+    # tau = d(psi^2) / 2, so --n-max 1 still needs the second power
+    d = farey.translation_distances(mono, max(n_max, 2))
+    d_psi_n = {n: d[n] for n in range(1, n_max + 1)}
+    stable = d[2] / 2
 
     margins = {}
     flags = []
     for n in range(1, n_max + 1):
-        margins["area_n%d" % n] = \
-            9.0 * chi2 * d_psi_n[n] - n * cusp.area
-        margins["height_n%d" % n] = \
-            -3.0 * chi * d_psi_n[n] - n * cusp.height
-    for n in range(1, n_max + 1):
+        margins["area_n%d" % n] = 9.0 * chi2 * d[n] - n * cusp.area
+        margins["height_n%d" % n] = -3.0 * chi * d[n] - n * cusp.height
         if margins["area_n%d" % n] < 0.0:
             flags.append("violation:area_n%d" % n)
         if margins["height_n%d" % n] <= 0.0:

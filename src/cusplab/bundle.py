@@ -250,14 +250,14 @@ class ShapeVector:
 
 def _shapes(shapes, system=None):
     # the validated shapes as a tuple of complex numbers, one per
-    # tetrahedron of the system's triangulation when a system is given
-    zs = (shapes if isinstance(shapes, ShapeVector)
-          else ShapeVector(tuple(shapes))).shapes
+    # tetrahedron of the system's triangulation when a system is given;
+    # the count comes first, so no shapes at all is a wrong count too
+    zs = shapes.shapes if isinstance(shapes, ShapeVector) else tuple(shapes)
     if system is not None and len(zs) != system.triangulation.num_tetrahedra:
         raise NotSolved("word %r: %d shapes for %d tetrahedra"
                         % (system.triangulation.word, len(zs),
                            system.triangulation.num_tetrahedra))
-    return zs
+    return zs if isinstance(shapes, ShapeVector) else ShapeVector(zs).shapes
 
 
 def _completeness_row(word):
@@ -798,14 +798,14 @@ def cusp_cross_section(triangulation, shapes, base=(0, 0)):
     (a tetrahedron and vertex pair) develops with unit first side; with
     the default base this is the cut at euclidean height one over the
     first tetrahedron placed at (infinity, 0, 1, z_0).  Raises NotSolved
-    unless there is one shape per tetrahedron and the shapes satisfy the
-    gluing and completeness equations to about 1e-8, and ValueError on a
-    base that is not a corner.  Any other
-    base is a similarity: the default lattice over the base triangle's
-    first side (between its first two _CYC ends) in the default cut.
+    unless there is one shape per tetrahedron, each in the upper half
+    plane, and the shapes satisfy the gluing and completeness equations
+    to about 1e-8, and ValueError on a base that is not a corner.  Any
+    other base is a similarity: the default lattice over the base
+    triangle's first side (between its first two _CYC ends) in the
+    default cut.
     """
-    system = triangulation._system
-    (mu, lam, area), pos = _cross_section(system, _shapes(shapes, system))
+    (mu, lam, area), pos = _reference_cut(triangulation, shapes)
     if base != (0, 0):
         i, k = base
         if not (0 <= i < triangulation.num_tetrahedra and 0 <= k < 4):
@@ -815,6 +815,23 @@ def cusp_cross_section(triangulation, shapes, base=(0, 0)):
         mu, lam = mu / (b - a), lam / (b - a)
         area /= abs(b - a) ** 2
     return CuspCrossSection((mu, lam), area, abs(lam), area / abs(lam))
+
+
+def _reference_cut(triangulation, shapes):
+    # _cross_section for the two cusp calls.  The cusp is read off the
+    # geometric structure, so a shape outside the upper half plane is
+    # unsolved, named with the word and the worst tetrahedron.
+    if not isinstance(shapes, ShapeVector):
+        shapes = [complex(z) for z in shapes]
+        worst = min(range(len(shapes)), key=lambda i: shapes[i].imag,
+                    default=None)
+        if worst is not None and not shapes[worst].imag > 0.0:
+            raise NotSolved("word %r: tetrahedron %d has shape %r outside "
+                            "the upper half plane, so the triangulation "
+                            "need not be geometric"
+                            % (triangulation.word, worst, shapes[worst]))
+    system = triangulation._system
+    return _cross_section(system, _shapes(shapes, system))
 
 
 def _cross_section(system, zs):
@@ -897,17 +914,7 @@ def maximal_cusp(triangulation, shapes):
     = {0, 1, 3} are |pos[16i + 1] - pos[16i + 3]| and |pos[16i + 4] -
     pos[16i + 7]|.
     """
-    if not isinstance(shapes, ShapeVector):
-        shapes = [complex(z) for z in shapes]
-        worst = min(range(len(shapes)), key=lambda i: shapes[i].imag,
-                    default=None)
-        if worst is not None and not shapes[worst].imag > 0.0:
-            raise NotSolved("word %r: tetrahedron %d has shape %r outside "
-                            "the upper half plane, so the edges need not be "
-                            "canonical"
-                            % (triangulation.word, worst, shapes[worst]))
-    system = triangulation._system
-    (mu, lam, area), pos = _cross_section(system, _shapes(shapes, system))
+    (mu, lam, area), pos = _reference_cut(triangulation, shapes)
     diameter = max([abs(pos[o + 1] - pos[o + 3]) * abs(pos[o + 4] - pos[o + 7])
                     for o in range(0, len(pos), 16)])
     h = math.sqrt(diameter)

@@ -11,8 +11,8 @@ The translation quantities all read one 2x2 matrix.  Conjugate the
 monodromy to a matrix N with positive entries; T_ij is the distance from
 r_i to N r_j, where r_0 = inf and r_1 = 0 are the ends of the frame edge.
 The diagonal minimum of T's n-th min-plus power is the translation
-distance of the n-th power of the monodromy, and T's minimum cycle mean is
-the stable translation distance.
+distance of the n-th power, and T's minimum cycle mean is the stable
+translation distance; both are closed forms in T's four entries.
 
 Conventions fixed here: R = [[1,1],[0,1]] and L = [[1,0],[1,1]], and a word
 over {L, R} multiplies out to the left-to-right product of its letter
@@ -288,8 +288,8 @@ def translation_distances(m, n_max):
     N^n does.  With r_0 = inf, r_1 = 0 and T_ij = d(r_i, N r_j), the
     (i, j) entry of the n-th min-plus power of T is d(r_i, N^n r_j) (see
     stable_translation_distance), and the translation distance of m^n is
-    its diagonal minimum, min over b of d(r_b, N^n r_b).  |trace| <= 2
-    raises NotPseudoAnosov.
+    its diagonal minimum, min over b of d(r_b, N^n r_b), in closed form
+    below.  |trace| <= 2 raises NotPseudoAnosov.
 
     Proof.  The intervals I_k = N^k [0, inf] are nested, and they shrink
     to one irrational fixed point of N as k grows and grow to all but the
@@ -301,32 +301,27 @@ def translation_distances(m, n_max):
     passes through some N^n r_b, and
 
         d(s, N^n s) = d(s, N^n r_b) + d(r_b, s) >= d(r_b, N^n r_b).
+
+    The closed form.  A closed walk of length n on T's two nodes crosses
+    k times each way and loops n - 2k times.  With k = 0 it stays at one
+    node and costs at least n a, for a = min(T00, T11).  Once k > 0 it
+    may loop at either node and costs at least n a + k (b - 2 a), for
+    b = T01 + T10: linear in k, so least at k = 0 or k = n // 2.
     """
-    return _power_distances(_distance_matrix(m)[1], n_max)
-
-
-def _power_distances(t, n_max):
-    # translation_distances from the distance matrix T of _distance_matrix
-    (t00, t01), (t10, t11) = t
-    p00, p01, p10, p11 = t00, t01, t10, t11
-    out = {}
-    for n in range(1, n_max + 1):
-        out[n] = min(p00, p11)
-        p00, p01, p10, p11 = (min(p00 + t00, p01 + t10),
-                              min(p00 + t01, p01 + t11),
-                              min(p10 + t00, p11 + t10),
-                              min(p10 + t01, p11 + t11))
-    return out
+    (t00, t01), (t10, t11) = _distance_matrix(m)[1]
+    a, b = min(t00, t11), t01 + t10
+    return {n: min(n * a, n // 2 * b + n % 2 * a)
+            for n in range(1, n_max + 1)}
 
 
 def stable_translation_distance(m):
     """The stable translation distance lim d(s, m^k s)/k, exactly.
 
-    Returns min(T00, T11, (T01 + T10)/2) as a Fraction, where T is the
-    2x2 matrix T_ij = d(r_i, N r_j) of translation_distances.  The limit
-    does not depend on s, since |d(s, m^k s) - d(t, m^k t)| <= 2 d(s, t),
-    and C is a Farey isometry, so it is the limit of d(r_0, N^k r_0)/k.
-    |trace| <= 2 raises NotPseudoAnosov.
+    Returns min(T00, T11, (T01 + T10)/2) = d(m^2)/2 as a Fraction, where
+    T is the 2x2 matrix T_ij = d(r_i, N r_j) of translation_distances.
+    The limit does not depend on s, since |d(s, m^k s) - d(t, m^k t)| <=
+    2 d(s, t), and C is a Farey isometry, so it is the limit of
+    d(r_0, N^k r_0)/k.  |trace| <= 2 raises NotPseudoAnosov.
 
     Proof.  N has positive entries, so it maps the closed interval of
     slopes [0, inf] into the open interval (0, inf), and the Farey edges
@@ -340,17 +335,12 @@ def stable_translation_distance(m):
     sum of T_(j_(l-1) j_l), minimised over the choices: d(r_i, N^k r_j) is
     the (i, j) entry of the k-th min-plus power of T.  The growth rate of
     the min-plus powers of a matrix with finite entries is its minimum
-    cycle mean (Cuninghame-Green, "Minimax algebra", 1979), and the
-    simple cycles on two nodes are the two loops and the one 2-cycle.
+    cycle mean (Cuninghame-Green, "Minimax algebra", 1979).  The simple
+    cycles on two nodes are the two loops and the 2-cycle, and a closed
+    walk of length 2 is one loop twice or the 2-cycle once, so the
+    minimum cycle mean is d(m^2)/2.
     """
-    return _stable_distance(_distance_matrix(m)[1])
-
-
-def _stable_distance(t):
-    # stable_translation_distance from the distance matrix T, the minimum
-    # taken over twice the cycle means, all integers
-    (t00, t01), (t10, t11) = t
-    return Fraction(min(2 * t00, 2 * t11, t01 + t10), 2)
+    return Fraction(translation_distances(m, 2)[2], 2)
 
 
 def stable_upper(m, N):

@@ -342,6 +342,18 @@ class TestInputChecks:
                                         "corner_data": [0, 1, 2, 2, 0, 1],
                                         "along": None}),
             "coordinates must be integers"),
+        "weights-not-a-vector": (
+            lambda T: NormalArc(T, 5, ZERO_CORNERS),
+            "edge weights must be a sequence"),
+        "corners-not-a-vector": (
+            lambda T: NormalArc(T, (1, 0, 0), 0),
+            "corner data must be a sequence"),
+        "json-without-corners": (
+            lambda T: arc_from_json(T, {"edge_weights": [1, 4, 2]}),
+            "arc JSON has no 'corner_data'"),
+        "json-not-an-object": (
+            lambda T: arc_from_json(T, [1, 2]),
+            "an arc's JSON is an object, got [1, 2]"),
         "float-along": (
             lambda T: NormalArc(T, along=1.0),
             "no edge labelled 1.0"),

@@ -311,19 +311,21 @@ class TestGluingSystem:
             assert len(system.edge_rows) == len(word)
             assert len(system.residual([1j] * len(word))) == len(word) + 1
 
-    @pytest.mark.parametrize("extra", [-1, 1])
+    @pytest.mark.parametrize("extra", [-3, -1, 1])
     def test_wrong_shape_count_is_not_solved(self, extra):
         # too few shapes would run off the rows and too many would leave
         # one unread: both are refused where the shapes enter, naming the
-        # word and both counts
+        # word and both counts; no shapes at all is a wrong count too,
+        # though no ShapeVector holds it
         tri = layered_triangulation("RRL")
         shapes = list(solve_shapes(gluing_system(tri)))
-        shapes = shapes + [REGULAR] if extra > 0 else shapes[:-1]
+        shapes = shapes + [REGULAR] if extra > 0 else shapes[:3 + extra]
         message = "word 'RRL': %d shapes for 3 tetrahedra" % (3 + extra)
+        forms = [shapes, ShapeVector(tuple(shapes))] if shapes else [shapes]
         for call in (gluing_system(tri).residual,
                      lambda zs: cusp_cross_section(tri, zs),
                      lambda zs: maximal_cusp(tri, zs)):
-            for zs in (shapes, ShapeVector(tuple(shapes))):
+            for zs in forms:
                 with pytest.raises(errors.NotSolved) as info:
                     call(zs)
                 assert str(info.value) == message
@@ -977,12 +979,15 @@ class TestMaximalCusp:
         assert str(info.value).startswith("word 'RL': ")
         assert "np." not in str(info.value)
 
-    def test_shapes_off_the_upper_half_plane_are_refused(self, solved_rl):
-        # the edge formula rests on the triangulation being geometric
+    @pytest.mark.parametrize("call", [maximal_cusp, cusp_cross_section])
+    def test_shapes_off_the_upper_half_plane_are_refused(self, solved_rl,
+                                                         call):
+        # the cusp lattice and the edge formula rest on the triangulation
+        # being geometric
         tri, _, shapes = solved_rl
         flipped = [shapes[0], shapes[1].conjugate()]
         with pytest.raises(errors.NotSolved) as info:
-            maximal_cusp(tri, flipped)
+            call(tri, flipped)
         assert "'RL'" in str(info.value)
         assert "tetrahedron 1" in str(info.value)
         assert "np." not in str(info.value)

@@ -275,8 +275,8 @@ class TestVerifyThm14:
 
     def test_violations_exit_one(self, monkeypatch, tmp_path, capsys):
         # zero translation distances break every n * area <= 9 chi^2 d(psi^n)
-        monkeypatch.setattr(farey, "_power_distances",
-                            lambda t, n_max: dict.fromkeys(
+        monkeypatch.setattr(farey, "translation_distances",
+                            lambda m, n_max: dict.fromkeys(
                                 range(1, n_max + 1), 0))
         path = tmp_path / "report.csv"
         code = cli.run(["verify-thm14", "--max-word-len", "3",

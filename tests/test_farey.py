@@ -375,17 +375,21 @@ class TestTranslationDistances:
 
     def test_min_plus_powers_are_distances(self):
         # the (i, j) entry of the n-th min-plus power of T is
-        # d(C r_i, m^n C r_j), with r_0 = inf and r_1 = 0
+        # d(C r_i, m^n C r_j), with r_0 = inf and r_1 = 0, and its
+        # diagonal minimum is the closed form of translation_distances
         matrices = [word_to_matrix(w) for w in cli.corpus(8)]
         for m in matrices + wordless_matrices():
             frame, t = farey._distance_matrix(m)
             ends = [act(frame, INFINITY), act(frame, ZERO)]
+            closed = translation_distances(m, 6)
             power = t
             for n in range(1, 7):
                 image = [act(m.power(n), r) for r in ends]
                 assert power == tuple(
                     tuple(distance(ends[i], image[j]) for j in range(2))
                     for i in range(2)), (m.matrix, n)
+                assert closed[n] == min(power[0][0], power[1][1]), \
+                    (m.matrix, n)
                 power = tuple(
                     tuple(min(power[i][k] + t[k][j] for k in range(2))
                           for j in range(2))
@@ -422,6 +426,14 @@ class TestStableTranslationDistance:
             assert abs(d60 - 60 * tau) <= 2, word
             count += 1
         assert count == 2026
+
+    def test_is_the_minimum_cycle_mean_without_a_word(self):
+        # the cycle means of T are T00, T11 and (T01 + T10) / 2
+        for m in wordless_matrices():
+            (t00, t01), (t10, t11) = farey._distance_matrix(m)[1]
+            assert stable_translation_distance(m) == min(
+                Fraction(t00), Fraction(t11), Fraction(t01 + t10, 2)), \
+                m.matrix
 
     def test_figure_eight_is_one(self):
         assert stable_translation_distance(word_to_matrix("RL")) == 1

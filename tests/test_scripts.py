@@ -73,6 +73,38 @@ def test_every_error_class_is_raised():
     assert classes - {"CuspLabError"} - raised == set()
 
 
+def private_reads(path):
+    """(line, name) for each underscore name that one package module
+    takes from another: imported from it, or read off its module."""
+    with open(path) as handle:
+        tree = ast.parse(handle.read())
+    modules = set()
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+                reads.append((node.lineno, alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            reads.append((node.lineno, node.value.id + "." + node.attr))
+    return [(line, name) for line, name in reads
+            if name.rpartition(".")[2].startswith("_")
+            and not name.endswith("__")]
+
+
+def test_no_module_reads_another_modules_private_names():
+    """A helper with a leading underscore belongs to its own module; one
+    that another module needs is public API and carries a public name."""
+    package = os.path.join(ROOT, "src", "cusplab")
+    found = {name: private_reads(os.path.join(package, name))
+             for name in sorted(os.listdir(package)) if name.endswith(".py")}
+    assert {name: reads for name, reads in found.items() if reads} == {}
+
+
 def test_public_names_exist():
     for info in pkgutil.iter_modules(cusplab.__path__):
         module = importlib.import_module("cusplab." + info.name)
